@@ -16,26 +16,20 @@ from .closedform import (
     steady_radius,
 )
 from .continuous import (
-    RmspropModel,
     SecondOrderSystem,
     Trajectory,
     eom_bregman,
     eom_bregman_euclidean,
     eom_modified,
     eom_noether_radial,
-    eom_radial_angular,
-    eom_rmsprop,
     integrate_rk4,
-    integrate_rmsprop,
-    radial_angular_state,
     rk4_solve,
-    to_cartesian,
 )
 from .discrete import (
     OptimizerState,
     centered_velocities,
+    simulate,
     step_gd_momentum_wd,
-    step_mirror,
     step_nesterov,
     step_rmsprop,
 )
@@ -55,11 +49,9 @@ from .geometry import (
 )
 from .losses import (
     Loss,
-    NormalizedComposite,
     Quadratic,
     RadialWell,
     RayleighQuotient,
-    SoftmaxCrossEntropy,
     TwoLayerChain,
     check_symmetry,
 )

@@ -7,45 +7,30 @@ none of the systems is stiff at the parameters we test.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .geometry import BregmanSchedule, Metric
 
-_RADIUS_FLOOR = 1e-8
-
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled (t, q, qdot) series with named observable channels."""
+    """Uniformly sampled (t, q, qdot) series."""
 
     times: np.ndarray
     q: np.ndarray
     q_dot: np.ndarray
-    channels: dict = field(default_factory=dict)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[name]
 
 
 @dataclass
 class SecondOrderSystem:
-    """Deterministic second-order dynamics qddot = rhs(t, q, qdot).
-
-    post_step, when set, renormalizes the state after every integrator step
-    (used to hold unit-norm constraints).
-    """
+    """Deterministic second-order dynamics qddot = rhs(t, q, qdot)."""
 
     name: str
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     parameters: dict = field(default_factory=dict)
-    post_step: Optional[Callable] = None
 
 
 def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -59,7 +44,7 @@ def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(steps + 1)
 
 
-def rk4_solve(f, y0, t0: float, t1: float, dt: float, post_step=None):
+def rk4_solve(f, y0, t0: float, t1: float, dt: float):
     """Classical 4th-order Runge-Kutta on a flat state vector.
 
     Returns (times, states) with states[i] the solution at times[i].
@@ -79,8 +64,6 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, post_step=None):
         except DomainError as exc:
             raise IntegrationError(f"rhs left its domain: {exc}", time=t) from exc
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            y = post_step(y)
         out[i + 1] = y
     return times, out
 
@@ -98,13 +81,7 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
         qdd = system.rhs(t, y[:d], y[d:])
         return np.concatenate((y[d:], qdd))
 
-    post = None
-    if system.post_step is not None:
-        def post(y):
-            q, qd = system.post_step(y[:d], y[d:])
-            return np.concatenate((q, qd))
-
-    times, ys = rk4_solve(f, np.concatenate((q0, qdot0)), t0, t1, dt, post_step=post)
+    times, ys = rk4_solve(f, np.concatenate((q0, qdot0)), t0, t1, dt)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
@@ -175,67 +152,6 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
                              parameters={"metric": metric.name, "schedule": schedule.name})
 
 
-def eom_radial_angular(m: float, mu: float, k: float, loss) -> SecondOrderSystem:
-    """Coupled radius/direction dynamics of a scale-invariant objective:
-
-        m rddot + mu rdot = (m |uhatdot|^2 - k) r
-        m uhatddot + mu uhatdot = -ghat / r^2
-
-    where ghat is the loss gradient at the unit vector.  The state stacks
-    (r, uhat); the unit norm is enforced by projection after each step,
-    the numerical realization of the constraint multiplier.
-    """
-    if not getattr(loss, "scale_invariant", False):
-        raise ValueError("radial/angular coordinates require a scale-invariant loss")
-
-    def rhs(t, state, state_dot):
-        r = state[0]
-        if r < _RADIUS_FLOOR:
-            raise IntegrationError(f"radius collapsed to {r:.3e}", time=t)
-        uhat = state[1:]
-        rdot = state_dot[0]
-        uhat_dot = state_dot[1:]
-        ghat = loss.grad(uhat)
-        rddot = ((m * float(uhat_dot @ uhat_dot) - k) * r - mu * rdot) / m
-        uhat_ddot = (-ghat / r ** 2 - mu * uhat_dot) / m
-        return np.concatenate(([rddot], uhat_ddot))
-
-    def post_step(state, state_dot):
-        uhat = state[1:]
-        uhat_dot = state_dot[1:]
-        uhat = uhat / np.linalg.norm(uhat)
-        uhat_dot = uhat_dot - float(uhat_dot @ uhat) * uhat
-        return (np.concatenate((state[:1], uhat)),
-                np.concatenate((state_dot[:1], uhat_dot)))
-
-    return SecondOrderSystem(name="radial-angular", rhs=rhs, post_step=post_step,
-                             parameters={"m": m, "mu": mu, "k": k})
-
-
-def radial_angular_state(r: float, r_dot: float, uhat, uhat_dot):
-    """Stack (r, uhat) into an integration state, validating the constraint."""
-    uhat = np.asarray(uhat, dtype=float)
-    uhat_dot = np.asarray(uhat_dot, dtype=float)
-    if abs(np.linalg.norm(uhat) - 1.0) > 1e-10:
-        raise ValueError("uhat must be a unit vector")
-    if abs(float(uhat @ uhat_dot)) > 1e-10:
-        raise ValueError("uhat_dot must be tangent to the sphere")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return np.concatenate(([r], uhat)), np.concatenate(([r_dot], uhat_dot))
-
-
-def to_cartesian(trajectory: Trajectory) -> Trajectory:
-    """Map a radial/angular trajectory back to q = r uhat coordinates."""
-    r = trajectory.q[:, :1]
-    uhat = trajectory.q[:, 1:]
-    rdot = trajectory.q_dot[:, :1]
-    uhat_dot = trajectory.q_dot[:, 1:]
-    return Trajectory(times=trajectory.times.copy(), q=r * uhat,
-                      q_dot=rdot * uhat + r * uhat_dot,
-                      channels=dict(trajectory.channels))
-
-
 def eom_noether_radial(m: float, mu: float, k: float, history) -> SecondOrderSystem:
     """Scalar dynamics of the squared norm u = r^2 driven by a recorded
     gradient-norm channel:
@@ -257,52 +173,3 @@ def eom_noether_radial(m: float, mu: float, k: float, history) -> SecondOrderSys
     return SecondOrderSystem(name="noether-radial", rhs=rhs,
                              parameters={"m": m, "mu": mu, "k": k})
 
-
-@dataclass
-class RmspropModel:
-    """Continuous model of the adaptive rule: a second-order parameter
-    equation coupled to a first-order gradient-norm memory,
-
-        (eta/2) qddot + qdot = -g / sqrt(G)
-        eta dG/dt = -(1 - rho) G + (1 - rho) |g|^2.
-    """
-
-    eta: float
-    rho: float
-    loss: object
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-
-
-def eom_rmsprop(eta: float, rho: float, loss) -> RmspropModel:
-    return RmspropModel(eta=eta, rho=rho, loss=loss)
-
-
-def integrate_rmsprop(model: RmspropModel, q0, qdot0, g0: float, t0: float,
-                      t1: float, dt: float) -> Trajectory:
-    """Integrate the coupled (q, G) model; the memory G rides along as a
-    trajectory channel."""
-    if g0 <= 0:
-        raise ValueError("initial accumulator must be positive")
-    q0 = np.asarray(q0, dtype=float)
-    qdot0 = np.asarray(qdot0, dtype=float)
-    d = q0.size
-    eta, rho, loss = model.eta, model.rho, model.loss
-
-    def f(t, y):
-        q, q_dot, G = y[:d], y[d:2 * d], y[-1]
-        if G <= 0.0:
-            raise IntegrationError(f"accumulator hit {G:.3e}", time=t)
-        g = loss.grad(q)
-        qdd = (-g / math.sqrt(G) - q_dot) * (2.0 / eta)
-        gdot = (1.0 - rho) * (float(g @ g) - G) / eta
-        return np.concatenate((q_dot, qdd, [gdot]))
-
-    y0 = np.concatenate((q0, qdot0, [g0]))
-    times, ys = rk4_solve(f, y0, t0, t1, dt)
-    return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:2 * d],
-                      channels={"G": ys[:, -1]})

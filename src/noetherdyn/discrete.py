@@ -1,7 +1,8 @@
 """Exact discrete update rules whose continuous-time models we analyze.
 
 Steps are pure state -> state functions over an immutable value type, so
-runs are deterministic and trivially replayable.  The step index times the
+runs are deterministic and trivially replayable; `simulate` is the one loop
+that drives a step and records an observable.  The step index times the
 learning rate is the continuous time of the matching trajectory sample.
 """
 
@@ -9,8 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .geometry import Metric
 
 
 @dataclass(frozen=True)
@@ -96,22 +95,6 @@ def step_rmsprop(state: OptimizerState, loss, eta: float, rho: float) -> Optimiz
     return replace(state, q=q_new, accumulator=g_new, step_index=state.step_index + 1)
 
 
-def step_mirror(state: OptimizerState, loss, eta: float, metric: Metric) -> OptimizerState:
-    """Mirror step solving grad h(q_new) = grad h(q) - eta grad f(q).
-
-    Uses the metric's inverse gradient map: multiplicative update under
-    negative entropy, preconditioned descent under a quadratic form, plain
-    gradient descent under the Euclidean metric.  Leaving the metric domain
-    is an error, never a projection.
-    """
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    q = metric.check_domain(state.q)
-    q_new = metric.grad_inverse(metric.grad(q) - eta * loss.grad(q))
-    q_new = metric.check_domain(q_new)
-    return replace(state, q=q_new, step_index=state.step_index + 1)
-
-
 def centered_velocities(qs: np.ndarray, eta: float) -> np.ndarray:
     """Second-order velocity export (q[n+1] - q[n-1]) / (2 eta) for interior
     samples of a discrete run; matches the accuracy of the modified
@@ -120,3 +103,20 @@ def centered_velocities(qs: np.ndarray, eta: float) -> np.ndarray:
     if qs.shape[0] < 3:
         raise ValueError("need at least 3 samples for centered velocities")
     return (qs[2:] - qs[:-2]) / (2.0 * eta)
+
+
+def simulate(step, state: OptimizerState, steps: int, observe):
+    """Apply `step` (state -> state) `steps` times, recording observe(state)
+    at the initial state and after every step.
+
+    Returns (final_state, record) with record[n] the observation after n
+    steps, so record has steps + 1 rows; an observe that returns a tuple
+    gives one column per element.
+    """
+    first = np.asarray(observe(state), dtype=float)
+    record = np.empty((steps + 1,) + first.shape)
+    record[0] = first
+    for n in range(1, steps + 1):
+        state = step(state)
+        record[n] = observe(state)
+    return state, record

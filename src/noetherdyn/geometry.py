@@ -1,8 +1,7 @@
 """Metric spaces, Bregman divergence, kinetic energy, and the Lagrangian.
 
 A metric here is a strictly convex distance-generating function h on an
-open subset of R^n, exposed through its value, gradient, Hessian, and the
-inverse of its gradient map (needed by mirror-descent steps).
+open subset of R^n, exposed through its value, gradient, and Hessian.
 """
 
 import math
@@ -35,10 +34,6 @@ class Metric:
     def hessian_solve(self, x, v):
         """Solve hessian(x) @ u = v."""
         return np.linalg.solve(self.hessian(x), v)
-
-    def grad_inverse(self, y):
-        """Inverse of the gradient map: the x with grad(x) = y."""
-        raise NotImplementedError
 
     def check_domain(self, x):
         """Raise DomainError if x is outside the domain of h."""
@@ -73,9 +68,6 @@ class Euclidean(Metric):
     def hessian_solve(self, x, v):
         self.check_domain(x)
         return np.asarray(v, dtype=float).copy()
-
-    def grad_inverse(self, y):
-        return np.asarray(y, dtype=float).copy()
 
 
 class QuadraticForm(Metric):
@@ -112,9 +104,6 @@ class QuadraticForm(Metric):
         self.check_domain(x)
         return cho_solve(self._cho, np.asarray(v, dtype=float))
 
-    def grad_inverse(self, y):
-        return cho_solve(self._cho, np.asarray(y, dtype=float))
-
 
 class NegativeEntropy(Metric):
     """h(x) = sum_i x_i log x_i on the strictly positive orthant."""
@@ -148,9 +137,6 @@ class NegativeEntropy(Metric):
     def hessian_solve(self, x, v):
         x = self.check_domain(x)
         return np.asarray(v, dtype=float) * x
-
-    def grad_inverse(self, y):
-        return np.exp(np.asarray(y, dtype=float) - 1.0)
 
 
 def bregman_divergence(metric: Metric, y, x) -> float:

@@ -1,7 +1,9 @@
 """Experiment configuration: flat key-value files plus flag overrides.
 
 Flags win over file values; required hyperparameters have no silent
-defaults, so a missing one is a usage error rather than a guess.
+defaults, so a missing one is a usage error rather than a guess.  A key the
+experiment does not take (a misspelling, or a flag of another experiment)
+is a usage error too, rather than a silently ignored value.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +60,11 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise UsageError(
                 f"unknown experiment {self.kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
-        merged = dict(DEFAULTS.get(self.kind, {}))
+        merged = dict(DEFAULTS[self.kind])
+        unknown = sorted(set(self.params) - set(REQUIRED[self.kind]) - set(merged))
+        if unknown:
+            raise UsageError(
+                f"experiment {self.kind!r} does not take parameter(s): " + ", ".join(unknown))
         merged.update(self.params)
         missing = [k for k in REQUIRED[self.kind] if k not in merged]
         if missing:

@@ -21,7 +21,8 @@ from ..closedform import (
     steady_radius,
 )
 from ..continuous import eom_bregman, eom_bregman_euclidean, eom_modified, integrate_rk4, rk4_solve
-from ..discrete import OptimizerState, step_gd_momentum_wd, step_nesterov, step_rmsprop
+from ..discrete import (OptimizerState, centered_velocities, simulate, step_gd_momentum_wd,
+                        step_nesterov, step_rmsprop)
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import Rescale, Rotation, Scale, Translation, noether_residual, table2_report
@@ -170,28 +171,21 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, dim)))
     q0 = np.full(dim, 0.5)
 
-    def gd_norms(loss, q_init, lr, n):
-        state = OptimizerState.initial(q_init)
-        series = np.empty(n + 1)
-        series[0] = state.q @ state.q
-        for i in range(n):
-            state = step_gd_momentum_wd(state, loss, lr)
-            series[i + 1] = state.q @ state.q
-        return state, series
+    def gd_norms(lr, n):
+        _, series = simulate(lambda state: step_gd_momentum_wd(state, ray, lr),
+                             OptimizerState.initial(q0), n, lambda state: state.q @ state.q)
+        return series
 
-    _, norms = gd_norms(ray, q0, eta, steps)
+    norms = gd_norms(eta, steps)
     times = eta * np.arange(steps + 1)
     drift = abs(norms[-1] - norms[0]) / norms[0]
     verdicts = [Verdict("conservation.rayleigh-norm-drift", drift <= 1e-3, drift, 1e-3)]
     write_csv(out / "conservation_norm.csv", times, {"norm_sq": norms})
 
     chain = TwoLayerChain([1.0], [1.0])
-    state = OptimizerState.initial([1.5, 0.5])
-    balance = np.empty(steps + 1)
-    balance[0] = state.q[0] ** 2 - state.q[1] ** 2
-    for i in range(steps):
-        state = step_gd_momentum_wd(state, chain, eta)
-        balance[i + 1] = state.q[0] ** 2 - state.q[1] ** 2
+    _, balance = simulate(lambda state: step_gd_momentum_wd(state, chain, eta),
+                          OptimizerState.initial([1.5, 0.5]), steps,
+                          lambda state: state.q[0] ** 2 - state.q[1] ** 2)
     bal_drift = abs(balance[-1] - balance[0]) / abs(balance[0])
     verdicts.append(Verdict("conservation.rescale-balance-drift",
                             bal_drift <= 1e-3, bal_drift, 1e-3))
@@ -202,7 +196,7 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     total_time = steps * eta
     drifts = []
     for lr in etas:
-        _, series = gd_norms(ray, q0, lr, int(round(total_time / lr)))
+        series = gd_norms(lr, int(round(total_time / lr)))
         drifts.append(abs(series[-1] - series[0]) / series[0])
     slope = float(np.polyfit(np.log(etas), np.log(drifts), 1)[0])
     verdicts.append(Verdict("conservation.drift-slope", abs(slope - 1.0) <= 0.2,
@@ -228,18 +222,14 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     steps = int(round(t1 / eta))
     if steps < 3:
         raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
-    state = OptimizerState.initial([1.0])
-    qs = np.empty(steps + 1)
-    qs[0] = 1.0
-    for i in range(steps):
-        state = step_gd_momentum_wd(state, loss, eta, beta=beta)
-        qs[i + 1] = state.q[0]
+    _, qs = simulate(lambda state: step_gd_momentum_wd(state, loss, eta, beta=beta),
+                     OptimizerState.initial([1.0]), steps, lambda state: state.q[0])
     times = eta * np.arange(steps + 1)
 
     # anchor both continuous models at the first interior sample, with the
     # centered-difference velocity export for the second-order model
     q1 = qs[1]
-    v1 = (qs[2] - qs[0]) / (2.0 * eta)
+    v1 = centered_velocities(qs, eta)[0]
     t_end = steps * eta  # last discrete sample; t1 need not be a multiple
     refine = 100
     ode = integrate_rk4(eom_modified(eta, beta, 0.0, loss), [q1], [v1],
@@ -267,14 +257,10 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     eta_n = 1e-4
     s = np.sqrt(eta_n)
     n_steps = int(round(1.0 / s))
-    state = OptimizerState.initial([1.0])
-    xs = np.empty(n_steps + 1)
-    xs[0] = 1.0
-    for i in range(n_steps):
-        state = step_nesterov(state, loss, eta_n)
-        xs[i + 1] = state.q[0]
+    _, xs = simulate(lambda state: step_nesterov(state, loss, eta_n),
+                     OptimizerState.initial([1.0]), n_steps, lambda state: state.q[0])
     k0 = int(round(0.2 / s))
-    v0 = (xs[k0 + 1] - xs[k0 - 1]) / (2.0 * s)
+    v0 = centered_velocities(xs, s)[k0 - 1]
     system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
     traj = integrate_rk4(system, [xs[k0]], [v0], k0 * s, 1.0, s / 10)
     ode_f = np.array([loss.value([q]) for q in traj.q[::10, 0]])
@@ -295,7 +281,14 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 def flagship_run(cfg: ExperimentConfig):
     """Heavy-ball descent with weight decay on a scale-invariant objective,
     recording the norm, the unit-sphere gradient norm, and the per-step
-    angular displacement."""
+    angular displacement.
+
+    The update is fused inline rather than run through `simulate` and the
+    library step: at 200k steps the per-call overhead of OptimizerState,
+    RayleighQuotient.grad and step_gd_momentum_wd roughly doubles the run
+    time.  tests/test_harness.py checks this loop bit-for-bit against the
+    library step.
+    """
     eta = cfg["eta"]
     beta = cfg["beta"]
     k = cfg["wd"]
@@ -367,6 +360,9 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     """Measure the steady-state relations where the radial balance holds:
     at the crest of the norm trajectory, where rdot = 0."""
     eta, beta, k = cfg["eta"], cfg["beta"], cfg["wd"]
+    if k <= 0:
+        raise UsageError(f"steady-state needs wd > 0 (got {k:g}): "
+                         "without weight decay the norm has no radial balance point")
     times, norm_sq, gsq, ang = flagship_run(cfg)
 
     crest = int(np.argmax(norm_sq))
@@ -411,15 +407,13 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
     loss = Quadratic(np.diag(np.linspace(0.5, 2.0, dim)))
     state = OptimizerState.initial(2.0 * rng.standard_normal(dim), accumulator=g0)
 
-    steps = int(round(t1 / eta))
-    gsq = np.empty(steps + 1)
-    memory = np.empty(steps + 1)
-    for i in range(steps + 1):
+    def observe(state):
         grad = loss.grad(state.q)
-        gsq[i] = grad @ grad
-        memory[i] = state.accumulator
-        if i < steps:
-            state = step_rmsprop(state, loss, eta, rho)
+        return grad @ grad, state.accumulator
+
+    steps = int(round(t1 / eta))
+    _, record = simulate(lambda state: step_rmsprop(state, loss, eta, rho), state, steps, observe)
+    gsq, memory = record.T
     times = eta * np.arange(steps + 1)
     history = GradNormHistory(times=times, gsq=gsq)
     predicted = g_schedule(history, eta, rho, g0)

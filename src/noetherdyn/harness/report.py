@@ -157,9 +157,10 @@ def write_svg(path, title: str, series, xlabel: str = "t", ylabel: str = "") -> 
     path = Path(path)
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    finite = np.isfinite(ys)
+    finite = ys[np.isfinite(ys)]
     x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    # a series with no finite value still gets a (unit) y-range and an empty polyline
+    y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     if y_hi == y_lo:
         y_hi = y_lo + (abs(y_lo) if y_lo != 0 else 1.0)
     pad = 0.05 * (y_hi - y_lo)

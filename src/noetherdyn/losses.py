@@ -75,35 +75,6 @@ class RayleighQuotient(Loss):
         return isinstance(transform, Scale)
 
 
-class NormalizedComposite(Loss):
-    """Base loss evaluated on the unit sphere: f(q) = base(q / |q|).
-
-    Composing with the normalization makes any base loss exactly scale
-    invariant, the deterministic stand-in for a normalization layer.
-    """
-
-    name = "normalized"
-    scale_invariant = True
-
-    def __init__(self, base: Loss):
-        self.base = base
-        self.dim = base.dim
-
-    def value(self, q):
-        q = self._as_point(q)
-        return self.base.value(q / np.linalg.norm(q))
-
-    def grad(self, q):
-        q = self._as_point(q)
-        r = np.linalg.norm(q)
-        unit = q / r
-        g = self.base.grad(unit)
-        return (g - float(g @ unit) * unit) / r
-
-    def is_symmetric_under(self, transform):
-        return isinstance(transform, Scale)
-
-
 class TwoLayerChain(Loss):
     """Scalar linear chain f(q1, q2) = sum_j (q2 q1 x_j - y_j)^2 / 2.
 
@@ -133,40 +104,6 @@ class TwoLayerChain(Loss):
 
     def is_symmetric_under(self, transform):
         return isinstance(transform, Rescale) and transform.split == self.split
-
-
-class SoftmaxCrossEntropy(Loss):
-    """Cross-entropy of a softmax over raw logits q against a fixed label.
-
-    Invariant under translating all logits together, i.e. along the
-    uniform direction.
-    """
-
-    name = "softmax-xent"
-
-    def __init__(self, label: int, dim: int):
-        if not 0 <= label < dim:
-            raise ValueError("label out of range")
-        self.label = int(label)
-        self.dim = int(dim)
-
-    def value(self, q):
-        q = np.asarray(q, dtype=float)
-        shifted = q - q.max()
-        return float(np.log(np.sum(np.exp(shifted))) - shifted[self.label])
-
-    def grad(self, q):
-        q = np.asarray(q, dtype=float)
-        shifted = np.exp(q - q.max())
-        p = shifted / shifted.sum()
-        p[self.label] -= 1.0
-        return p
-
-    def is_symmetric_under(self, transform):
-        if not isinstance(transform, Translation):
-            return False
-        uniform = np.ones(self.dim) / np.sqrt(self.dim)
-        return bool(np.allclose(np.abs(transform.direction @ uniform), 1.0, atol=1e-12))
 
 
 class RadialWell(Loss):

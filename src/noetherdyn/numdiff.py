@@ -6,15 +6,10 @@ import numpy as np
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-def fd_step(x):
-    """Componentwise central-difference step, scaled by magnitude."""
-    return _FD_STEP * np.maximum(1.0, np.abs(x))
-
-
 def fd_gradient(f, x):
     """Central-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
-    h = fd_step(x)
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))  # componentwise, scaled by magnitude
     g = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()

@@ -204,7 +204,6 @@ class Table2Cell:
     transform: str
     label: str  # "symmetric" | "asymmetric"
     max_abs: float
-    min_abs: float
 
 
 def _sample_state(metric: Metric, rng):
@@ -244,7 +243,7 @@ def table2_report(metrics, transforms, samples: int = 16, seed: int = 0,
                     continue
             max_abs = max(values)
             label = "symmetric" if max_abs <= symmetric_tol else "asymmetric"
-            row.append(Table2Cell(metric.name, transform.name, label, max_abs, min(values)))
+            row.append(Table2Cell(metric.name, transform.name, label, max_abs))
         rows.append(row)
     return rows
 

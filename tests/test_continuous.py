@@ -5,7 +5,6 @@ import pytest
 
 from noetherdyn import (
     GradNormHistory,
-    IntegrationError,
     OptimizerState,
     Quadratic,
     RayleighQuotient,
@@ -14,19 +13,13 @@ from noetherdyn import (
     eom_bregman_euclidean,
     eom_modified,
     eom_noether_radial,
-    eom_radial_angular,
-    eom_rmsprop,
     integrate_rk4,
-    integrate_rmsprop,
     natural_schedule,
     nesterov_schedule,
     r2_schedule,
-    radial_angular_state,
     rk4_solve,
     sgdm_schedule,
     step_gd_momentum_wd,
-    step_rmsprop,
-    to_cartesian,
 )
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
@@ -204,66 +197,6 @@ class TestBregmanEuclidean:
         assert np.max(np.diff(energy)) <= 1e-9
 
 
-class TestRadialAngular:
-    def test_free_damped_motion_settles(self):
-        # no gradient, no decay: radius settles, angular velocity dies
-        flat = RayleighQuotient(np.eye(2))
-        system = eom_radial_angular(0.1, 1.0, 0.0, flat)
-        s0, sd0 = radial_angular_state(1.0, 0.3, np.array([1.0, 0.0]),
-                                       np.array([0.0, 0.4]))
-        traj = integrate_rk4(system, s0, sd0, 0.0, 10.0, 1e-3)
-        assert abs(traj.q_dot[-1, 0]) <= 1e-8
-        assert np.linalg.norm(traj.q_dot[-1, 1:]) <= 1e-8
-        assert traj.q[-1, 0] > 0
-
-    def test_radial_rhs_steady_state(self):
-        # m |uhatdot|^2 = k makes the radial acceleration vanish at rdot = 0
-        m, k = 1.0, 0.25
-        flat = RayleighQuotient(np.eye(2))
-        system = eom_radial_angular(m, 1.0, k, flat)
-        state = np.array([2.0, 1.0, 0.0])
-        state_dot = np.array([0.0, 0.0, np.sqrt(k / m)])
-        assert system.rhs(0.0, state, state_dot)[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_unit_norm_maintained(self):
-        theta = np.pi / 6
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        ray = RayleighQuotient(rot @ np.diag([1.0, 1.1]) @ rot.T)
-        system = eom_radial_angular(0.005, 0.1, 1e-4, ray)
-        s0, sd0 = radial_angular_state(1.3, 0.0, np.array([np.cos(0.9), np.sin(0.9)]),
-                                       np.zeros(2))
-        traj = integrate_rk4(system, s0, sd0, 0.0, 5.0, 1e-3)
-        norms = np.linalg.norm(traj.q[:, 1:], axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-10
-
-    def test_matches_cartesian_dynamics(self):
-        """Change of coordinates: the radial/angular system mapped through
-        q = r uhat agrees with the Cartesian finite-step model."""
-        eta, beta, k = 0.01, 0.9, 1e-4
-        m, mu = eta * (1 + beta) / 2, 1 - beta
-        theta = np.pi / 6
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        ray = RayleighQuotient(rot @ np.diag([1.0, 1.03]) @ rot.T)
-        uhat0 = np.array([np.cos(0.9), np.sin(0.9)])
-        cart = integrate_rk4(eom_modified(eta, beta, k, ray), 1.3 * uhat0,
-                             np.zeros(2), 0.0, 5.0, 1e-3)
-        s0, sd0 = radial_angular_state(1.3, 0.0, uhat0, np.zeros(2))
-        polar = integrate_rk4(eom_radial_angular(m, mu, k, ray), s0, sd0, 0.0, 5.0, 1e-3)
-        dev = np.max(np.linalg.norm(cart.q - to_cartesian(polar).q, axis=1))
-        assert dev <= 1e-4
-
-    def test_scale_invariance_required(self):
-        with pytest.raises(ValueError):
-            eom_radial_angular(0.1, 1.0, 0.0, Quadratic(np.eye(2)))
-
-    def test_radius_collapse_aborts(self):
-        flat = RayleighQuotient(np.eye(2))
-        system = eom_radial_angular(0.01, 0.0, 10.0, flat)  # strong decay, no friction
-        s0, sd0 = radial_angular_state(1e-6, -1.0, np.array([1.0, 0.0]), np.zeros(2))
-        with pytest.raises(IntegrationError):
-            integrate_rk4(system, s0, sd0, 0.0, 5.0, 1e-3)
-
-
 class TestNoetherRadial:
     def test_constant_drive_reaches_steady_radius(self):
         # dt stays below the RK4 stability bound for the fast rate mu/m = 200
@@ -290,45 +223,3 @@ class TestNoetherRadial:
         rel = np.abs(traj.q[window, 0] - sched[window]) / sched[window]
         assert np.max(rel) <= 1e-3
 
-
-class TestRmspropModel:
-    def test_constant_gradient_norm_fixes_memory(self):
-        loss = Quadratic(np.zeros((2, 2)), [3.0, 4.0])  # |g|^2 = 25
-        model = eom_rmsprop(0.01, 0.99, loss)
-        traj = integrate_rmsprop(model, [0.0, 0.0], [-3.0, -4.0] / np.sqrt(25.0),
-                                 25.0, 0.0, 1.0, 0.001)
-        np.testing.assert_allclose(traj.channel("G"), 25.0, rtol=1e-12)
-
-    def test_zero_gradient_memory_decay(self):
-        loss = Quadratic(np.zeros((1, 1)))
-        eta, rho = 0.01, 0.99
-        model = eom_rmsprop(eta, rho, loss)
-        traj = integrate_rmsprop(model, [1.0], [0.0], 4.0, 0.0, 0.05, 0.0001)
-        expected = 4.0 * np.exp(-(1 - rho) * traj.times / eta)
-        np.testing.assert_allclose(traj.channel("G"), expected, rtol=1e-10)
-
-    def test_discrete_rule_converges_at_first_order(self):
-        """Deviation from the model shrinks linearly when the per-time memory
-        rate (1-rho)/eta is held fixed across the step-size sweep."""
-        loss = Quadratic(np.diag([1.0, 3.0]))
-        etas = [0.04, 0.02, 0.01]
-        devs = []
-        for eta in etas:
-            rho = 1.0 - eta  # (1-rho)/eta = 1
-            st = OptimizerState.initial([1.0, 1.0], accumulator=1.0)
-            qs = [st.q.copy()]
-            for _ in range(int(round(1.0 / eta))):
-                st = step_rmsprop(st, loss, eta, rho)
-                qs.append(st.q.copy())
-            qs = np.array(qs)
-            model = eom_rmsprop(eta, rho, loss)
-            traj = integrate_rmsprop(model, [1.0, 1.0], -loss.grad([1.0, 1.0]),
-                                     1.0, 0.0, 1.0, eta / 20)
-            devs.append(np.max(np.linalg.norm(traj.q[::20] - qs, axis=1)))
-        slope = np.polyfit(np.log(etas), np.log(devs), 1)[0]
-        assert slope >= 0.9
-
-    def test_accumulator_must_start_positive(self):
-        model = eom_rmsprop(0.01, 0.99, Quadratic(np.eye(1)))
-        with pytest.raises(ValueError):
-            integrate_rmsprop(model, [1.0], [0.0], 0.0, 0.0, 1.0, 0.01)

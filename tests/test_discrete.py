@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from noetherdyn import (
-    Euclidean,
-    NegativeEntropy,
     OptimizerState,
     Quadratic,
     RayleighQuotient,
@@ -14,19 +14,15 @@ from noetherdyn import (
     eom_bregman_euclidean,
     integrate_rk4,
     nesterov_schedule,
+    simulate,
     step_gd_momentum_wd,
-    step_mirror,
     step_nesterov,
     step_rmsprop,
 )
 
 
-def run_steps(state, loss, stepper, n):
-    qs = [state.q.copy()]
-    for _ in range(n):
-        state = stepper(state, loss)
-        qs.append(state.q.copy())
-    return state, np.array(qs)
+def iterates(state):
+    return state.q
 
 
 class TestHeavyBall:
@@ -82,8 +78,8 @@ class TestNesterov:
     def test_momentum_kicks_in_at_third_step(self):
         # lookahead uses (k-1)/(k+2): zero for k = 0, 1; 1/4 at k = 2
         loss = Quadratic(np.eye(1))
-        st, qs = run_steps(OptimizerState.initial([1.0]), loss,
-                           lambda s, l: step_nesterov(s, l, 0.1), 3)
+        _, qs = simulate(lambda s: step_nesterov(s, loss, 0.1),
+                         OptimizerState.initial([1.0]), 3, iterates)
         x0, x1 = 1.0, 0.9
         x2 = x1 - 0.1 * x1
         y2 = x2 + 0.25 * (x2 - x1)
@@ -97,8 +93,8 @@ class TestNesterov:
         s = np.sqrt(eta)
         loss = Quadratic(np.eye(1))
         nsteps = int(round(1.0 / s))
-        _, qs = run_steps(OptimizerState.initial([1.0]), loss,
-                          lambda st, l: step_nesterov(st, l, eta), nsteps)
+        _, qs = simulate(lambda s: step_nesterov(s, loss, eta),
+                         OptimizerState.initial([1.0]), nsteps, iterates)
         xs = qs[:, 0]
         k0 = int(round(0.2 / s))
         v0 = (xs[k0 + 1] - xs[k0 - 1]) / (2 * s)
@@ -140,48 +136,6 @@ class TestRmsprop:
             step_rmsprop(st, loss, 0.1, 0.9)
 
 
-class TestMirror:
-    def test_euclidean_metric_reduces_to_gd(self):
-        loss = Quadratic(np.diag([1.0, 2.0]), [0.1, -0.3])
-        st0 = OptimizerState.initial([0.7, -0.4])
-        mirror = step_mirror(st0, loss, 0.05, Euclidean(2))
-        gd = step_gd_momentum_wd(st0, loss, 0.05)
-        np.testing.assert_allclose(mirror.q, gd.q, rtol=1e-15)
-
-    def test_entropy_zero_gradient_fixed(self):
-        loss = Quadratic(np.zeros((2, 2)))
-        st = step_mirror(OptimizerState.initial([0.4, 1.3]), loss, 0.1, NegativeEntropy(2))
-        np.testing.assert_allclose(st.q, [0.4, 1.3], rtol=1e-15)
-
-    def test_entropy_multiplicative_update(self):
-        loss = Quadratic(np.zeros((2, 2)), [1.0, 0.0])
-        st = step_mirror(OptimizerState.initial([1.0, 1.0]), loss, np.log(2.0),
-                         NegativeEntropy(2))
-        np.testing.assert_allclose(st.q, [0.5, 1.0], rtol=1e-14)
-
-    def test_step_solves_the_proximal_problem(self):
-        """Independent oracle: the mirror step must minimize
-        <grad f(q), u> + D_h(u, q) / eta over u (checked by brute force)."""
-        from scipy.optimize import minimize
-
-        from noetherdyn import bregman_divergence
-
-        eta = 0.2
-        loss = Quadratic(np.diag([1.0, 2.0]), [0.3, -0.1])
-        rng = np.random.default_rng(9)
-        for metric in (Euclidean(2), NegativeEntropy(2)):
-            q = rng.uniform(0.5, 1.5, size=2)
-            g = loss.grad(q)
-
-            def proximal(u):
-                return float(g @ u) + bregman_divergence(metric, u, q) / eta
-
-            stepped = step_mirror(OptimizerState.initial(q), loss, eta, metric)
-            best = minimize(proximal, q, method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 5000})
-            np.testing.assert_allclose(stepped.q, best.x, rtol=1e-5, atol=1e-6)
-
-
 class TestDeterminism:
     def test_bitwise_identical_replays(self):
         loss = RayleighQuotient(np.diag([1.0, 2.0, 3.0]))
@@ -200,19 +154,63 @@ class TestDeterminism:
         assert a.tobytes() == b.tobytes()
 
 
+class TestSimulate:
+    def test_records_initial_state_and_every_step(self):
+        loss = Quadratic(np.eye(2))
+        st0 = OptimizerState.initial([1.0, -2.0])
+        final, qs = simulate(lambda s: step_gd_momentum_wd(s, loss, 0.1), st0, 4, iterates)
+        assert qs.shape == (5, 2)
+        np.testing.assert_array_equal(qs[0], st0.q)
+        np.testing.assert_array_equal(qs[-1], final.q)
+        assert final.step_index == 4
+
+    def test_zero_steps_records_only_the_initial_state(self):
+        st0 = OptimizerState.initial([3.0])
+        final, qs = simulate(lambda s: pytest.fail("step must not run"), st0, 0, iterates)
+        assert final is st0
+        np.testing.assert_array_equal(qs, [[3.0]])
+
+    def test_tuple_observation_gives_one_column_per_element(self):
+        loss = Quadratic(np.diag([1.0, 3.0]))
+        final, record = simulate(lambda s: step_rmsprop(s, loss, 0.01, 0.9),
+                                 OptimizerState.initial([1.0, 1.0], accumulator=2.0), 6,
+                                 lambda s: (s.q @ s.q, s.accumulator))
+        assert record.shape == (7, 2)
+        assert record[0].tolist() == [2.0, 2.0]
+        assert record[-1].tolist() == [final.q @ final.q, final.accumulator]
+
+    @settings(max_examples=50, deadline=None)
+    @given(q0=strategies.lists(strategies.floats(-10.0, 10.0), min_size=3, max_size=3),
+           eta=strategies.floats(1e-4, 0.5),
+           steps=strategies.integers(0, 60))
+    def test_bit_identical_to_hand_rolled_loop(self, q0, eta, steps):
+        loss = Quadratic(np.diag([1.0, 2.0, 3.0]), [0.5, -0.25, 0.0])
+        step = lambda s: step_gd_momentum_wd(s, loss, eta, beta=0.5, weight_decay=1e-3)  # noqa: E731
+        state = OptimizerState.initial(q0)
+        expected = np.empty(steps + 1)
+        expected[0] = state.q @ state.q
+        for n in range(steps):
+            state = step(state)
+            expected[n + 1] = state.q @ state.q
+        final, record = simulate(step, OptimizerState.initial(q0), steps,
+                                 lambda s: s.q @ s.q)
+        assert record.tobytes() == expected.tobytes()
+        assert final.q.tobytes() == state.q.tobytes()
+
+
 class TestGradientFlowConservation:
     def test_norm_nearly_conserved_at_small_step(self):
         ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, 4)))
         q0 = np.full(4, 0.5)
-        st, _ = run_steps(OptimizerState.initial(q0), ray,
-                          lambda s, l: step_gd_momentum_wd(s, l, 1e-4), 10_000)
+        st, _ = simulate(lambda s: step_gd_momentum_wd(s, ray, 1e-4),
+                         OptimizerState.initial(q0), 10_000, iterates)
         drift = abs(st.q @ st.q - q0 @ q0) / (q0 @ q0)
         assert drift <= 1e-3
 
     def test_rescale_balance_nearly_conserved(self):
         tl = TwoLayerChain([1.0], [1.0])
-        st, _ = run_steps(OptimizerState.initial([1.5, 0.5]), tl,
-                          lambda s, l: step_gd_momentum_wd(s, l, 1e-4), 10_000)
+        st, _ = simulate(lambda s: step_gd_momentum_wd(s, tl, 1e-4),
+                         OptimizerState.initial([1.5, 0.5]), 10_000, iterates)
         balance0 = 1.5 ** 2 - 0.5 ** 2
         balance = st.q[0] ** 2 - st.q[1] ** 2
         assert abs(balance - balance0) / abs(balance0) <= 1e-3
@@ -224,9 +222,8 @@ class TestGradientFlowConservation:
         etas = [1e-4, 1e-3, 1e-2]
         drifts = []
         for eta in etas:
-            st, _ = run_steps(OptimizerState.initial(q0), ray,
-                              lambda s, l: step_gd_momentum_wd(s, l, eta),
-                              int(round(1.0 / eta)))
+            st, _ = simulate(lambda s: step_gd_momentum_wd(s, ray, eta),
+                             OptimizerState.initial(q0), int(round(1.0 / eta)), iterates)
             drifts.append(abs(st.q @ st.q - q0 @ q0) / (q0 @ q0))
         slope = np.polyfit(np.log(etas), np.log(drifts), 1)[0]
         assert abs(slope - 1.0) <= 0.2

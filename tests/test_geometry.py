@@ -97,12 +97,6 @@ class TestMetricDerivatives:
                 h_fd = fd_hessian(metric.value, x)
                 np.testing.assert_allclose(h, h_fd, rtol=1e-6, atol=1e-6)
 
-    def test_grad_inverse_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for metric in metrics_under_test():
-            x = sample_point(metric, rng)
-            np.testing.assert_allclose(metric.grad_inverse(metric.grad(x)), x, rtol=1e-12)
-
     def test_hessian_solve(self):
         rng = np.random.default_rng(5)
         for metric in metrics_under_test():

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from noetherdyn import OptimizerState, RayleighQuotient, step_gd_momentum_wd
+from noetherdyn import OptimizerState, RayleighQuotient, simulate, step_gd_momentum_wd
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import build_config, parse_config_file
@@ -35,6 +35,10 @@ class TestConfig:
         assert cfg["eta"] == 0.1  # None flags do not override
         assert cfg["beta"] == 0.25  # explicit flags win
         assert cfg.seed == 3
+
+    def test_unknown_key_is_usage_error(self):
+        with pytest.raises(UsageError, match="stpes"):
+            ExperimentConfig(kind="conservation", params={"eta": 1e-4, "stpes": 10})
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -105,6 +109,14 @@ class TestEmission:
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 2
 
+    def test_svg_of_all_nan_series_is_wellformed(self, tmp_path):
+        t = np.linspace(0, 1, 5)
+        path = write_svg(tmp_path / "nan.svg", "no finite values",
+                         [("a", t, np.full(5, np.nan))], ylabel="y")
+        root = ET.parse(path).getroot()
+        assert root.tag.endswith("svg")
+        assert [el for el in root.iter() if el.tag.endswith("polyline")]
+
     def test_verdict_file_format(self, tmp_path):
         verdicts = [Verdict("a.b", True, 0.5, 1.0), Verdict("c.d", False, 2.0, 1.0)]
         path = write_verdicts(tmp_path / "verdict.tsv", verdicts)
@@ -115,11 +127,11 @@ class TestEmission:
 
 def test_flagship_loop_matches_reference_stepper():
     """The inlined flagship update must be bit-identical to the reference
-    heavy-ball step function."""
+    heavy-ball step function and loss gradient."""
     cfg = ExperimentConfig(kind="bn-effective-lr",
                            params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": 500},
                            seed=3)
-    _, norm_sq, _, _ = flagship_run(cfg)
+    _, norm_sq, gsq, _ = flagship_run(cfg)
 
     dim = cfg["dim"]
     lam = np.concatenate(([1.0], np.linspace(1.01, 1.02, dim - 1)))
@@ -130,13 +142,18 @@ def test_flagship_loop_matches_reference_stepper():
     tangent /= np.linalg.norm(tangent)
     angle = np.deg2rad(60.0)
     state = OptimizerState.initial(np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent)
-    reference = np.empty(cfg["steps"] + 1)
-    reference[0] = state.q @ state.q
-    for i in range(cfg["steps"]):
-        state = step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
-                                    weight_decay=cfg["wd"])
-        reference[i + 1] = state.q @ state.q
-    assert norm_sq.tobytes() == reference.tobytes()
+
+    def observe(state):
+        rr = state.q @ state.q
+        g = loss.grad(state.q)
+        return rr, rr * (g @ g)
+
+    _, reference = simulate(
+        lambda state: step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
+                                          weight_decay=cfg["wd"]),
+        state, cfg["steps"], observe)
+    assert norm_sq.tobytes() == reference[:, 0].tobytes()
+    assert gsq.tobytes() == reference[:, 1].tobytes()
 
 
 class TestCli:
@@ -163,6 +180,27 @@ class TestCli:
         cfg.write_text("dt = 0.001\nmu = -6\n")
         assert main(["noether-residual", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 3
+
+    def test_misspelt_config_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stpes = 10\n")
+        assert main(["conservation", "--config", str(cfg), "--eta", "1e-4",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_inapplicable_flag_exits_2(self, tmp_path):
+        assert main(["table2", "--eta", "0.1", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_steady_state_without_weight_decay_exits_2(self, tmp_path, monkeypatch):
+        import noetherdyn.harness.experiments as experiments
+
+        def no_run(cfg):
+            raise AssertionError("flagship_run must not start")
+
+        monkeypatch.setattr(experiments, "flagship_run", no_run)
+        assert main(["steady-state", "--eta", "0.01", "--beta", "0.9", "--wd", "0",
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_failed_assertion_exits_1(self, tmp_path):
         # a too-coarse step makes the finite-step model lose its 5x margin
