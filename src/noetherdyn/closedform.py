@@ -123,8 +123,8 @@ def steady_radius(eta: float, beta: float, k: float, gnorm: float) -> float:
 class KernelMap:
     """Identification between the norm schedule and the adaptive schedule.
 
-    Matching decay rates fixes rho for any chosen eta; the prefactor then
-    agrees only when prefactor_ratio = 1, since the adaptive rule's
+    Matching decay rates at the same step size fixes rho; the prefactor
+    then agrees only when prefactor_ratio = 1, since the adaptive rule's
     prefactor always equals its rate.  g0 must equal r0^4 for the memory
     terms to coincide.
     """
@@ -136,37 +136,25 @@ class KernelMap:
     exactly_matched: bool
 
 
-def bn_rmsprop_map(eta: float, beta: float, k: float, eta_rms: float = None,
-                   rho_rms: float = None) -> KernelMap:
+def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
     """Map norm-schedule hyperparameters onto the adaptive rule's kernel.
 
-    Matches decay rates: (1 - rho') / eta' = 4 k / (1 - beta).  Reports the
-    residual ratio between the norm schedule's prefactor and the matched
-    kernel rate; the two closed forms are the same function of the history
-    exactly when that ratio is 1 (and g0 = r0^4).
+    Keeps the step size and matches decay rates: (1 - rho) / eta =
+    4 k / (1 - beta).  Reports the residual ratio between the norm
+    schedule's prefactor and the matched kernel rate; the two closed forms
+    are the same function of the history exactly when that ratio is 1 (and
+    g0 = r0^4).
     """
     if eta <= 0 or not 0.0 <= beta < 1.0 or k < 0:
         raise ValueError("invalid hyperparameters")
     rate = 4.0 * k / (1.0 - beta)
     prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
-
-    if rho_rms is not None:
-        if eta_rms is None:
-            raise ValueError("rho_rms requires eta_rms")
-        if abs((1.0 - rho_rms) / eta_rms - rate) > 1e-12 * max(1.0, rate):
-            raise ValueError(
-                "requested decay (1-rho)/eta does not match 4k/(1-beta); "
-                "with k = 0 only rho = 1 is degenerate-compatible")
-        chosen_eta = eta_rms
-        chosen_rho = rho_rms
-    else:
-        chosen_eta = eta if eta_rms is None else eta_rms
-        chosen_rho = 1.0 - rate * chosen_eta
-        if chosen_rho < 0.0:
-            raise ValueError("decay-rate match needs a smaller eta_rms: rho would be negative")
+    rho = 1.0 - rate * eta
+    if rho < 0.0:
+        raise ValueError("decay-rate match needs a smaller eta: rho would be negative")
 
     ratio = math.inf if rate == 0.0 else prefactor / rate
-    return KernelMap(eta=chosen_eta, rho=chosen_rho, rate=rate,
+    return KernelMap(eta=eta, rho=rho, rate=rate,
                      prefactor_ratio=ratio,
                      exactly_matched=math.isfinite(ratio) and abs(ratio - 1.0) <= 1e-12)
 

@@ -6,6 +6,7 @@ experiment does not take (a misspelling, or a flag of another experiment)
 is a usage error too, rather than a silently ignored value.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,39 +15,54 @@ class UsageError(ValueError):
     """Invalid configuration or command line (CLI exit code 2)."""
 
 
-EXPERIMENT_KINDS = (
-    "noether-residual",
-    "table2",
-    "conservation",
-    "modified-eq",
-    "bn-effective-lr",
-    "rmsprop-equiv",
-    "steady-state",
-)
+# marks a parameter that must be supplied (file or flag): it has no default
+REQUIRED = object()
 
-# hyperparameters that must be supplied (file or flag) per experiment
-REQUIRED = {
-    "noether-residual": ("dt",),
-    "table2": (),
-    "conservation": ("eta",),
-    "modified-eq": ("eta", "beta"),
-    "bn-effective-lr": ("eta", "beta", "wd"),
-    "rmsprop-equiv": ("eta", "rho"),
-    "steady-state": ("eta", "beta", "wd"),
-}
-
-# optional knobs and their defaults
-DEFAULTS = {
-    "noether-residual": {"t1": 1.0, "m": 1.0, "mu": 1.0},
+# every parameter each experiment takes, with its default; a key with an
+# integer default takes integer values
+PARAMETERS = {
+    "noether-residual": {"dt": REQUIRED, "t1": 1.0, "m": 1.0, "mu": 1.0},
     "table2": {"samples": 16, "dim": 4},
-    "conservation": {"steps": 10_000, "dim": 4},
-    "modified-eq": {"t1": 2.0, "beta": 0.5},
-    "bn-effective-lr": {"steps": 200_000, "dim": 10, "record_every": 100},
-    "rmsprop-equiv": {"t1": 10.0, "g0": 1.0, "dim": 8},
-    "steady-state": {"steps": 200_000, "dim": 10, "record_every": 100},
+    "conservation": {"eta": REQUIRED, "steps": 10_000, "dim": 4},
+    "modified-eq": {"eta": REQUIRED, "beta": 0.5, "t1": 2.0},
+    "bn-effective-lr": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED,
+                        "steps": 200_000, "dim": 10, "record_every": 100},
+    "rmsprop-equiv": {"eta": REQUIRED, "rho": REQUIRED, "t1": 10.0, "g0": 1.0, "dim": 8},
+    "steady-state": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED,
+                     "steps": 200_000, "dim": 10, "record_every": 100},
 }
 
-_INT_KEYS = {"steps", "samples", "dim", "record_every", "seed"}
+EXPERIMENT_KINDS = tuple(PARAMETERS)
+
+_INTEGER_KEYS = {key for params in PARAMETERS.values()
+                 for key, default in params.items() if type(default) is int}
+
+# allowed values: integer keys are >= 1, the seed >= 0, and mu is unbounded
+_RANGES = {
+    **{key: ("> 0", lambda v: v > 0.0) for key in ("eta", "dt", "t1", "g0", "m")},
+    "beta": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "rho": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "wd": (">= 0", lambda v: v >= 0.0),
+    **{key: (">= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
+}
+
+
+def _check_values(kind: str, params: dict, seed: int):
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise UsageError(f"parameter {key} must be finite (got {value})")
+        if key in _RANGES and not _RANGES[key][1](value):
+            raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0 (got {seed})")
+    if kind == "noether-residual":
+        # the same tiling rule as the integrator's grid, checked before any compute
+        dt, t1 = params["dt"], params["t1"]
+        steps = round(t1 / dt) if math.isfinite(t1 / dt) else 0
+        if abs(steps * dt - t1) > 1e-9 * max(1.0, t1):
+            raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}")
+        if steps < 4:
+            raise UsageError("dt too coarse: the residual needs at least 5 samples")
 
 
 @dataclass
@@ -57,20 +73,22 @@ class ExperimentConfig:
     out: Path = Path("noetherdyn-out")
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in PARAMETERS:
             raise UsageError(
                 f"unknown experiment {self.kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
-        merged = dict(DEFAULTS[self.kind])
-        unknown = sorted(set(self.params) - set(REQUIRED[self.kind]) - set(merged))
+        table = PARAMETERS[self.kind]
+        unknown = sorted(set(self.params) - set(table))
         if unknown:
             raise UsageError(
                 f"experiment {self.kind!r} does not take parameter(s): " + ", ".join(unknown))
+        merged = {key: default for key, default in table.items() if default is not REQUIRED}
         merged.update(self.params)
-        missing = [k for k in REQUIRED[self.kind] if k not in merged]
+        missing = [key for key in table if key not in merged]
         if missing:
             raise UsageError(
                 f"experiment {self.kind!r} is missing required parameter(s): "
                 + ", ".join(missing))
+        _check_values(self.kind, merged, self.seed)
         self.params = merged
         self.out = Path(self.out)
 
@@ -86,7 +104,7 @@ def _coerce(key: str, raw: str):
     if key == "out":
         return raw
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return int(raw) if key in _INTEGER_KEYS or key == "seed" else float(raw)
     except ValueError:
         raise UsageError(f"could not parse value {raw!r} for key {key!r}") from None
 

@@ -25,7 +25,8 @@ from ..discrete import (OptimizerState, centered_velocities, simulate, step_gd_m
                         step_nesterov, step_rmsprop)
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
-from ..symmetry import Rescale, Rotation, Scale, Translation, noether_residual, table2_report
+from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
+                        table2_report)
 from .config import ExperimentConfig, UsageError
 from .report import Verdict, compare_channels, write_csv, write_manifest, write_svg, write_table_csv, write_verdicts
 
@@ -70,8 +71,8 @@ def run_table2(cfg: ExperimentConfig, out: Path):
                             asym_floor >= 1e-3, asym_floor, 1e-3))
     sym_ceiling = max((c.max_abs for row in rows for c in row if c.label == "symmetric"),
                       default=0.0)
-    verdicts.append(Verdict("table2.symmetric-cells-null", sym_ceiling <= 1e-8,
-                            sym_ceiling, 1e-8))
+    verdicts.append(Verdict("table2.symmetric-cells-null", sym_ceiling <= SYMMETRIC_TOL,
+                            sym_ceiling, SYMMETRIC_TOL))
     return verdicts
 
 
@@ -123,8 +124,6 @@ def _residual_cases():
 def run_noether_residual(cfg: ExperimentConfig, out: Path):
     dt = cfg["dt"]
     t1 = cfg["t1"]
-    if t1 / dt < 4:
-        raise UsageError("dt too coarse: the residual needs at least 5 samples")
     schedule = natural_schedule(cfg["m"], cfg["mu"])
     verdicts = []
     coarse_max = 0.0
@@ -191,11 +190,12 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
                             bal_drift <= 1e-3, bal_drift, 1e-3))
     write_csv(out / "conservation_balance.csv", times, {"balance": balance})
 
-    # symmetry breaking per unit time grows linearly with the step size
+    # symmetry breaking per unit time grows linearly with the step size; the
+    # first rate is eta itself, whose drift over the same time is measured above
     etas = [eta, 10.0 * eta, 100.0 * eta]
     total_time = steps * eta
-    drifts = []
-    for lr in etas:
+    drifts = [drift]
+    for lr in etas[1:]:
         series = gd_norms(lr, int(round(total_time / lr)))
         drifts.append(abs(series[-1] - series[0]) / series[0])
     slope = float(np.polyfit(np.log(etas), np.log(drifts), 1)[0])
@@ -334,8 +334,7 @@ def run_bn_effective_lr(cfg: ExperimentConfig, out: Path):
     predicted = r2_schedule(history, eta, beta, k, np.sqrt(norm_sq[0]))
 
     t_start = transient_end(beta, k, times[-1])
-    result = compare_channels(times, norm_sq, times, predicted, 0.05,
-                              mode="relative", window=(t_start, times[-1]))
+    result = compare_channels(times, norm_sq, predicted, 0.05, window=(t_start, times[-1]))
     verdicts = [Verdict("bn-effective-lr.norm-matches-schedule", result.passed,
                         result.max_deviation, result.tolerance)]
     every = cfg["record_every"]
@@ -418,7 +417,7 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
     history = GradNormHistory(times=times, gsq=gsq)
     predicted = g_schedule(history, eta, rho, g0)
     measured = np.sqrt(memory)
-    result = compare_channels(times, measured, times, predicted, 0.02, mode="relative")
+    result = compare_channels(times, measured, predicted, 0.02)
     verdicts = [Verdict("rmsprop-equiv.discrete-vs-schedule", result.passed,
                         result.max_deviation, result.tolerance)]
     write_csv(out / "rmsprop_schedule.csv", times, {
@@ -441,8 +440,7 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
     r0 = 2.0 ** 0.25
     norm_series = r2_schedule(synthetic, eta_bn, beta_bn, k_bn, r0)
     adaptive_series = g_schedule(synthetic, kernel.eta, kernel.rho, r0 ** 4)
-    identity = compare_channels(grid, norm_series, grid, adaptive_series, 1e-10,
-                                mode="relative")
+    identity = compare_channels(grid, norm_series, adaptive_series, 1e-10)
     verdicts.append(Verdict("rmsprop-equiv.functional-identity", identity.passed,
                             identity.max_deviation, identity.tolerance))
     # recorded, not asserted: the residual prefactor ratio of the kernel map
@@ -476,9 +474,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     Returns the verdict list; all assertions passing means CLI exit 0.
     """
-    runner = _RUNNERS.get(cfg.kind)
-    if runner is None:
-        raise UsageError(f"unknown experiment kind {cfg.kind!r}")
+    runner = _RUNNERS[cfg.kind]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -83,33 +83,25 @@ class ChannelVerdict:
     tolerance: float
 
 
-def compare_channels(times_a, a, times_b, b, tolerance: float, mode: str = "absolute",
-                     window=None) -> ChannelVerdict:
-    """Max deviation between two series on a shared grid, strict inequality.
-
-    mode 'relative' divides by |b| (the reference series).  window is an
-    optional (t_lo, t_hi) restriction.
+def compare_channels(times, a, b, tolerance: float, window=None) -> ChannelVerdict:
+    """Max relative deviation |a - b| / |b| from the reference series b,
+    strict inequality.  window is an optional (t_lo, t_hi) restriction.
     """
-    times_a = np.asarray(times_a, dtype=float)
-    times_b = np.asarray(times_b, dtype=float)
-    if times_a.shape != times_b.shape or not np.allclose(times_a, times_b, rtol=0, atol=1e-12):
-        raise ValueError("series do not share a time grid")
+    times = np.asarray(times, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mask = np.ones(times_a.shape, dtype=bool)
+    if a.shape != times.shape or b.shape != times.shape:
+        raise ValueError("series do not share the time grid")
+    mask = np.ones(times.shape, dtype=bool)
     if window is not None:
         lo, hi = window
-        mask = (times_a >= lo) & (times_a <= hi)
+        mask = (times >= lo) & (times <= hi)
         if not np.any(mask):
             raise ValueError("comparison window contains no samples")
-    dev = np.abs(a - b)[mask]
-    if mode == "relative":
-        dev = dev / np.abs(b)[mask]
-    elif mode != "absolute":
-        raise ValueError(f"unknown comparison mode {mode!r}")
+    dev = np.abs(a - b)[mask] / np.abs(b)[mask]
     idx = int(np.argmax(dev))
     max_dev = float(dev[idx])
-    t_at = float(times_a[mask][idx])
+    t_at = float(times[mask][idx])
     return ChannelVerdict(passed=bool(max_dev < tolerance), max_deviation=max_dev,
                           argmax_time=t_at, tolerance=tolerance)
 

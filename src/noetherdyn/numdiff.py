@@ -54,9 +54,9 @@ def fd_hessian(f, x):
     return hess
 
 
-def fd_scalar_derivative(f, s0=0.0, step=None):
+def fd_scalar_derivative(f, s0=0.0):
     """Central-difference d/ds f(s) at s0 for a scalar argument."""
-    h = step if step is not None else _FD_STEP * max(1.0, abs(s0))
+    h = _FD_STEP * max(1.0, abs(s0))
     return (f(s0 + h) - f(s0 - h)) / (2.0 * h)
 
 

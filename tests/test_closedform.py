@@ -133,20 +133,11 @@ class TestKernelMap:
         m = bn_rmsprop_map(eta, beta, k)
         assert (1.0 - m.rho) / m.eta == pytest.approx(4.0 * k / (1.0 - beta))
 
-    def test_rate_identity_for_chosen_eta(self):
-        m = bn_rmsprop_map(0.01, 0.5, 1e-3, eta_rms=0.003)
-        assert m.eta == 0.003
-        assert (1.0 - m.rho) / m.eta == pytest.approx(4.0 * 1e-3 / 0.5)
-
     def test_zero_decay_maps_to_frozen_rho(self):
         m = bn_rmsprop_map(0.01, 0.9, 0.0)
         assert m.rho == 1.0
         assert math.isinf(m.prefactor_ratio)
         assert not m.exactly_matched
-
-    def test_zero_decay_with_explicit_decay_requested(self):
-        with pytest.raises(ValueError):
-            bn_rmsprop_map(0.01, 0.9, 0.0, eta_rms=0.01, rho_rms=0.99)
 
     def test_prefactor_ratio_value(self):
         eta, beta, k = 0.01, 0.9, 1e-4

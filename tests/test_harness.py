@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(UsageError, match="stpes"):
             ExperimentConfig(kind="conservation", params={"eta": 1e-4, "stpes": 10})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("table2", {"samples": 0}),
+        ("bn-effective-lr", {"eta": 0.01, "beta": 0.9, "wd": -1e-4}),
+        ("rmsprop-equiv", {"eta": 0.01, "rho": 0.99, "g0": 0.0}),
+        ("noether-residual", {"dt": 1e-3, "m": 0.0}),
+        ("noether-residual", {"dt": 1e-3, "mu": float("inf")}),
+        ("modified-eq", {"eta": 0.1, "t1": -2.0}),
+    ])
+    def test_out_of_range_value_is_usage_error(self, kind, params):
+        with pytest.raises(UsageError):
+            ExperimentConfig(kind=kind, params=params)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("eta 0.1\n")
@@ -50,16 +62,16 @@ class TestConfig:
 class TestCompareChannels:
     def test_identical_series_pass_with_zero_deviation(self):
         t = np.linspace(0, 1, 11)
-        a = np.sin(t)
-        v = compare_channels(t, a, t, a.copy(), 1e-9)
+        a = 2.0 + np.sin(t)
+        v = compare_channels(t, a, a.copy(), 1e-9)
         assert v.passed and v.max_deviation == 0.0
 
     def test_exactly_tolerance_fails(self):
         t = np.linspace(0, 1, 11)
-        a = np.zeros(11)
-        b = np.zeros(11)
-        b[4] = 0.5
-        v = compare_channels(t, a, t, b, 0.5)
+        a = np.ones(11)
+        b = np.ones(11)
+        a[4] = 1.5
+        v = compare_channels(t, a, b, 0.5)
         assert not v.passed
         assert v.max_deviation == 0.5
         assert v.argmax_time == pytest.approx(0.4)
@@ -68,21 +80,20 @@ class TestCompareChannels:
         t = np.linspace(0, 1, 5)
         b = np.full(5, 2.0)
         a = b * 1.01
-        v = compare_channels(t, a, t, b, 0.02, mode="relative")
+        v = compare_channels(t, a, b, 0.02)
         assert v.passed and v.max_deviation == pytest.approx(0.01)
 
     def test_window_restriction(self):
         t = np.linspace(0, 1, 11)
-        a = np.zeros(11)
-        b = np.zeros(11)
-        b[0] = 1.0  # outside the window
-        v = compare_channels(t, a, t, b, 0.5, window=(0.35, 1.0))
+        a = np.ones(11)
+        b = np.ones(11)
+        b[0] = 2.0  # outside the window
+        v = compare_channels(t, a, b, 0.5, window=(0.35, 1.0))
         assert v.passed
 
     def test_grid_mismatch_is_error(self):
         with pytest.raises(ValueError):
-            compare_channels(np.linspace(0, 1, 5), np.zeros(5),
-                             np.linspace(0, 2, 5), np.zeros(5), 1.0)
+            compare_channels(np.linspace(0, 1, 5), np.ones(5), np.ones(6), 1.0)
 
 
 class TestEmission:
@@ -201,6 +212,30 @@ class TestCli:
         monkeypatch.setattr(experiments, "flagship_run", no_run)
         assert main(["steady-state", "--eta", "0.01", "--beta", "0.9", "--wd", "0",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["conservation", "--eta", "0"],
+        ["conservation", "--eta", "nan"],
+        ["rmsprop-equiv", "--eta", "0.01", "--rho", "1.5"],
+        ["modified-eq", "--eta", "0.1", "--beta", "1.0"],
+        ["table2", "--seed", "-1"],
+        ["noether-residual", "--dt", "0"],
+        ["noether-residual", "--dt", "0.15"],  # does not tile t1 = 1
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_conservation_sweep_reuses_norm_drift(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("eta = 1e-4\nsteps = 2000\n")
+        out = tmp_path / "x"
+        main(["conservation", "--config", str(cfg), "--out", str(out)])
+        sweep = (out / "conservation_sweep.csv").read_text().splitlines()
+        first_drift = sweep[1].split(",")[1]
+        verdict = next(line.split("\t") for line in (out / "verdict.tsv").read_text().splitlines()
+                       if line.startswith("conservation.rayleigh-norm-drift\t"))
+        assert first_drift == verdict[2]
 
     def test_failed_assertion_exits_1(self, tmp_path):
         # a too-coarse step makes the finite-step model lose its 5x margin
