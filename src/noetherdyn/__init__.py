@@ -33,7 +33,7 @@ from .discrete import (
     step_nesterov,
     step_rmsprop,
 )
-from .errors import ContractError, DomainError, IntegrationError, SingularLossError
+from .errors import DomainError, IntegrationError, SingularLossError
 from .geometry import (
     BregmanSchedule,
     Euclidean,
@@ -53,7 +53,6 @@ from .losses import (
     RadialWell,
     RayleighQuotient,
     TwoLayerChain,
-    check_symmetry,
 )
 from .symmetry import (
     NoetherObservables,

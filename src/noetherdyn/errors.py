@@ -10,11 +10,6 @@ class SingularLossError(DomainError):
     scale-invariant objective)."""
 
 
-class ContractError(ValueError):
-    """A caller violated an API contract (e.g. checking a symmetry the
-    loss does not declare)."""
-
-
 class IntegrationError(RuntimeError):
     """Numerical integration aborted.  Carries the time of the abort."""
 

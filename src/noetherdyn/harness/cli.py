@@ -44,8 +44,8 @@ def main(argv=None) -> int:
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        flags = {key: getattr(args, key)
-                 for key in ("eta", "beta", "wd", "rho", "dt", "t1", "seed", "out")}
+        flags = {key: value for key, value in vars(args).items()
+                 if key not in ("experiment", "config")}
         cfg = build_config(args.experiment, file_values, flags,
                            default_out=os.environ.get("NOETHERDYN_OUT"))
         verdicts = run_experiment(cfg)

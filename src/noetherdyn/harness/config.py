@@ -3,7 +3,9 @@
 Flags win over file values; required hyperparameters have no silent
 defaults, so a missing one is a usage error rather than a guess.  A key the
 experiment does not take (a misspelling, or a flag of another experiment)
-is a usage error too, rather than a silently ignored value.
+is a usage error too, rather than a silently ignored value.  Every usage
+rule, from a value's range to a step count an experiment needs, is checked
+here, before a runner creates its output directory.
 """
 
 import math
@@ -21,15 +23,13 @@ REQUIRED = object()
 # every parameter each experiment takes, with its default; a key with an
 # integer default takes integer values
 PARAMETERS = {
-    "noether-residual": {"dt": REQUIRED, "t1": 1.0, "m": 1.0, "mu": 1.0},
-    "table2": {"samples": 16, "dim": 4},
-    "conservation": {"eta": REQUIRED, "steps": 10_000, "dim": 4},
+    "noether-residual": {"dt": REQUIRED, "t1": 1.0, "mu": 1.0},
+    "table2": {},
+    "conservation": {"eta": REQUIRED, "steps": 10_000},
     "modified-eq": {"eta": REQUIRED, "beta": 0.5, "t1": 2.0},
-    "bn-effective-lr": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED,
-                        "steps": 200_000, "dim": 10, "record_every": 100},
-    "rmsprop-equiv": {"eta": REQUIRED, "rho": REQUIRED, "t1": 10.0, "g0": 1.0, "dim": 8},
-    "steady-state": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED,
-                     "steps": 200_000, "dim": 10, "record_every": 100},
+    "bn-effective-lr": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED, "steps": 200_000},
+    "rmsprop-equiv": {"eta": REQUIRED, "rho": REQUIRED, "t1": 10.0},
+    "steady-state": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED, "steps": 200_000},
 }
 
 EXPERIMENT_KINDS = tuple(PARAMETERS)
@@ -39,12 +39,20 @@ _INTEGER_KEYS = {key for params in PARAMETERS.values()
 
 # allowed values: integer keys are >= 1, the seed >= 0, and mu is unbounded
 _RANGES = {
-    **{key: ("> 0", lambda v: v > 0.0) for key in ("eta", "dt", "t1", "g0", "m")},
+    **{key: ("> 0", lambda v: v > 0.0) for key in ("eta", "dt", "t1")},
     "beta": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     "rho": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "wd": (">= 0", lambda v: v >= 0.0),
     **{key: (">= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
 }
+
+
+def _step_count(t1: float, step: float) -> int:
+    """Steps of size `step` that cover [0, t1], as the runners count them."""
+    ratio = t1 / step
+    if not math.isfinite(ratio):
+        raise UsageError(f"t1 = {t1:g} is not a countable number of steps of {step:g}")
+    return round(ratio)
 
 
 def _check_values(kind: str, params: dict, seed: int):
@@ -56,13 +64,20 @@ def _check_values(kind: str, params: dict, seed: int):
     if seed < 0:
         raise UsageError(f"seed must be >= 0 (got {seed})")
     if kind == "noether-residual":
-        # the same tiling rule as the integrator's grid, checked before any compute
+        # the same tiling rule as the integrator's grid
         dt, t1 = params["dt"], params["t1"]
-        steps = round(t1 / dt) if math.isfinite(t1 / dt) else 0
+        steps = _step_count(t1, dt)
         if abs(steps * dt - t1) > 1e-9 * max(1.0, t1):
             raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}")
         if steps < 4:
             raise UsageError("dt too coarse: the residual needs at least 5 samples")
+    elif kind == "modified-eq" and _step_count(params["t1"], params["eta"]) < 3:
+        raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
+    elif kind == "rmsprop-equiv" and _step_count(params["t1"], params["eta"]) < 1:
+        raise UsageError("t1/eta must allow at least 1 step of the adaptive rule")
+    elif kind == "steady-state" and params["wd"] <= 0.0:
+        raise UsageError(f"steady-state needs wd > 0 (got {params['wd']:g}): "
+                         "without weight decay the norm has no radial balance point")
 
 
 @dataclass
@@ -93,10 +108,7 @@ class ExperimentConfig:
         self.out = Path(self.out)
 
     def __getitem__(self, key):
-        try:
-            return self.params[key]
-        except KeyError:
-            raise UsageError(f"experiment {self.kind!r} has no parameter {key!r}") from None
+        return self.params[key]
 
 
 def _coerce(key: str, raw: str):

@@ -144,17 +144,23 @@ def _fmt_tick(v: float) -> str:
     return format(v, ".6g")
 
 
+def _widen(lo: float, hi: float):
+    """An axis range of nonzero width: a single value v spans [v, v + |v|],
+    or [0, 1] at zero."""
+    if hi == lo:
+        hi = lo + (abs(lo) if lo != 0 else 1.0)
+    return lo, hi
+
+
 def write_svg(path, title: str, series, xlabel: str = "t", ylabel: str = "") -> Path:
     """Polyline chart; series is a list of (name, x array, y array)."""
     path = Path(path)
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     finite = ys[np.isfinite(ys)]
-    x_lo, x_hi = float(xs.min()), float(xs.max())
+    x_lo, x_hi = _widen(float(xs.min()), float(xs.max()))
     # a series with no finite value still gets a (unit) y-range and an empty polyline
-    y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
-    if y_hi == y_lo:
-        y_hi = y_lo + (abs(y_lo) if y_lo != 0 else 1.0)
+    y_lo, y_hi = _widen(float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

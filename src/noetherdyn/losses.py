@@ -1,23 +1,22 @@
-"""Differentiable toy objectives with exact, declared symmetries.
+"""Differentiable toy objectives with exact symmetries.
 
-Each loss carries an analytic gradient and knows which transforms leave
-its value invariant, so symmetry claims can be asserted rather than
-assumed.  All losses are full-batch deterministic: the closed-form
-comparisons elsewhere need exact values, not noisy estimates.
+Each loss carries an analytic gradient and is exactly invariant under one
+transform family: the Rayleigh quotient under scaling, the two-layer chain
+under rescaling, the radial well under rotation, and a degenerate quadratic
+under translation along its null directions.  All losses are full-batch
+deterministic: the closed-form comparisons elsewhere need exact values, not
+noisy estimates.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SingularLossError
-from .symmetry import Rescale, Rotation, Scale, SymmetryTransform, Translation
+from .errors import SingularLossError
 
 _ORIGIN_TOL = 1e-12
 
 
 class Loss:
-    """Objective f(q) with analytic gradient and declared symmetries."""
+    """Objective f(q) with analytic gradient."""
 
     dim: int
     name: str
@@ -28,10 +27,6 @@ class Loss:
 
     def grad(self, q) -> np.ndarray:
         raise NotImplementedError
-
-    def is_symmetric_under(self, transform: SymmetryTransform) -> bool:
-        """True if the loss value is exactly invariant under the transform."""
-        return False
 
     def _as_point(self, q):
         q = np.asarray(q, dtype=float)
@@ -71,9 +66,6 @@ class RayleighQuotient(Loss):
         f = float(q @ aq) / r2
         return 2.0 * (aq - f * q) / r2
 
-    def is_symmetric_under(self, transform):
-        return isinstance(transform, Scale)
-
 
 class TwoLayerChain(Loss):
     """Scalar linear chain f(q1, q2) = sum_j (q2 q1 x_j - y_j)^2 / 2.
@@ -90,7 +82,6 @@ class TwoLayerChain(Loss):
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         if self.x.shape != self.y.shape:
             raise ValueError("inputs and targets must have matching shapes")
-        self.split = 1
 
     def value(self, q):
         q1, q2 = np.asarray(q, dtype=float)
@@ -101,9 +92,6 @@ class TwoLayerChain(Loss):
         q1, q2 = np.asarray(q, dtype=float)
         resid = q2 * q1 * self.x - self.y
         return np.array([float(resid @ self.x) * q2, float(resid @ self.x) * q1])
-
-    def is_symmetric_under(self, transform):
-        return isinstance(transform, Rescale) and transform.split == self.split
 
 
 class RadialWell(Loss):
@@ -132,9 +120,6 @@ class RadialWell(Loss):
             raise SingularLossError("radial gradient is undefined at the origin")
         return (self.dv(r) / r) * q
 
-    def is_symmetric_under(self, transform):
-        return isinstance(transform, Rotation)
-
 
 class Quadratic(Loss):
     """f(q) = <q, A q> / 2 + <b, q> for symmetric positive-semidefinite A.
@@ -161,49 +146,3 @@ class Quadratic(Loss):
     def grad(self, q):
         q = np.asarray(q, dtype=float)
         return self.matrix @ q + self.offset
-
-    def is_symmetric_under(self, transform):
-        if not isinstance(transform, Translation):
-            return False
-        n = transform.direction
-        return bool(np.linalg.norm(self.matrix @ n) <= 1e-12
-                    and abs(self.offset @ n) <= 1e-12)
-
-
-@dataclass
-class SymmetryCheck:
-    samples: int
-    max_value_violation: float
-    max_generator_violation: float
-
-
-def check_symmetry(loss: Loss, transform: SymmetryTransform, samples: int = 100,
-                   seed: int = 0, tol: float = 1e-10) -> SymmetryCheck:
-    """Assert a declared symmetry on random states and finite shifts.
-
-    Checks |f(Q(q,s)) - f(q)| <= tol (1 + |f(q)|) for s in [-0.5, 0.5] and
-    the generator orthogonality <grad f, dQ/ds> = 0 to the same tolerance.
-    Raises ContractError for transforms the loss does not declare.
-    """
-    if not loss.is_symmetric_under(transform):
-        raise ContractError(
-            f"{loss.name} does not declare invariance under {transform.name}")
-    rng = np.random.default_rng(seed)
-    worst_value = 0.0
-    worst_gen = 0.0
-    for _ in range(samples):
-        q = rng.standard_normal(loss.dim)
-        if loss.scale_invariant and np.linalg.norm(q) < 0.1:
-            q = q + 1.0
-        s = rng.uniform(-0.5, 0.5)
-        f0 = loss.value(q)
-        scale = tol * (1.0 + abs(f0))
-        dv = abs(loss.value(transform.apply(q, s)) - f0)
-        dg = abs(float(loss.grad(q) @ transform.generator(q)))
-        if dv > scale or dg > scale:
-            raise AssertionError(
-                f"symmetry violation for ({loss.name}, {transform.name}): "
-                f"value drift {dv:.3e}, generator product {dg:.3e}, allowed {scale:.3e}")
-        worst_value = max(worst_value, dv)
-        worst_gen = max(worst_gen, dg)
-    return SymmetryCheck(samples, worst_value, worst_gen)

@@ -1,6 +1,7 @@
 """Configuration, emission formats, channel comparison, and the CLI."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from noetherdyn import OptimizerState, RayleighQuotient, simulate, step_gd_momen
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import build_config, parse_config_file
-from noetherdyn.harness.experiments import flagship_run
+from noetherdyn.harness.experiments import FLAGSHIP_DIM, flagship_run
 from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
 
 
 class TestConfig:
     def test_defaults_fill_optional_keys(self):
-        cfg = ExperimentConfig(kind="table2")
-        assert cfg["samples"] == 16
+        cfg = ExperimentConfig(kind="conservation", params={"eta": 1e-4})
+        assert cfg["steps"] == 10_000
 
     def test_missing_required_is_usage_error(self):
         with pytest.raises(UsageError, match="eta"):
@@ -41,16 +42,22 @@ class TestConfig:
             ExperimentConfig(kind="conservation", params={"eta": 1e-4, "stpes": 10})
 
     @pytest.mark.parametrize("kind, params", [
-        ("table2", {"samples": 0}),
+        ("table2", {"seed": -1}),
         ("bn-effective-lr", {"eta": 0.01, "beta": 0.9, "wd": -1e-4}),
-        ("rmsprop-equiv", {"eta": 0.01, "rho": 0.99, "g0": 0.0}),
-        ("noether-residual", {"dt": 1e-3, "m": 0.0}),
+        ("rmsprop-equiv", {"eta": 0.01, "rho": 0.0}),
+        ("noether-residual", {"dt": 1e-3, "t1": 0.0}),
         ("noether-residual", {"dt": 1e-3, "mu": float("inf")}),
         ("modified-eq", {"eta": 0.1, "t1": -2.0}),
     ])
     def test_out_of_range_value_is_usage_error(self, kind, params):
         with pytest.raises(UsageError):
-            ExperimentConfig(kind=kind, params=params)
+            build_config(kind, params)
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.cfg")),
+                             ids=lambda path: path.name)
+    def test_shipped_config_builds(self, path):
+        cfg = build_config(path.stem, parse_config_file(path))
+        assert cfg.kind == path.stem
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -113,12 +120,14 @@ class TestEmission:
 
     def test_svg_is_wellformed_xml(self, tmp_path):
         t = np.linspace(0, 10, 300)
-        path = write_svg(tmp_path / "chart.svg", "demo",
-                         [("a", t, np.sin(t)), ("b", t, np.cos(t))], ylabel="y")
-        root = ET.parse(path).getroot()
-        assert root.tag.endswith("svg")
-        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
-        assert len(polylines) == 2
+        inputs = [[("a", t, np.sin(t)), ("b", t, np.cos(t))],
+                  [("one point", np.array([2.0]), np.array([0.5]))]]
+        for i, series in enumerate(inputs):
+            path = write_svg(tmp_path / f"chart{i}.svg", "demo", series, ylabel="y")
+            root = ET.parse(path).getroot()
+            assert root.tag.endswith("svg")
+            polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+            assert len(polylines) == len(series)
 
     def test_svg_of_all_nan_series_is_wellformed(self, tmp_path):
         t = np.linspace(0, 1, 5)
@@ -144,7 +153,7 @@ def test_flagship_loop_matches_reference_stepper():
                            seed=3)
     _, norm_sq, gsq, _ = flagship_run(cfg)
 
-    dim = cfg["dim"]
+    dim = FLAGSHIP_DIM
     lam = np.concatenate(([1.0], np.linspace(1.01, 1.02, dim - 1)))
     loss = RayleighQuotient(np.diag(lam))
     rng = np.random.default_rng(cfg.seed)
@@ -221,8 +230,14 @@ class TestCli:
         ["table2", "--seed", "-1"],
         ["noether-residual", "--dt", "0"],
         ["noether-residual", "--dt", "0.15"],  # does not tile t1 = 1
+        ["steady-state", "--eta", "0.01", "--beta", "0.9", "--wd", "0"],
+        ["modified-eq", "--eta", "1"],  # t1 = 2 leaves 2 steps, the comparison needs 3
+        ["rmsprop-equiv", "--eta", "0.01", "--rho", "0.99", "--t1", "0.001"],  # no step
+        ["table2", "--config", "dim.cfg"],  # dim is fixed, not a parameter
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, argv):
+        (tmp_path / "dim.cfg").write_text("dim = 1\n")
+        argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 

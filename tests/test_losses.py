@@ -1,10 +1,11 @@
-"""Loss values, analytic gradients, and declared-symmetry contracts."""
+"""Loss values, analytic gradients, and exact symmetries."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies
 
 from noetherdyn import (
-    ContractError,
     Quadratic,
     RadialWell,
     RayleighQuotient,
@@ -14,8 +15,8 @@ from noetherdyn import (
     SingularLossError,
     Translation,
     TwoLayerChain,
-    check_symmetry,
 )
+from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.numdiff import fd_gradient
 
 
@@ -107,36 +108,62 @@ class TestScaleInvarianceLaws:
             np.testing.assert_allclose(loss.grad(q), ghat / r, rtol=1e-10, atol=1e-12)
 
 
+def _assert_symmetric(loss, transform, q, s):
+    """f(Q(q, s)) = f(q) and <grad f, dQ/ds> = 0, both to 1e-10 (1 + |f(q)|)."""
+    f0 = loss.value(q)
+    allowed = 1e-10 * (1.0 + abs(f0))
+    assert abs(loss.value(transform.apply(q, s)) - f0) <= allowed
+    assert abs(float(loss.grad(q) @ transform.generator(q))) <= allowed
+
+
+def _declared_pairs():
+    a = np.random.default_rng(5).standard_normal((3, 3))
+    return [
+        (RayleighQuotient((a + a.T) / 2), Scale()),
+        (TwoLayerChain([1.0], [2.0]), Rescale(1)),
+        (RadialWell.harmonic(1.0, 4.0, 3), Rotation(np.array(
+            [[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]]))),
+    ]
+
+
+def _translation_pair():
+    nhat = np.ones(3) / np.sqrt(3)
+    return Quadratic(5.0 * (np.eye(3) - np.outer(nhat, nhat))), Translation(np.ones(3))
+
+
+def _check_on_random_states(loss, transform, samples):
+    rng = np.random.default_rng(0)
+    for _ in range(samples):
+        q = rng.standard_normal(loss.dim)
+        if np.linalg.norm(q) < 0.1:  # the scale and rotation cases are singular at 0
+            q = q + 1.0
+        _assert_symmetric(loss, transform, q, rng.uniform(-0.5, 0.5))
+
+
 class TestCheckSymmetry:
     def test_declared_pairs_pass(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        pairs = [
-            (RayleighQuotient((a + a.T) / 2), Scale()),
-            (TwoLayerChain([1.0], [2.0]), Rescale(1)),
-            (RadialWell.harmonic(1.0, 4.0, 3), Rotation(np.array(
-                [[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]]))),
-        ]
-        for loss, tf in pairs:
-            report = check_symmetry(loss, tf, samples=100, seed=0)
-            assert report.samples == 100
+        for loss, transform in _declared_pairs():
+            _check_on_random_states(loss, transform, samples=100)
 
     def test_translation_invariant_quadratic(self):
-        nhat = np.ones(3) / np.sqrt(3)
-        loss = Quadratic(5.0 * (np.eye(3) - np.outer(nhat, nhat)))
-        check_symmetry(loss, Translation(np.ones(3)), samples=50)
+        _check_on_random_states(*_translation_pair(), samples=50)
 
-    def test_untagged_transform_is_contract_error(self):
-        with pytest.raises(ContractError):
-            check_symmetry(Quadratic(np.eye(2)), Scale())
 
-    def test_translation_off_axis_is_contract_error(self):
-        nhat = np.ones(3) / np.sqrt(3)
-        degenerate = Quadratic(np.eye(3) - np.outer(nhat, nhat))  # flat along nhat only
-        with pytest.raises(ContractError):
-            check_symmetry(degenerate, Translation([1.0, 0.0, 0.0]))
+def _invariant_pairs():
+    """(loss, transform) pairs with an exact symmetry: every pair the
+    charge-balance experiment integrates, and the pairs above."""
+    pairs = [(loss, transform) for _, transform, loss, _, _ in _residual_cases()]
+    pairs += _declared_pairs() + [_translation_pair()]
+    return list(dict.fromkeys(pairs))
 
-    def test_rescale_split_mismatch_is_contract_error(self):
-        tl = TwoLayerChain([1.0], [1.0])
-        with pytest.raises(ContractError):
-            check_symmetry(tl, Scale())
+
+@settings(max_examples=200, deadline=None)
+@given(pair=strategies.sampled_from(_invariant_pairs()),
+       q=strategies.lists(strategies.floats(-3.0, 3.0), min_size=3, max_size=3),
+       s=strategies.floats(-0.5, 0.5))
+def test_symmetry_leaves_value_unchanged_and_gradient_orthogonal(pair, q, s):
+    """f(Q(q, s)) = f(q), and <grad f, dQ/ds> = 0 at every point."""
+    loss, transform = pair
+    q = np.array(q[: loss.dim])
+    assume(np.linalg.norm(q) >= 0.1)  # the scale and rotation cases are singular at 0
+    _assert_symmetric(loss, transform, q, s)
