@@ -48,10 +48,13 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float):
     """Classical 4th-order Runge-Kutta on a flat state vector.
 
     Returns (times, states) with states[i] the solution at times[i].
-    Domain violations raised by f abort with the offending time attached.
+    Domain violations raised by f abort with the offending time attached,
+    and so does the first state that is not finite (checked once per step).
     """
     times = _grid(t0, t1, dt)
     y = np.asarray(y0, dtype=float).copy()
+    if not np.isfinite(y).all():
+        raise IntegrationError("initial state is not finite", time=t0)
     out = np.empty((times.size, y.size))
     out[0] = y
     for i in range(times.size - 1):
@@ -64,6 +67,8 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float):
         except DomainError as exc:
             raise IntegrationError(f"rhs left its domain: {exc}", time=t) from exc
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise IntegrationError("state is no longer finite", time=times[i + 1])
         out[i + 1] = y
     return times, out
 

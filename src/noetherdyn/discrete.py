@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import IntegrationError
+
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -111,7 +113,9 @@ def simulate(step, state: OptimizerState, steps: int, observe):
 
     Returns (final_state, record) with record[n] the observation after n
     steps, so record has steps + 1 rows; an observe that returns a tuple
-    gives one column per element.
+    gives one column per element.  A run whose record stops being finite
+    aborts with the first such step; the record is checked once, after the
+    loop, so the check costs no time per step.
     """
     first = np.asarray(observe(state), dtype=float)
     record = np.empty((steps + 1,) + first.shape)
@@ -119,4 +123,16 @@ def simulate(step, state: OptimizerState, steps: int, observe):
     for n in range(1, steps + 1):
         state = step(state)
         record[n] = observe(state)
+    bad = first_nonfinite_row(record)
+    if bad is not None:
+        raise IntegrationError(f"run diverged: recorded value not finite after step {bad}")
     return state, record
+
+
+def first_nonfinite_row(*channels):
+    """Index of the first row at which any channel (an array with one row per
+    sample) holds a value that is not finite, or None if all are finite."""
+    finite = np.ones(len(channels[0]), dtype=bool)
+    for channel in channels:
+        finite &= np.isfinite(channel).reshape(finite.size, -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .errors import DomainError
 
@@ -85,6 +85,10 @@ class QuadraticForm(Metric):
             self._cho = cho_factor(a)
         except np.linalg.LinAlgError as exc:
             raise ValueError("matrix must be positive definite") from exc
+        # the LAPACK solve behind scipy.linalg.cho_solve, called without that
+        # wrapper's per-call validation (its cost dwarfs a 3x3 solve); the
+        # integrator checks the state for finiteness once per step instead
+        (self._potrs,) = get_lapack_funcs(("potrs",), (self._cho[0],))
         self.matrix = a
         self.dim = a.shape[0]
 
@@ -102,7 +106,11 @@ class QuadraticForm(Metric):
 
     def hessian_solve(self, x, v):
         self.check_domain(x)
-        return cho_solve(self._cho, np.asarray(v, dtype=float))
+        c, lower = self._cho
+        u, info = self._potrs(c, np.asarray(v, dtype=float), lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return u
 
 
 class NegativeEntropy(Metric):
@@ -115,10 +123,13 @@ class NegativeEntropy(Metric):
 
     def check_domain(self, x):
         x = super().check_domain(x)
-        # never clamp: silently projected points would corrupt positivity checks
-        if np.any(x <= _ENTROPY_FLOOR):
+        # never clamp: silently projected points would corrupt positivity checks;
+        # the negated comparison rejects a NaN coordinate too.  minimum.reduce
+        # is x.min() without its Python-level wrapper (this runs every stage)
+        lowest = np.minimum.reduce(x)
+        if not lowest > _ENTROPY_FLOOR:
             raise DomainError(
-                f"negative-entropy domain violation: min coordinate {x.min():.3e} <= {_ENTROPY_FLOOR:g}"
+                f"negative-entropy domain violation: min coordinate {lowest:.3e} <= {_ENTROPY_FLOOR:g}"
             )
         return x
 

@@ -9,6 +9,7 @@ here, before a runner creates its output directory.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +54,15 @@ def _step_count(t1: float, step: float) -> int:
     if not math.isfinite(ratio):
         raise UsageError(f"t1 = {t1:g} is not a countable number of steps of {step:g}")
     return round(ratio)
+
+
+def _as_integer(key: str, value) -> int:
+    """An integer key's value as an int; a bool or a non-integral number is a
+    usage error rather than a TypeError deep inside a runner."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or float(value).is_integer()):
+        raise UsageError(f"parameter {key} must be an integer (got {value!r})")
+    return int(value)
 
 
 def _check_values(kind: str, params: dict, seed: int):
@@ -103,6 +113,9 @@ class ExperimentConfig:
             raise UsageError(
                 f"experiment {self.kind!r} is missing required parameter(s): "
                 + ", ".join(missing))
+        for key in _INTEGER_KEYS & merged.keys():
+            merged[key] = _as_integer(key, merged[key])
+        self.seed = _as_integer("seed", self.seed)
         _check_values(self.kind, merged, self.seed)
         self.params = merged
         self.out = Path(self.out)
@@ -143,6 +156,6 @@ def build_config(kind: str, file_values: dict = None, flag_values: dict = None,
     for key, value in (flag_values or {}).items():
         if value is not None:
             merged[key] = value
-    seed = int(merged.pop("seed", 0))
+    seed = merged.pop("seed", 0)
     out = merged.pop("out", default_out or "noetherdyn-out")
     return ExperimentConfig(kind=kind, params=merged, seed=seed, out=out)

@@ -21,8 +21,9 @@ from ..closedform import (
     steady_radius,
 )
 from ..continuous import eom_bregman, eom_bregman_euclidean, eom_modified, integrate_rk4, rk4_solve
-from ..discrete import (OptimizerState, centered_velocities, simulate, step_gd_momentum_wd,
-                        step_nesterov, step_rmsprop)
+from ..discrete import (OptimizerState, centered_velocities, first_nonfinite_row, simulate,
+                        step_gd_momentum_wd, step_nesterov, step_rmsprop)
+from ..errors import IntegrationError
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
@@ -283,7 +284,8 @@ RECORD_EVERY = 100  # the CSVs and SVGs keep every 100th step
 def flagship_run(cfg: ExperimentConfig):
     """Heavy-ball descent with weight decay on a scale-invariant objective,
     recording the norm, the unit-sphere gradient norm, and the per-step
-    angular displacement.
+    angular displacement.  Like `simulate`, it aborts at the first step
+    whose record is not finite.
 
     The update is fused inline rather than run through `simulate` and the
     library step: at 200k steps the per-call overhead of OptimizerState,
@@ -326,6 +328,10 @@ def flagship_run(cfg: ExperimentConfig):
             ang[n + 1] = np.linalg.norm(qhat - qhat_prev)
             qhat_prev = qhat
     times = eta * np.arange(steps + 1)
+    bad = first_nonfinite_row(norm_sq, gsq, ang)
+    if bad is not None:
+        raise IntegrationError(f"run diverged: recorded value not finite after step {bad}",
+                               time=times[bad])
     return times, norm_sq, gsq, ang
 
 

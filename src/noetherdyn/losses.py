@@ -8,6 +8,8 @@ deterministic: the closed-form comparisons elsewhere need exact values, not
 noisy estimates.
 """
 
+import math
+
 import numpy as np
 
 from .errors import SingularLossError
@@ -30,7 +32,7 @@ class Loss:
 
     def _as_point(self, q):
         q = np.asarray(q, dtype=float)
-        if self.scale_invariant and np.linalg.norm(q) <= _ORIGIN_TOL:
+        if self.scale_invariant and math.sqrt(q @ q) <= _ORIGIN_TOL:
             raise SingularLossError("origin is a singular point of scale-invariant losses")
         return q
 
@@ -115,7 +117,7 @@ class RadialWell(Loss):
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
-        r = np.linalg.norm(q)
+        r = math.sqrt(q @ q)  # np.linalg.norm(q) bit for bit, without its wrapper
         if r <= _ORIGIN_TOL:
             raise SingularLossError("radial gradient is undefined at the origin")
         return (self.dv(r) / r) * q

@@ -5,7 +5,9 @@ live).  Experiments run once into a shared module-scoped directory; the
 determinism criterion reruns all of them and compares CSV bytes.
 """
 
+import json
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +26,11 @@ CONFIGS = {
 }
 
 SEED = 0
+
+# the benchmark's stored verdicts, keyed by kind and then by input set (or
+# "any" for a kind that ignores the seed); read here, never written
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference_verdicts.json"
+REFERENCE_REL_TOL = 1e-12
 
 
 def _run(kind, out):
@@ -148,3 +155,21 @@ def test_criterion_10_determinism(runs, tmp_path_factory):
     _report("criterion-10 determinism", not mismatches,
             "all CSVs byte-identical across reruns" if not mismatches
             else f"mismatched: {', '.join(mismatches)}")
+
+
+def test_verdicts_match_benchmark_reference(runs):
+    """Every measured verdict equals the benchmark's stored value to 1e-12
+    relative, so a change that moves a rounding fails here too."""
+    reference = json.loads(REFERENCE.read_text())
+    drifted = []
+    for kind, run in runs.items():
+        table = reference[kind]
+        expected = table["any"] if "any" in table else table[str(SEED)]
+        assert set(run.verdicts) == set(expected), kind
+        for aid, value in expected.items():
+            measured = run.verdicts[aid].measured
+            if not abs(measured - value) <= REFERENCE_REL_TOL * abs(value):
+                drifted.append(f"{aid}={measured!r} (reference {value!r})")
+    _report("reference verdicts", not drifted,
+            f"{sum(len(r.verdicts) for r in runs.values())} verdicts within "
+            f"{REFERENCE_REL_TOL:g} relative" if not drifted else "; ".join(drifted))

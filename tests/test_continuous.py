@@ -5,6 +5,7 @@ import pytest
 
 from noetherdyn import (
     GradNormHistory,
+    IntegrationError,
     OptimizerState,
     Quadratic,
     RayleighQuotient,
@@ -58,6 +59,18 @@ class TestRk4:
     def test_rk4_solve_first_order_decay(self):
         times, ys = rk4_solve(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.001)
         assert abs(ys[-1, 0] - np.exp(-1.0)) <= 1e-12
+
+    def test_non_finite_state_aborts_with_its_time(self):
+        # the last stage of the step from t = 0.4 turns the state NaN at t = 0.5
+        with pytest.raises(IntegrationError, match="no longer finite") as caught:
+            rk4_solve(lambda t, y: -y if t < 0.5 else y * np.nan, np.array([1.0]),
+                      0.0, 1.0, 0.1)
+        assert caught.value.time == pytest.approx(0.5)
+
+    def test_non_finite_initial_state_aborts_at_t0(self):
+        with pytest.raises(IntegrationError) as caught:
+            rk4_solve(lambda t, y: -y, np.array([np.inf]), 0.25, 1.0, 0.25)
+        assert caught.value.time == 0.25
 
 
 class TestModifiedEquation:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies
 
 from noetherdyn import (
+    IntegrationError,
     OptimizerState,
     Quadratic,
     RayleighQuotient,
@@ -178,6 +179,13 @@ class TestSimulate:
         assert record.shape == (7, 2)
         assert record[0].tolist() == [2.0, 2.0]
         assert record[-1].tolist() == [final.q @ final.q, final.accumulator]
+
+    def test_diverging_run_aborts_at_its_first_non_finite_step(self):
+        # q_n = (-2)^n, so |q_n|^2 = 4^n first overflows at n = 512
+        loss = Quadratic(np.eye(1))
+        with pytest.raises(IntegrationError, match="after step 512$"), np.errstate(over="ignore"):
+            simulate(lambda s: step_gd_momentum_wd(s, loss, 3.0),
+                     OptimizerState.initial([1.0]), 600, lambda s: s.q @ s.q)
 
     @settings(max_examples=50, deadline=None)
     @given(q0=strategies.lists(strategies.floats(-10.0, 10.0), min_size=3, max_size=3),

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
+from scipy.linalg import cho_factor, cho_solve
 
 from noetherdyn import (
     DomainError,
@@ -77,6 +80,10 @@ class TestBregmanDivergence:
         with pytest.raises(DomainError):
             bregman_divergence(Euclidean(2), np.ones(3), np.ones(3))
 
+    def test_entropy_rejects_nan_coordinate(self):
+        with pytest.raises(DomainError, match="nan"):
+            NegativeEntropy(2).check_domain(np.array([1.0, np.nan]))
+
 
 class TestMetricDerivatives:
     def test_grad_matches_finite_differences(self):
@@ -104,6 +111,20 @@ class TestMetricDerivatives:
             v = rng.standard_normal(metric.dim)
             np.testing.assert_allclose(metric.hessian(x) @ metric.hessian_solve(x, v), v,
                                        rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), n=strategies.integers(2, 4))
+    def test_quadratic_form_solve_is_cho_solve_bit_for_bit(self, data, n):
+        """The direct LAPACK solve returns exactly what scipy's cho_solve does."""
+        entries = data.draw(strategies.lists(strategies.floats(-2.0, 2.0),
+                                             min_size=n * n, max_size=n * n))
+        b = np.array(entries).reshape(n, n)
+        a = b @ b.T + 0.1 * np.eye(n)
+        a = a + a.T  # exactly symmetric
+        v = np.array(data.draw(strategies.lists(strategies.floats(-1e3, 1e3),
+                                                min_size=n, max_size=n)))
+        solved = QuadraticForm(a).hessian_solve(np.zeros(n), v)
+        assert np.array_equal(solved, cho_solve(cho_factor(a), v))
 
     def test_quadratic_form_must_be_spd(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Configuration, emission formats, channel comparison, and the CLI."""
 
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noetherdyn import OptimizerState, RayleighQuotient, simulate, step_gd_momentum_wd
+from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
+                        step_gd_momentum_wd)
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import build_config, parse_config_file
@@ -48,6 +50,8 @@ class TestConfig:
         ("noether-residual", {"dt": 1e-3, "t1": 0.0}),
         ("noether-residual", {"dt": 1e-3, "mu": float("inf")}),
         ("modified-eq", {"eta": 0.1, "t1": -2.0}),
+        ("conservation", {"eta": 1e-4, "steps": 20.5}),  # an integer key
+        ("conservation", {"eta": 1e-4, "steps": True}),
     ])
     def test_out_of_range_value_is_usage_error(self, kind, params):
         with pytest.raises(UsageError):
@@ -176,7 +180,51 @@ def test_flagship_loop_matches_reference_stepper():
     assert gsq.tobytes() == reference[:, 1].tobytes()
 
 
+def test_diverging_flagship_run_aborts_with_its_time():
+    cfg = ExperimentConfig(kind="bn-effective-lr",
+                           params={"eta": 50.0, "beta": 0.9, "wd": 1.0, "steps": 200})
+    with pytest.raises(IntegrationError, match=r"after step \d+ \(t=") as caught, \
+            np.errstate(all="ignore"):
+        flagship_run(cfg)
+    step = int(re.search(r"after step (\d+)", str(caught.value)).group(1))
+    assert caught.value.time == 50.0 * step
+
+
 class TestCli:
+    # (argv, config file text or None, exit code, fragment stderr must hold)
+    EXIT_CODES = {
+        "all-pass": (["table2", "--seed", "1"], None, 0, ""),
+        # a too-coarse step makes the finite-step model lose its 5x margin
+        "assertion-failed": (["modified-eq", "--eta", "0.4", "--beta", "0.0"], None, 1,
+                             "assertion(s) failed"),
+        "missing-required": (["bn-effective-lr"], None, 2, "missing required parameter"),
+        # anti-damping drives the entropy-metric trajectories out of domain
+        "left-domain": (["noether-residual"], "dt = 0.001\nmu = -6\n", 3,
+                        "rhs left its domain"),
+        # stronger anti-damping overflows the first (Euclidean) trajectory
+        "rk4-non-finite": (["noether-residual"], "dt = 0.001\nmu = -800\n", 3,
+                           "state is no longer finite (t=0.881)"),
+        "discrete-non-finite": (["conservation", "--eta", "5"], "steps = 100\n", 3,
+                                "not finite after step 6"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CODES))
+    def test_exit_code(self, tmp_path, capsys, case):
+        argv, config, code, fragment = self.EXIT_CODES[case]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "c.cfg")]
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out", str(tmp_path / "x")]) == code
+        stderr = capsys.readouterr().err
+        assert fragment in stderr
+        if code == 0:
+            assert stderr == ""
+        if code == 2:
+            assert not (tmp_path / "x").exists()
+        if code == 3:  # the abort names when: a time, or a discrete run's step
+            assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
+
     def test_table2_runs_clean(self, tmp_path):
         code = main(["table2", "--seed", "1", "--out", str(tmp_path / "t2")])
         assert code == 0
@@ -184,22 +232,12 @@ class TestCli:
         assert (tmp_path / "t2" / "verdict.tsv").exists()
         assert (tmp_path / "t2" / "manifest.txt").exists()
 
-    def test_missing_required_parameter_exits_2(self, tmp_path):
-        assert main(["bn-effective-lr", "--out", str(tmp_path)]) == 2
-
     def test_unknown_experiment_exits_2(self, tmp_path, capsys):
         assert main(["no-such-thing", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["table2", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-    def test_numerical_abort_exits_3(self, tmp_path):
-        # anti-damping drives the entropy-metric trajectories out of domain
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dt = 0.001\nmu = -6\n")
-        assert main(["noether-residual", "--config", str(cfg),
-                     "--out", str(tmp_path / "x")]) == 3
 
     def test_misspelt_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -251,14 +289,6 @@ class TestCli:
         verdict = next(line.split("\t") for line in (out / "verdict.tsv").read_text().splitlines()
                        if line.startswith("conservation.rayleigh-norm-drift\t"))
         assert first_drift == verdict[2]
-
-    def test_failed_assertion_exits_1(self, tmp_path):
-        # a too-coarse step makes the finite-step model lose its 5x margin
-        code = main(["modified-eq", "--eta", "0.4", "--beta", "0.0",
-                     "--out", str(tmp_path / "fail")])
-        assert code == 1
-        verdicts = (tmp_path / "fail" / "verdict.tsv").read_text()
-        assert "fail" in verdicts
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -58,6 +58,16 @@ class TestValues:
 
 
 class TestGradients:
+    @settings(max_examples=300, deadline=None)
+    @given(q=strategies.lists(strategies.floats(-1e3, 1e3), min_size=1, max_size=5))
+    def test_radial_gradient_is_norm_formula_bit_for_bit(self, q):
+        """grad = (v'(r) / r) q with r = np.linalg.norm(q), exactly."""
+        q = np.array(q)
+        r = np.linalg.norm(q)
+        assume(r > 1e-12)
+        well = RadialWell.harmonic(1.0, 25.0, q.size)
+        assert np.array_equal(well.grad(q), (well.dv(r) / r) * q)
+
     def test_rayleigh_stationary_at_eigenvector(self):
         r = RayleighQuotient(np.diag([1.0, 2.0]))
         np.testing.assert_allclose(r.grad([1.0, 0.0]), [0.0, 0.0], atol=1e-15)
