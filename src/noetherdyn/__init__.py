@@ -6,12 +6,19 @@ learning rate induced by scale symmetry matches the explicit adaptive
 factor of the recursive gradient-norm rule.
 """
 
+import os
+
+# Every matrix here is at most 10x10, so BLAS worker threads only add
+# wake-up latency: on a loaded host that turns each scipy expm call into
+# milliseconds.  Set before numpy first loads; a value the caller set wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .closedform import (
     GradNormHistory,
     bn_rmsprop_map,
     g_schedule,
     r2_schedule,
-    solve_bernoulli_check,
     steady_angular_speed,
     steady_radius,
 )
@@ -42,10 +49,8 @@ from .geometry import (
     QuadraticForm,
     bregman_divergence,
     kinetic_energy,
-    lagrangian,
     natural_schedule,
     nesterov_schedule,
-    sgdm_schedule,
 )
 from .losses import (
     Loss,
@@ -63,8 +68,6 @@ from .symmetry import (
     Translation,
     delta_h,
     kinetic_asymmetry,
-    kinetic_asymmetry_euclidean,
-    noether_charge,
     noether_residual,
     table2_report,
 )

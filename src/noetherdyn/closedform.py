@@ -43,12 +43,6 @@ class GradNormHistory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @classmethod
-    def constant(cls, value: float, t1: float, dt: float):
-        n = int(round(t1 / dt))
-        times = dt * np.arange(n + 1)
-        return cls(times=times, gsq=np.full(n + 1, float(value)))
-
 
 def exp_kernel_schedule(history: GradNormHistory, rate: float, prefactor: float,
                         initial: float) -> np.ndarray:
@@ -131,9 +125,7 @@ class KernelMap:
 
     eta: float
     rho: float
-    rate: float
     prefactor_ratio: float
-    exactly_matched: bool
 
 
 def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
@@ -154,38 +146,4 @@ def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
         raise ValueError("decay-rate match needs a smaller eta: rho would be negative")
 
     ratio = math.inf if rate == 0.0 else prefactor / rate
-    return KernelMap(eta=eta, rho=rho, rate=rate,
-                     prefactor_ratio=ratio,
-                     exactly_matched=math.isfinite(ratio) and abs(ratio - 1.0) <= 1e-12)
-
-
-def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,
-                          times) -> np.ndarray:
-    """Exact over-damped squared-norm solution for a constant drive,
-
-        r^2(t) = sqrt( (m gsq / (k mu^2)) (1 - e^(-4kt/mu)) + e^(-4kt/mu) r^4(0) ),
-
-    degenerating to sqrt((4m/mu^3) gsq t + r^4(0)) at k = 0.  Cross-checks
-    the quadrature schedule on the same constant history (<= 1e-8 relative)
-    before returning.
-    """
-    if m <= 0 or mu <= 0 or k < 0 or gsq < 0 or r0 <= 0:
-        raise ValueError("invalid parameters")
-    times = np.asarray(times, dtype=float)
-    if k == 0.0:
-        exact = np.sqrt((4.0 * m / mu ** 3) * gsq * times + r0 ** 4)
-    else:
-        decay = np.exp(-4.0 * k * times / mu)
-        exact = np.sqrt((m * gsq / (k * mu ** 2)) * (1.0 - decay) + decay * r0 ** 4)
-
-    beta = 1.0 - mu
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("friction must lie in (0, 1] to invert the step-size map")
-    eta = 2.0 * m / (1.0 + beta)
-    history = GradNormHistory(times=times, gsq=np.full(times.size, float(gsq)))
-    quadrature = r2_schedule(history, eta, beta, k, r0)
-    worst = float(np.max(np.abs(quadrature - exact) / np.abs(exact)))
-    if worst > 1e-8:
-        raise AssertionError(
-            f"quadrature schedule deviates from the exact solution by {worst:.3e}")
-    return exact
+    return KernelMap(eta=eta, rho=rho, prefactor_ratio=ratio)

@@ -30,6 +30,8 @@ class SecondOrderSystem:
 
     name: str
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    # labels for outside tools: eom_bregman records {"metric": name}, which
+    # the benchmark tracer uses to time the rhs per metric
     parameters: dict = field(default_factory=dict)
 
 
@@ -110,11 +112,7 @@ def eom_modified(eta: float, beta: float, k: float, loss) -> SecondOrderSystem:
     def rhs(t, q, q_dot):
         return -(friction * q_dot + loss.grad(q) + k * q) / mass
 
-    return SecondOrderSystem(
-        name="modified-heavy-ball",
-        rhs=rhs,
-        parameters={"eta": eta, "beta": beta, "k": k, "m": mass, "mu": friction},
-    )
+    return SecondOrderSystem(name="modified-heavy-ball", rhs=rhs)
 
 
 def eom_bregman_euclidean(schedule: BregmanSchedule, loss) -> SecondOrderSystem:
@@ -128,8 +126,7 @@ def eom_bregman_euclidean(schedule: BregmanSchedule, loss) -> SecondOrderSystem:
         force = math.exp(2.0 * schedule.alpha(t) + schedule.beta(t))
         return -damping * q_dot - force * loss.grad(q)
 
-    return SecondOrderSystem(name=f"bregman-euclidean[{schedule.name}]", rhs=rhs,
-                             parameters={"schedule": schedule.name})
+    return SecondOrderSystem(name=f"bregman-euclidean[{schedule.name}]", rhs=rhs)
 
 
 def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderSystem:
@@ -154,7 +151,7 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
         return ea * metric.hessian_solve(u, drive) - (ea - schedule.alpha_dot(t)) * q_dot
 
     return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
-                             parameters={"metric": metric.name, "schedule": schedule.name})
+                             parameters={"metric": metric.name})
 
 
 def eom_noether_radial(m: float, mu: float, k: float, history) -> SecondOrderSystem:
@@ -175,6 +172,5 @@ def eom_noether_radial(m: float, mu: float, k: float, history) -> SecondOrderSys
         drive = float(np.interp(t, times, gsq))
         return (-mu * u_dot - 2.0 * k * u + (2.0 * m / (mu ** 2 * u)) * drive) / m
 
-    return SecondOrderSystem(name="noether-radial", rhs=rhs,
-                             parameters={"m": m, "mu": mu, "k": k})
+    return SecondOrderSystem(name="noether-radial", rhs=rhs)
 

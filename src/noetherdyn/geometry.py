@@ -1,4 +1,5 @@
-"""Metric spaces, Bregman divergence, kinetic energy, and the Lagrangian.
+"""Metric spaces, Bregman divergence, kinetic energy, and the schedules of the
+Lagrangian e^(alpha+gamma) (D_h(q + e^-alpha qdot, q) - e^beta f(q)).
 
 A metric here is a strictly convex distance-generating function h on an
 open subset of R^n, exposed through its value, gradient, and Hessian.
@@ -205,25 +206,6 @@ def natural_schedule(m: float, mu: float) -> BregmanSchedule:
     )
 
 
-def sgdm_schedule(eta: float, momentum: float) -> BregmanSchedule:
-    """Finite-step heavy-ball schedule; its effective mass is eta(1+momentum)/2."""
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    m = eta * (1.0 + momentum) / 2.0
-    log_m = math.log(m)
-    rate = 2.0 * (1.0 - momentum) / (eta * (1.0 + momentum))
-    return BregmanSchedule(
-        name=f"sgdm(eta={eta:g},beta={momentum:g})",
-        alpha=lambda t: -log_m,
-        beta=lambda t: log_m,
-        gamma=lambda t: rate * t,
-        alpha_dot=lambda t: 0.0,
-        gamma_dot=lambda t: rate,
-    )
-
-
 def nesterov_schedule(n: float = 2.0, c: float = 0.25) -> BregmanSchedule:
     """Accelerated-gradient schedule; singular at t = 0."""
     if n <= 0 or c <= 0:
@@ -244,14 +226,3 @@ def nesterov_schedule(n: float = 2.0, c: float = 0.25) -> BregmanSchedule:
         alpha_dot=lambda t: -1.0 / _check(t),
         gamma_dot=lambda t: n / _check(t),
     )
-
-
-def lagrangian(metric: Metric, schedule: BregmanSchedule, loss, q, q_dot, t: float) -> float:
-    """e^(alpha+gamma) * (D_h(q + e^-alpha qdot, q) - e^beta f(q))."""
-    q = np.asarray(q, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
-    a = schedule.alpha(t)
-    displaced = q + math.exp(-a) * q_dot
-    kinetic = bregman_divergence(metric, displaced, q)
-    potential = math.exp(schedule.beta(t)) * loss.value(q)
-    return math.exp(a + schedule.gamma(t)) * (kinetic - potential)

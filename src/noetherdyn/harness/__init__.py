@@ -1,5 +1,4 @@
 """Experiment orchestration: configuration, runners, and result emission."""
 
-from .config import EXPERIMENT_KINDS, PARAMETERS, ExperimentConfig, UsageError
-from .report import ChannelVerdict, Verdict, compare_channels, write_csv, write_svg, write_verdicts
-from .experiments import run_experiment
+from .config import ExperimentConfig, UsageError
+from .report import compare_channels

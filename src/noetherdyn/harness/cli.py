@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ..errors import DomainError, IntegrationError
 from .config import EXPERIMENT_KINDS, UsageError, build_config, parse_config_file
 from .experiments import run_experiment
@@ -48,7 +50,11 @@ def main(argv=None) -> int:
                  if key not in ("experiment", "config")}
         cfg = build_config(args.experiment, file_values, flags,
                            default_out=os.environ.get("NOETHERDYN_OUT"))
-        verdicts = run_experiment(cfg)
+        # a diverging run overflows before its finiteness check aborts it;
+        # the exit-3 line is the one diagnostic.  "ignore", not "raise":
+        # raising would abort at the first overflow, not at the checked step
+        with np.errstate(all="ignore"):
+            verdicts = run_experiment(cfg)
     except (UsageError, FileNotFoundError) as exc:
         print(f"noetherdyn: usage error: {exc}", file=sys.stderr)
         return 2

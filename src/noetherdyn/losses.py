@@ -97,30 +97,26 @@ class TwoLayerChain(Loss):
 
 
 class RadialWell(Loss):
-    """Rotation-invariant potential f(q) = v(|q|)."""
+    """Rotation-invariant harmonic well f(q) = stiffness (|q| - radius)^2 / 2
+    around a preferred norm."""
 
     name = "radial-well"
 
-    def __init__(self, v, dv, dim: int):
-        self.v = v
-        self.dv = dv
+    def __init__(self, radius: float, stiffness: float, dim: int):
+        self.radius = radius
+        self.stiffness = stiffness
         self.dim = int(dim)
 
-    @classmethod
-    def harmonic(cls, radius: float, stiffness: float, dim: int):
-        """Well v(r) = stiffness (r - radius)^2 / 2 around a preferred norm."""
-        return cls(lambda r: 0.5 * stiffness * (r - radius) ** 2,
-                   lambda r: stiffness * (r - radius), dim)
-
     def value(self, q):
-        return float(self.v(np.linalg.norm(np.asarray(q, dtype=float))))
+        r = np.linalg.norm(np.asarray(q, dtype=float))
+        return float(0.5 * self.stiffness * (r - self.radius) ** 2)
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
         r = math.sqrt(q @ q)  # np.linalg.norm(q) bit for bit, without its wrapper
         if r <= _ORIGIN_TOL:
             raise SingularLossError("radial gradient is undefined at the origin")
-        return (self.dv(r) / r) * q
+        return (self.stiffness * (r - self.radius) / r) * q
 
 
 class Quadratic(Loss):

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from noetherdyn import (
     GradNormHistory,
     bn_rmsprop_map,
     g_schedule,
     r2_schedule,
-    solve_bernoulli_check,
     steady_angular_speed,
     steady_radius,
 )
+from oracles import constant_history, solve_bernoulli_check
 
 
 def wiggly_history(t1=50.0, dt=0.01, floor=0.2):
@@ -44,7 +46,7 @@ class TestR2Schedule:
         assert out[0] == 1.7 ** 2
 
     def test_pure_memory_decay(self):
-        h = GradNormHistory.constant(0.0, 100.0, 0.05)
+        h = constant_history(0.0, 100.0, 0.05)
         eta, beta, k, r0 = 0.01, 0.5, 1e-3, 2.0
         out = r2_schedule(h, eta, beta, k, r0)
         expected = np.exp(-2.0 * k * h.times / (1.0 - beta)) * r0 ** 2
@@ -53,7 +55,7 @@ class TestR2Schedule:
     def test_no_decay_accumulates_without_bound(self):
         # k = 0: every gradient accumulates, sqrt-of-linear growth
         c = 0.8
-        h = GradNormHistory.constant(c, 100.0, 0.01)
+        h = constant_history(c, 100.0, 0.01)
         eta, beta, r0 = 0.01, 0.9, 1.2
         out = r2_schedule(h, eta, beta, 0.0, r0)
         prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
@@ -67,7 +69,7 @@ class TestR2Schedule:
         assert np.all(out > 0)
 
     def test_monotone_memory_without_drive(self):
-        h = GradNormHistory.constant(0.0, 10.0, 0.01)
+        h = constant_history(0.0, 10.0, 0.01)
         out = r2_schedule(h, 0.01, 0.0, 0.01, 1.0)
         assert np.all(np.diff(out) < 0)
 
@@ -87,12 +89,12 @@ class TestR2Schedule:
 class TestGSchedule:
     def test_fixed_point_history(self):
         g0 = 2.5
-        h = GradNormHistory.constant(g0, 10.0, 0.01)
+        h = constant_history(g0, 10.0, 0.01)
         out = g_schedule(h, 0.01, 0.99, g0)
         np.testing.assert_allclose(out, np.sqrt(g0), rtol=1e-4)
 
     def test_pure_decay(self):
-        h = GradNormHistory.constant(0.0, 10.0, 0.01)
+        h = constant_history(0.0, 10.0, 0.01)
         eta, rho, g0 = 0.01, 0.99, 4.0
         out = g_schedule(h, eta, rho, g0)
         expected = np.exp(-(1.0 - rho) * h.times / (2.0 * eta)) * 2.0
@@ -137,7 +139,6 @@ class TestKernelMap:
         m = bn_rmsprop_map(0.01, 0.9, 0.0)
         assert m.rho == 1.0
         assert math.isinf(m.prefactor_ratio)
-        assert not m.exactly_matched
 
     def test_prefactor_ratio_value(self):
         eta, beta, k = 0.01, 0.9, 1e-4
@@ -145,15 +146,25 @@ class TestKernelMap:
         expected = eta * (1.0 + beta) / (2.0 * k * (1.0 - beta) ** 2)
         assert m.prefactor_ratio == pytest.approx(expected)
 
-    def test_matched_kernels_make_identical_schedules(self):
+    @settings(max_examples=100, deadline=None)
+    @given(beta=strategies.floats(0.0, 0.95), u=strategies.floats(0.05, 0.99),
+           r0=strategies.floats(0.5, 2.0),
+           amps=strategies.tuples(strategies.floats(0.0, 0.45), strategies.floats(0.0, 0.45)),
+           freqs=strategies.tuples(strategies.floats(0.1, 5.0), strategies.floats(0.1, 5.0)),
+           phase=strategies.floats(0.0, 2.0 * math.pi))
+    def test_matched_kernels_make_identical_schedules(self, beta, u, r0, amps, freqs, phase):
         """When the prefactor constraint holds, the two closed forms are the
-        same function of the history, pointwise."""
-        eta, beta = 0.004, 0.5
+        same function of the history, pointwise.  eta is drawn as the
+        fraction u of the largest step that keeps rho = 1 - u^2 in (0, 1)."""
+        eta = u * math.sqrt((1.0 - beta) ** 3 / (2.0 * (1.0 + beta)))
         k = eta * (1.0 + beta) / (2.0 * (1.0 - beta) ** 2)
         m = bn_rmsprop_map(eta, beta, k)
-        assert m.exactly_matched
-        h = wiggly_history()
-        r0 = 2.0 ** 0.25
+        assert 0.0 < m.rho < 1.0
+        assert m.prefactor_ratio == pytest.approx(1.0, abs=1e-12)
+        times = 0.01 * np.arange(501)
+        gsq = (1.0 + amps[0] * np.sin(freqs[0] * times + phase)
+               + amps[1] * np.cos(freqs[1] * times))
+        h = GradNormHistory(times=times, gsq=gsq)
         a = r2_schedule(h, eta, beta, k, r0)
         b = g_schedule(h, m.eta, m.rho, r0 ** 4)
         np.testing.assert_allclose(a, b, rtol=1e-10)

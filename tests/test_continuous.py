@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from noetherdyn import (
-    GradNormHistory,
     IntegrationError,
     OptimizerState,
     Quadratic,
@@ -19,9 +18,10 @@ from noetherdyn import (
     nesterov_schedule,
     r2_schedule,
     rk4_solve,
-    sgdm_schedule,
     step_gd_momentum_wd,
 )
+from noetherdyn.symmetry import time_derivative
+from oracles import constant_history, lagrangian, sgdm_schedule
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
 
@@ -162,8 +162,7 @@ class TestBregmanEuclidean:
         """Independent oracle for the general system: along its trajectories,
         d/dt of dL/dqdot must equal dL/dq, with both sides taken by finite
         differences of the Lagrangian value itself."""
-        from noetherdyn import Euclidean, NegativeEntropy, QuadraticForm, lagrangian
-        from noetherdyn.numdiff import time_derivative
+        from noetherdyn import Euclidean, NegativeEntropy, QuadraticForm
 
         metric = {"euclidean": Euclidean(2),
                   "quadratic-form": QuadraticForm(np.array([[2.0, 0.3], [0.3, 1.2]])),
@@ -214,21 +213,21 @@ class TestNoetherRadial:
     def test_constant_drive_reaches_steady_radius(self):
         # dt stays below the RK4 stability bound for the fast rate mu/m = 200
         m, mu, k, c = 0.005, 1.0, 0.01, 1.0
-        history = GradNormHistory.constant(c, 400.0, 0.01)
+        history = constant_history(c, 400.0, 0.01)
         traj = integrate_rk4(eom_noether_radial(m, mu, k, history), [4.0], [0.0],
                              0.0, 400.0, 0.01)
         steady = np.sqrt(m * c ** 2 / (k * mu ** 2))
         assert traj.q[-1, 0] == pytest.approx(steady, rel=1e-4)
 
     def test_no_drive_no_decay_keeps_norm(self):
-        history = GradNormHistory.constant(0.0, 5.0, 0.01)
+        history = constant_history(0.0, 5.0, 0.01)
         traj = integrate_rk4(eom_noether_radial(0.01, 1.0, 0.0, history), [2.0], [0.0],
                              0.0, 5.0, 0.01)
         np.testing.assert_allclose(traj.q[:, 0], 2.0, rtol=1e-12)
 
     def test_matches_closed_form_schedule(self):
         m, mu, k = 0.005, 1.0, 1e-4
-        history = GradNormHistory.constant(1.0, 100.0, 0.01)
+        history = constant_history(1.0, 100.0, 0.01)
         traj = integrate_rk4(eom_noether_radial(m, mu, k, history), [4.0], [0.0],
                              0.0, 100.0, 0.01)
         sched = r2_schedule(history, 2.0 * m, 0.0, k, 2.0)

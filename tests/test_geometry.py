@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies
 from scipy.linalg import cho_factor, cho_solve
 
@@ -14,12 +14,11 @@ from noetherdyn import (
     QuadraticForm,
     bregman_divergence,
     kinetic_energy,
-    lagrangian,
     natural_schedule,
     nesterov_schedule,
-    sgdm_schedule,
 )
-from noetherdyn.numdiff import fd_gradient, fd_hessian, fd_scalar_derivative
+from noetherdyn.symmetry import fd_scalar_derivative
+from oracles import fd_gradient, fd_hessian, lagrangian, sgdm_schedule
 
 
 def metrics_under_test():
@@ -59,15 +58,17 @@ class TestBregmanDivergence:
             d = bregman_divergence(e, y, x)
             assert abs(d - 0.5 * np.sum((x - y) ** 2)) <= 1e-12
 
-    def test_positivity_on_random_pairs(self):
-        rng = np.random.default_rng(1)
-        for metric in metrics_under_test():
-            for _ in range(1000):
-                x = sample_point(metric, rng)
-                y = sample_point(metric, rng)
-                if np.allclose(x, y):
-                    continue
-                assert bregman_divergence(metric, y, x) > 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(data=strategies.data(), which=strategies.integers(0, 2))
+    def test_positivity_on_random_pairs(self, data, which):
+        metric = metrics_under_test()[which]
+        low, high = (0.3, 2.0) if metric.name == "negative-entropy" else (-3.0, 3.0)
+        coords = strategies.lists(strategies.floats(low, high), min_size=metric.dim,
+                                  max_size=metric.dim)
+        x = np.array(data.draw(coords))
+        y = np.array(data.draw(coords))
+        assume(not np.allclose(x, y))
+        assert bregman_divergence(metric, y, x) > 0.0
 
     def test_entropy_domain_error(self):
         ne = NegativeEntropy(2)

@@ -1,6 +1,10 @@
 """Configuration, emission formats, channel comparison, and the CLI."""
 
+import os
 import re
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -214,8 +218,7 @@ class TestCli:
         if config is not None:
             (tmp_path / "c.cfg").write_text(config)
             argv = argv + ["--config", str(tmp_path / "c.cfg")]
-        with np.errstate(all="ignore"):
-            assert main(argv + ["--out", str(tmp_path / "x")]) == code
+        assert main(argv + ["--out", str(tmp_path / "x")]) == code
         stderr = capsys.readouterr().err
         assert fragment in stderr
         if code == 0:
@@ -224,6 +227,30 @@ class TestCli:
             assert not (tmp_path / "x").exists()
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
+            assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
+
+    def test_diverging_flagship_stops_within_a_record_stride(self, tmp_path, capsys):
+        started = time.process_time()
+        code = main(["bn-effective-lr", "--eta", "50", "--beta", "0.9", "--wd", "1",
+                     "--out", str(tmp_path / "x")])
+        elapsed = time.process_time() - started
+        assert code == 3
+        assert capsys.readouterr().err == ("noetherdyn: numerical abort: run diverged: recorded"
+                                           " value not finite after step 92 (t=4600)\n")
+        assert elapsed < 1.0  # all 200,000 steps take several seconds
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1 1 1"), ("3", "1 3 1")],
+                             ids=["unset", "caller-set"])
+    def test_package_import_pins_blas_threads_by_default(self, preset, expected):
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        probe = f"import os, noetherdyn; print(*(os.environ[n] for n in {names!r}))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == expected
 
     def test_table2_runs_clean(self, tmp_path):
         code = main(["table2", "--seed", "1", "--out", str(tmp_path / "t2")])

@@ -17,7 +17,7 @@ from noetherdyn import (
     TwoLayerChain,
 )
 from noetherdyn.harness.experiments import _residual_cases
-from noetherdyn.numdiff import fd_gradient
+from oracles import fd_gradient
 
 
 def all_losses():
@@ -27,7 +27,7 @@ def all_losses():
     return [
         RayleighQuotient(sym),
         TwoLayerChain([1.0, 2.0], [1.0, 0.5]),
-        RadialWell.harmonic(1.0, 25.0, 3),
+        RadialWell(1.0, 25.0, 3),
         Quadratic(np.diag([1.0, 2.0, 3.0]), [0.1, 0.0, -0.2]),
     ]
 
@@ -61,12 +61,13 @@ class TestGradients:
     @settings(max_examples=300, deadline=None)
     @given(q=strategies.lists(strategies.floats(-1e3, 1e3), min_size=1, max_size=5))
     def test_radial_gradient_is_norm_formula_bit_for_bit(self, q):
-        """grad = (v'(r) / r) q with r = np.linalg.norm(q), exactly."""
+        """grad = (v'(r) / r) q with r = np.linalg.norm(q), exactly, for the
+        well v(r) = 25 (r - 1)^2 / 2."""
         q = np.array(q)
         r = np.linalg.norm(q)
         assume(r > 1e-12)
-        well = RadialWell.harmonic(1.0, 25.0, q.size)
-        assert np.array_equal(well.grad(q), (well.dv(r) / r) * q)
+        well = RadialWell(1.0, 25.0, q.size)
+        assert np.array_equal(well.grad(q), (25.0 * (r - 1.0) / r) * q)
 
     def test_rayleigh_stationary_at_eigenvector(self):
         r = RayleighQuotient(np.diag([1.0, 2.0]))
@@ -131,7 +132,7 @@ def _declared_pairs():
     return [
         (RayleighQuotient((a + a.T) / 2), Scale()),
         (TwoLayerChain([1.0], [2.0]), Rescale(1)),
-        (RadialWell.harmonic(1.0, 4.0, 3), Rotation(np.array(
+        (RadialWell(1.0, 4.0, 3), Rotation(np.array(
             [[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]]))),
     ]
 

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from noetherdyn.numdiff import (
-    fd_gradient,
-    fd_hessian,
-    fd_scalar_derivative,
-    time_derivative,
-)
+from noetherdyn.symmetry import fd_scalar_derivative, time_derivative
+from oracles import fd_gradient, fd_hessian
 
 
 def test_gradient_of_smooth_function():

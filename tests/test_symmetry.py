@@ -21,13 +21,12 @@ from noetherdyn import (
     eom_bregman_euclidean,
     integrate_rk4,
     kinetic_asymmetry,
-    kinetic_asymmetry_euclidean,
     natural_schedule,
-    noether_charge,
     noether_residual,
     table2_report,
 )
 from noetherdyn.continuous import Trajectory
+from oracles import kinetic_asymmetry_euclidean, noether_charge
 
 
 def skew(dim, rng):
