@@ -6,6 +6,7 @@ covers.  Randomness is drawn exclusively from the configured seed, so a
 rerun with the same configuration reproduces every CSV byte-for-byte.
 """
 
+import math
 import time
 from pathlib import Path
 
@@ -240,7 +241,9 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 
     ode_dev = float(np.max(np.abs(ode_at - qs[1:])))
     flow_dev = float(np.max(np.abs(flow_at - qs[1:])))
-    ratio = flow_dev / ode_dev
+    # a model that matches every iterate beats any flow that does not, and
+    # 0/0 (neither deviates) shows nothing, so it fails
+    ratio = flow_dev / ode_dev if ode_dev else (math.inf if flow_dev else math.nan)
     verdicts = [Verdict("modified-eq.flow-deviation-ratio", ratio >= 5.0, ratio, 5.0)]
 
     write_csv(out / "modified_eq.csv", times[1:], {
@@ -291,7 +294,13 @@ def flagship_run(cfg: ExperimentConfig):
     The update is fused inline rather than run through `simulate` and the
     library step: at 200k steps the per-call overhead of OptimizerState,
     RayleighQuotient.grad and step_gd_momentum_wd roughly doubles the run
-    time.  tests/test_harness.py checks this loop bit-for-bit against the
+    time.  For the same reason each step writes into preallocated work
+    vectors through the ufuncs' `out` argument, computes q @ q once, and
+    calls `x.dot(y)`, the same BLAS dot product as `x @ y` at about a third
+    of the call cost on these 10-vectors.  Every elementwise op and dot
+    product has the same operands, in the same order, as the library step,
+    and |d| = sqrt(d.dot(d)) is how numpy's norm reduces a real vector, so
+    tests/test_harness.py checks all four channels bit for bit against the
     library step.
     """
     eta = cfg["eta"]
@@ -310,10 +319,12 @@ def flagship_run(cfg: ExperimentConfig):
     q = np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent
 
     buffer = np.zeros(dim)
+    aq, g, t, d, qhat = (np.empty(dim) for _ in range(5))
     norm_sq = np.empty(steps + 1)
     gsq = np.empty(steps + 1)
     ang = np.zeros(steps + 1)
-    qhat_prev = q / np.linalg.norm(q)
+    rr = q.dot(q)
+    qhat_prev = q / math.sqrt(rr)
     times = eta * np.arange(steps + 1)
 
     def check_finite(start, stop):
@@ -325,18 +336,26 @@ def flagship_run(cfg: ExperimentConfig):
 
     checked = 0  # rows below this index are known finite
     for n in range(steps + 1):
-        rr = q @ q
-        aq = lam * q  # the diagonal matrix product, bit for bit
-        f = (q @ aq) / rr
-        g = 2.0 * (aq - f * q) / rr
+        np.multiply(lam, q, aq)  # the diagonal matrix product, bit for bit
+        f = q.dot(aq) / rr
+        np.multiply(f, q, t)  # g = 2 (aq - f q) / rr
+        np.subtract(aq, t, t)
+        np.multiply(2.0, t, t)
+        np.divide(t, rr, g)
         norm_sq[n] = rr
-        gsq[n] = rr * (g @ g)  # |ghat|^2 = r^2 |grad f(q)|^2 by scale invariance
+        gsq[n] = rr * g.dot(g)  # |ghat|^2 = r^2 |grad f(q)|^2 by scale invariance
         if n < steps:
-            buffer = beta * buffer - eta * (g + k * q)
-            q = q + buffer
-            qhat = q / np.sqrt(q @ q)
-            ang[n + 1] = np.linalg.norm(qhat - qhat_prev)
-            qhat_prev = qhat
+            np.multiply(k, q, t)  # buffer = beta buffer - eta (g + k q)
+            np.add(g, t, t)
+            np.multiply(eta, t, t)
+            np.multiply(beta, buffer, buffer)
+            np.subtract(buffer, t, buffer)
+            np.add(q, buffer, q)
+            rr = q.dot(q)
+            np.divide(q, math.sqrt(rr), qhat)
+            np.subtract(qhat, qhat_prev, d)
+            ang[n + 1] = math.sqrt(d.dot(d))
+            qhat, qhat_prev = qhat_prev, qhat
         if n % RECORD_EVERY == 0:
             check_finite(checked, n + 1)
             checked = n + 1
@@ -374,11 +393,14 @@ def run_bn_effective_lr(cfg: ExperimentConfig, out: Path):
 
 def run_steady_state(cfg: ExperimentConfig, out: Path):
     """Measure the steady-state relations where the radial balance holds:
-    at the crest of the norm trajectory, where rdot = 0."""
+    at the crest of the norm trajectory, where rdot = 0.  A crest at the
+    first or last sample is where the run starts or stops, not a balance
+    point, so both relations fail there (the measured values are kept)."""
     eta, beta, k = cfg["eta"], cfg["beta"], cfg["wd"]
     times, norm_sq, gsq, ang = flagship_run(cfg)
 
     crest = int(np.argmax(norm_sq))
+    interior = 0 < crest < norm_sq.size - 1
     t_c = times[crest]
     window = (times >= t_c - 2.0) & (times <= t_c + 2.0)
     ang_measured = float(np.mean(ang[1:][window[1:]]))
@@ -391,8 +413,9 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     r_rel = abs(r_measured - r_predicted) / r_predicted
 
     verdicts = [
-        Verdict("steady-state.angular-displacement", ang_rel <= 0.10, ang_rel, 0.10),
-        Verdict("steady-state.radius", r_rel <= 0.10, r_rel, 0.10),
+        Verdict("steady-state.angular-displacement", interior and ang_rel <= 0.10,
+                ang_rel, 0.10),
+        Verdict("steady-state.radius", interior and r_rel <= 0.10, r_rel, 0.10),
     ]
     every = RECORD_EVERY
     write_csv(out / "steady_state.csv", times[::every], {

@@ -3,8 +3,9 @@
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Lagrangian the Euler-Lagrange systems derive from,
 the finite-step heavy-ball schedule, the Noether charge and its Euclidean
-closed-form asymmetry, the exact constant-drive norm solution, and
-finite-difference gradients and Hessians.
+closed-form asymmetry, the direct quadrature of the exponential-kernel
+schedule, the exact constant-drive norm solution, and finite-difference
+gradients and Hessians.
 """
 
 import math
@@ -71,6 +72,26 @@ def constant_history(value: float, t1: float, dt: float) -> GradNormHistory:
     n = int(round(t1 / dt))
     times = dt * np.arange(n + 1)
     return GradNormHistory(times=times, gsq=np.full(n + 1, float(value)))
+
+
+def exp_kernel_quadrature(history: GradNormHistory, rate: float, prefactor: float,
+                          initial: float) -> np.ndarray:
+    """Direct trapezoid quadrature of the exponential-kernel schedule,
+
+        sqrt( prefactor * int_0^t_i exp(-rate (t_i - tau)) gsq(tau) dtau
+              + exp(-rate (t_i - t_0)) * initial ),
+
+    summed afresh over every interval up to each sample: O(n^2), with no
+    recursion carrying the kernel from one sample to the next.
+    """
+    times, gsq = history.times, history.gsq
+    out = np.empty(times.size)
+    for i in range(times.size):
+        weighted = np.exp(-rate * (times[i] - times[:i + 1])) * gsq[:i + 1]
+        integral = float(np.sum(0.5 * (weighted[:-1] + weighted[1:]) * np.diff(times[:i + 1])))
+        memory = initial * math.exp(-rate * (times[i] - times[0]))
+        out[i] = math.sqrt(prefactor * integral + memory)
+    return out
 
 
 def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,

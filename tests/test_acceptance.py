@@ -5,6 +5,7 @@ live).  Experiments run once into a shared module-scoped directory; the
 determinism criterion reruns all of them and compares CSV bytes.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -32,6 +33,11 @@ SEED = 0
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference_verdicts.json"
 REFERENCE_REL_TOL = 1e-12
 
+# sha256 of every artifact the seed-0 runs write, except the manifest (which
+# holds the output path and the wall time); regenerate with
+# `python tests/test_acceptance.py` only in a change meant to move bytes
+GOLDEN = Path(__file__).with_name("golden_digests_seed0.json")
+
 
 def _run(kind, out):
     cfg = ExperimentConfig(kind=kind, params=dict(CONFIGS[kind]), seed=SEED, out=out)
@@ -46,6 +52,12 @@ def _run(kind, out):
 def runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance")
     return {kind: _run(kind, base / kind) for kind in CONFIGS}
+
+
+def _digests(runs):
+    return {f"{kind}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for kind, run in runs.items()
+            for path in sorted(run.out.iterdir()) if path.name != "manifest.txt"}
 
 
 def _report(criterion, ok, detail):
@@ -173,3 +185,24 @@ def test_verdicts_match_benchmark_reference(runs):
     _report("reference verdicts", not drifted,
             f"{sum(len(r.verdicts) for r in runs.values())} verdicts within "
             f"{REFERENCE_REL_TOL:g} relative" if not drifted else "; ".join(drifted))
+
+
+def test_artifacts_match_golden_digests(runs):
+    """Every CSV, SVG and verdict.tsv of the seed-0 runs keeps its recorded
+    bytes, so a change meant to leave the numbers alone cannot move them."""
+    expected = json.loads(GOLDEN.read_text())
+    measured = _digests(runs)
+    changed = sorted(name for name in expected.keys() | measured.keys()
+                     if expected.get(name) != measured.get(name))
+    _report("golden artifact digests", not changed,
+            f"{len(expected)} artifacts byte-identical" if not changed
+            else f"changed, missing or new: {', '.join(changed)}")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _digests({kind: _run(kind, Path(tmp) / kind) for kind in CONFIGS})
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")

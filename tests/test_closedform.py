@@ -15,7 +15,8 @@ from noetherdyn import (
     steady_angular_speed,
     steady_radius,
 )
-from oracles import constant_history, solve_bernoulli_check
+from noetherdyn.closedform import exp_kernel_schedule
+from oracles import constant_history, exp_kernel_quadrature, solve_bernoulli_check
 
 
 def wiggly_history(t1=50.0, dt=0.01, floor=0.2):
@@ -37,6 +38,21 @@ class TestHistoryValidation:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             GradNormHistory(times=np.array([0.0]), gsq=np.array([1.0]))
+
+
+class TestExpKernelSchedule:
+    @settings(max_examples=100, deadline=None)
+    @given(gsq=strategies.lists(strategies.floats(0.0, 1e3), min_size=2, max_size=200),
+           dt=strategies.floats(1e-3, 0.1), rate=strategies.floats(0.0, 20.0),
+           prefactor=strategies.floats(1e-3, 1e3), initial=strategies.floats(1e-3, 1e3))
+    def test_recursion_matches_direct_quadrature(self, gsq, dt, rate, prefactor, initial):
+        """The recursion that carries the exact kernel between samples is the
+        trapezoid rule summed afresh at every sample.  rate * t1 < 400 keeps
+        the memory term above 1e-177, far from underflow."""
+        h = GradNormHistory(times=dt * np.arange(len(gsq)), gsq=np.array(gsq))
+        np.testing.assert_allclose(exp_kernel_schedule(h, rate, prefactor, initial),
+                                   exp_kernel_quadrature(h, rate, prefactor, initial),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestR2Schedule:

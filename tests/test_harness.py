@@ -153,13 +153,14 @@ class TestEmission:
         assert lines[1].split("\t")[1] == "fail"
 
 
-def test_flagship_loop_matches_reference_stepper():
+@pytest.mark.parametrize("seed", [0, 3, 7, 31])
+def test_flagship_loop_matches_reference_stepper(seed):
     """The inlined flagship update must be bit-identical to the reference
-    heavy-ball step function and loss gradient."""
+    heavy-ball step function and loss gradient, in all four channels."""
     cfg = ExperimentConfig(kind="bn-effective-lr",
                            params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": 500},
-                           seed=3)
-    _, norm_sq, gsq, _ = flagship_run(cfg)
+                           seed=seed)
+    times, norm_sq, gsq, ang = flagship_run(cfg)
 
     dim = FLAGSHIP_DIM
     lam = np.concatenate(([1.0], np.linspace(1.01, 1.02, dim - 1)))
@@ -171,17 +172,19 @@ def test_flagship_loop_matches_reference_stepper():
     angle = np.deg2rad(60.0)
     state = OptimizerState.initial(np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent)
 
-    def observe(state):
-        rr = state.q @ state.q
-        g = loss.grad(state.q)
-        return rr, rr * (g @ g)
-
-    _, reference = simulate(
+    _, qs = simulate(
         lambda state: step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
                                           weight_decay=cfg["wd"]),
-        state, cfg["steps"], observe)
-    assert norm_sq.tobytes() == reference[:, 0].tobytes()
-    assert gsq.tobytes() == reference[:, 1].tobytes()
+        state, cfg["steps"], lambda state: state.q)
+    rr = np.array([q @ q for q in qs])
+    g2 = np.array([(q @ q) * (g @ g) for q, g in ((q, loss.grad(q)) for q in qs)])
+    qhat = [q / np.sqrt(q @ q) for q in qs]
+    ang_reference = np.array([0.0] + [np.linalg.norm(qhat[n + 1] - qhat[n])
+                                      for n in range(cfg["steps"])])
+    assert times.tobytes() == (cfg["eta"] * np.arange(cfg["steps"] + 1)).tobytes()
+    assert norm_sq.tobytes() == rr.tobytes()
+    assert gsq.tobytes() == g2.tobytes()
+    assert ang.tobytes() == ang_reference.tobytes()
 
 
 def test_diverging_flagship_run_aborts_with_its_time():
@@ -201,6 +204,15 @@ class TestCli:
         # a too-coarse step makes the finite-step model lose its 5x margin
         "assertion-failed": (["modified-eq", "--eta", "0.4", "--beta", "0.0"], None, 1,
                              "assertion(s) failed"),
+        # at so small a step neither continuous model deviates at all: 0/0 fails
+        "no-deviation": (["modified-eq", "--eta", "1e-17", "--t1", "3e-17"], None, 1,
+                         "assertion(s) failed"),
+        # a crest at either end of the run is no balance point: both relations fail;
+        # the norm only decays (crest at row 0), or still rises at the last row
+        "crest-first-row": (["steady-state", "--eta", "0.0035", "--beta", "0.9", "--wd", "1e-4"],
+                            "steps = 20000\n", 1, "2 assertion(s) failed"),
+        "crest-last-row": (["steady-state", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4"],
+                           "steps = 300\n", 1, "2 assertion(s) failed"),
         "missing-required": (["bn-effective-lr"], None, 2, "missing required parameter"),
         # anti-damping drives the entropy-metric trajectories out of domain
         "left-domain": (["noether-residual"], "dt = 0.001\nmu = -6\n", 3,
@@ -221,6 +233,7 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == code
         stderr = capsys.readouterr().err
         assert fragment in stderr
+        assert "Traceback" not in stderr
         if code == 0:
             assert stderr == ""
         if code == 2:
