@@ -72,11 +72,11 @@ def r2_schedule(history: GradNormHistory, eta: float, beta: float, k: float,
 
     With k = 0 every gradient is accumulated and the norm grows without
     bound; positive weight decay turns the memory into a moving window.
+    Requires eta > 0, 0 <= beta < 1 and k >= 0, which the caller checks,
+    and a positive r0, checked here.
     """
     if r0 <= 0:
         raise ValueError("initial norm must be positive")
-    if eta <= 0 or not 0.0 <= beta < 1.0 or k < 0:
-        raise ValueError("invalid hyperparameters")
     rate = 4.0 * k / (1.0 - beta)
     prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
     return exp_kernel_schedule(history, rate, prefactor, r0 ** 4)
@@ -88,28 +88,29 @@ def g_schedule(history: GradNormHistory, eta: float, rho: float, g0: float) -> n
         sqrt(G(t)) = sqrt( ((1-rho)/eta)
                              * int_0^t e^(-(1-rho)(t-tau)/eta) |g(tau)|^2 dtau
                            + e^(-(1-rho)t/eta) G(0) ).
+
+    Requires eta > 0, 0 < rho <= 1 and g0 > 0; the caller checks them.
     """
-    if g0 <= 0:
-        raise ValueError("initial accumulator must be positive")
-    if eta <= 0 or not 0.0 < rho <= 1.0:
-        raise ValueError("invalid hyperparameters")
     rate = (1.0 - rho) / eta
     return exp_kernel_schedule(history, rate, rate, g0)
 
 
 def steady_angular_speed(eta: float, beta: float, k: float) -> float:
-    """Per-step angular displacement sqrt(2 eta k / (1+beta)) at the steady norm."""
-    if eta <= 0 or k <= 0 or not 0.0 <= beta < 1.0:
-        raise ValueError("parameters must be positive (with 0 <= beta < 1)")
+    """Per-step angular displacement sqrt(2 eta k / (1+beta)) at the steady norm.
+
+    Requires eta > 0, 0 <= beta < 1 and k > 0; the caller checks them.
+    """
     return math.sqrt(2.0 * eta * k / (1.0 + beta))
 
 
 def steady_radius(eta: float, beta: float, k: float, gnorm: float) -> float:
-    """Steady norm (eta(1+beta) / (2k(1-beta)^2))^(1/4) sqrt(|ghat|)."""
-    if k <= 0:
-        raise ValueError("no steady norm without weight decay")
-    if eta <= 0 or not 0.0 <= beta < 1.0 or gnorm < 0:
-        raise ValueError("invalid parameters")
+    """Steady norm (eta(1+beta) / (2k(1-beta)^2))^(1/4) sqrt(|ghat|).
+
+    Requires eta > 0, 0 <= beta < 1 and k > 0 (no steady norm without weight
+    decay), which the caller checks, and gnorm >= 0, checked here.
+    """
+    if gnorm < 0:
+        raise ValueError("gradient norm must be non-negative")
     return (eta * (1.0 + beta) / (2.0 * k * (1.0 - beta) ** 2)) ** 0.25 * math.sqrt(gnorm)
 
 
@@ -135,10 +136,9 @@ def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
     4 k / (1 - beta).  Reports the residual ratio between the norm
     schedule's prefactor and the matched kernel rate; the two closed forms
     are the same function of the history exactly when that ratio is 1 (and
-    g0 = r0^4).
+    g0 = r0^4).  Requires eta > 0, 0 <= beta < 1 and k >= 0, which the
+    caller checks; a match that makes rho negative is rejected here.
     """
-    if eta <= 0 or not 0.0 <= beta < 1.0 or k < 0:
-        raise ValueError("invalid hyperparameters")
     rate = 4.0 * k / (1.0 - beta)
     prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
     rho = 1.0 - rate * eta

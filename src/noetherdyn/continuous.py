@@ -99,13 +99,8 @@ def eom_modified(eta: float, beta: float, k: float, loss) -> SecondOrderSystem:
 
     The learning rate plays the role of a small mass; the model collapses
     to rescaled gradient flow (1-beta) qdot = -grad f as eta -> 0.
+    Requires eta > 0, 0 <= beta < 1 and k >= 0; the caller checks them.
     """
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    if k < 0:
-        raise ValueError("weight decay must be non-negative")
     mass = eta * (1.0 + beta) / 2.0
     friction = 1.0 - beta
 

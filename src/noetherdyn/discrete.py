@@ -43,14 +43,9 @@ def step_gd_momentum_wd(state: OptimizerState, loss, eta: float, beta: float = 0
 
     With beta = 0 and no decay this is plain gradient descent.  This
     parameterization has effective mass eta (1 + beta) / 2 and friction
-    1 - beta in its second-order continuous model.
+    1 - beta in its second-order continuous model.  Requires eta > 0,
+    0 <= beta < 1 and weight_decay >= 0; the caller checks them.
     """
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    if weight_decay < 0:
-        raise ValueError("weight decay must be non-negative")
     g = loss.grad(state.q)
     if weight_decay != 0.0:
         g = g + weight_decay * state.q
@@ -64,10 +59,8 @@ def step_nesterov(state: OptimizerState, loss, eta: float) -> OptimizerState:
 
     The lookahead point is y = q + ((k-1)/(k+2)) (q - q_prev) where k is the
     number of completed steps; the first step is plain gradient descent.
-    The buffer stores q - q_prev.
+    The buffer stores q - q_prev.  Requires eta > 0 (unchecked).
     """
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
     k = state.step_index
     factor = (k - 1.0) / (k + 2.0) if k >= 1 else 0.0
     y = state.q + factor * state.momentum_buffer
@@ -83,12 +76,9 @@ def step_rmsprop(state: OptimizerState, loss, eta: float, rho: float) -> Optimiz
 
     The q-update uses the pre-update G.  There is no epsilon guard: a
     positive accumulator at initialization already rules out division by
-    zero, and the accumulator stays positive thereafter.
+    zero, and the accumulator stays positive thereafter.  Requires eta > 0
+    and 0 < rho < 1; the caller checks them.
     """
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
     if state.accumulator <= 0.0:
         raise ValueError(f"corrupted accumulator G={state.accumulator:g} (must be positive)")
     g = loss.grad(state.q)
@@ -129,10 +119,8 @@ def simulate(step, state: OptimizerState, steps: int, observe):
     return state, record
 
 
-def first_nonfinite_row(*channels):
-    """Index of the first row at which any channel (an array with one row per
-    sample) holds a value that is not finite, or None if all are finite."""
-    finite = np.ones(len(channels[0]), dtype=bool)
-    for channel in channels:
-        finite &= np.isfinite(channel).reshape(finite.size, -1).all(axis=1)
+def first_nonfinite_row(record):
+    """Index of the first row of `record` (one row per sample) that holds a
+    value that is not finite, or None if all are finite."""
+    finite = np.isfinite(record).reshape(len(record), -1).all(axis=1)
     return None if finite.all() else int(np.argmin(finite))

@@ -192,9 +192,10 @@ class BregmanSchedule:
 
 
 def natural_schedule(m: float, mu: float) -> BregmanSchedule:
-    """Massive particle with friction: alpha = -log m, beta = log m, gamma = (mu/m) t."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    """Massive particle with friction: alpha = -log m, beta = log m, gamma = (mu/m) t.
+
+    Requires a mass m > 0 (unchecked); any friction mu, even negative.
+    """
     log_m = math.log(m)
     return BregmanSchedule(
         name=f"natural(m={m:g},mu={mu:g})",
@@ -207,9 +208,8 @@ def natural_schedule(m: float, mu: float) -> BregmanSchedule:
 
 
 def nesterov_schedule(n: float = 2.0, c: float = 0.25) -> BregmanSchedule:
-    """Accelerated-gradient schedule; singular at t = 0."""
-    if n <= 0 or c <= 0:
-        raise ValueError("n and c must be positive")
+    """Accelerated-gradient schedule; singular at t = 0.  Requires n, c > 0
+    (unchecked)."""
     log_n = math.log(n)
     log_c = math.log(c)
 

@@ -55,7 +55,8 @@ def main(argv=None) -> int:
         # raising would abort at the first overflow, not at the checked step
         with np.errstate(all="ignore"):
             verdicts = run_experiment(cfg)
-    except (UsageError, FileNotFoundError) as exc:
+    # OSError: a --config that cannot be read, or an --out that cannot be made
+    except (UsageError, OSError) as exc:
         print(f"noetherdyn: usage error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, DomainError) as exc:

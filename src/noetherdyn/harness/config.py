@@ -5,7 +5,8 @@ defaults, so a missing one is a usage error rather than a guess.  A key the
 experiment does not take (a misspelling, or a flag of another experiment)
 is a usage error too, rather than a silently ignored value.  Every usage
 rule, from a value's range to a step count an experiment needs, is checked
-here, before a runner creates its output directory.
+here, before a runner creates its output directory.  This is the one place
+the ranges are decided: the library functions the runners call trust them.
 """
 
 import math
@@ -135,9 +136,12 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines; '#' starts a comment; each key at most once."""
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -145,6 +149,8 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: key {key!r} is set twice")
         values[key] = _coerce(key, raw)
     return values
 

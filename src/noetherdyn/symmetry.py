@@ -227,10 +227,9 @@ def table2_report(metrics, transforms, samples: int = 16, seed: int = 0):
 
     A cell is symmetric iff |kinetic asymmetry| <= SYMMETRIC_TOL at every
     sampled random state.  `_sample_state` keeps every state, and its
-    finite-s neighbours, inside the metric's domain.
+    finite-s neighbours, inside the metric's domain.  Requires samples >= 1
+    (unchecked).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     rows = []
     for metric in metrics:

@@ -140,10 +140,6 @@ class TestSteadyFormulas:
     def test_steady_radius_reference_value(self):
         assert steady_radius(0.01, 0.0, 1e-4, 1.0) == pytest.approx(50.0 ** 0.25)
 
-    def test_steady_radius_requires_weight_decay(self):
-        with pytest.raises(ValueError, match="weight decay"):
-            steady_radius(0.01, 0.9, 0.0, 1.0)
-
 
 class TestKernelMap:
     def test_rate_identity(self):

@@ -55,14 +55,6 @@ class TestHeavyBall:
                                  weight_decay=0.5)
         assert st.q[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
-    def test_parameter_validation(self):
-        loss = Quadratic(np.eye(1))
-        st = OptimizerState.initial([1.0])
-        with pytest.raises(ValueError):
-            step_gd_momentum_wd(st, loss, -0.1)
-        with pytest.raises(ValueError):
-            step_gd_momentum_wd(st, loss, 0.1, beta=1.0)
-
 
 class TestNesterov:
     def test_zero_gradient_is_fixed_point(self):

@@ -214,6 +214,7 @@ class TestCli:
         "crest-last-row": (["steady-state", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4"],
                            "steps = 300\n", 1, "2 assertion(s) failed"),
         "missing-required": (["bn-effective-lr"], None, 2, "missing required parameter"),
+        "repeated-key": (["table2"], "seed = 1\nseed = 2\n", 2, "key 'seed' is set twice"),
         # anti-damping drives the entropy-metric trajectories out of domain
         "left-domain": (["noether-residual"], "dt = 0.001\nmu = -6\n", 3,
                         "rhs left its domain"),
@@ -242,7 +243,7 @@ class TestCli:
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
             assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
 
-    def test_diverging_flagship_stops_within_a_record_stride(self, tmp_path, capsys):
+    def test_diverging_flagship_stops_at_its_first_nonfinite_step(self, tmp_path, capsys):
         started = time.process_time()
         code = main(["bn-effective-lr", "--eta", "50", "--beta", "0.9", "--wd", "1",
                      "--out", str(tmp_path / "x")])
@@ -279,6 +280,25 @@ class TestCli:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["table2", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "config-is-dir",
+                                      "config-not-utf8"])
+    def test_unusable_path_exits_2(self, tmp_path, capsys, case):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# caf\xe9\nseed = 1\n")
+        argv = {
+            "out-is-file": ["--out", str(plain)],
+            "out-under-file": ["--out", str(plain / "sub")],
+            "config-is-dir": ["--config", str(tmp_path), "--out", str(tmp_path / "x")],
+            "config-not-utf8": ["--config", str(latin1), "--out", str(tmp_path / "x")],
+        }[case]
+        assert main(["table2"] + argv) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("noetherdyn: usage error: ")
+        assert stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
     def test_misspelt_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("stpes = 10\n")
@@ -312,6 +332,14 @@ class TestCli:
         ["modified-eq", "--eta", "1"],  # t1 = 2 leaves 2 steps, the comparison needs 3
         ["rmsprop-equiv", "--eta", "0.01", "--rho", "0.99", "--t1", "0.001"],  # no step
         ["table2", "--config", "dim.cfg"],  # dim is fixed, not a parameter
+        # ranges the library trusts its callers to have checked
+        ["bn-effective-lr", "--eta", "0.01", "--beta", "1.0", "--wd", "1e-4"],
+        ["bn-effective-lr", "--eta", "0", "--beta", "0.9", "--wd", "1e-4"],
+        ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "-1e-4"],
+        ["steady-state", "--eta", "0.01", "--beta", "-0.1", "--wd", "1e-4"],
+        ["rmsprop-equiv", "--eta", "0", "--rho", "0.99"],
+        ["rmsprop-equiv", "--eta", "0.01", "--rho", "1.0"],
+        ["modified-eq", "--eta", "-0.1"],
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, argv):
         (tmp_path / "dim.cfg").write_text("dim = 1\n")

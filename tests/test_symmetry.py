@@ -26,6 +26,7 @@ from noetherdyn import (
     table2_report,
 )
 from noetherdyn.continuous import Trajectory
+from noetherdyn.harness.experiments import _residual_cases
 from oracles import kinetic_asymmetry_euclidean, noether_charge
 
 
@@ -205,10 +206,6 @@ class TestTable2:
         assert rows[0][0].label == "symmetric"
         assert rows[0][1].label == "asymmetric"
 
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            table2_report(self.metrics(), self.transforms(), samples=0)
-
 
 def _residual_setup():
     """One EL integration per (metric family, transform) with an invariant loss."""
@@ -240,6 +237,21 @@ class TestNoetherResidual:
             fine = integrate_rk4(system, q0, qd0, 0.0, 1.0, 5e-4)
             obs_fine = noether_residual(metric, sched, tf, fine)
             assert np.max(np.abs(obs_fine.residual)) <= np.max(np.abs(obs.residual)) / 8.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=strategies.sampled_from(_residual_cases()),
+           q_scale=strategies.lists(strategies.floats(0.8, 1.2), min_size=3, max_size=3),
+           v_scale=strategies.lists(strategies.floats(-1.5, 1.5), min_size=3, max_size=3))
+    def test_balance_law_holds_on_random_states(self, case, q_scale, v_scale):
+        # every (metric, transform, invariant loss) of the experiment, from a
+        # random state near its fixed one; the bound is the acceptance tolerance
+        metric, tf, loss, q0, qd0 = case
+        q0 = q0 * np.array(q_scale[:q0.size])
+        qd0 = qd0 * np.array(v_scale[:qd0.size])
+        sched = natural_schedule(1.0, 1.0)
+        traj = integrate_rk4(eom_bregman(metric, sched, loss), q0, qd0, 0.0, 0.2, 1e-3)
+        obs = noether_residual(metric, sched, tf, traj)
+        assert np.max(np.abs(obs.residual)) <= 1e-4
 
     def test_translation_charge_decays_with_dissipation(self):
         # both source terms vanish, so charge(t) = charge(0) e^(-(gamma - gamma0))
