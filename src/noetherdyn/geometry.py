@@ -18,7 +18,10 @@ _ENTROPY_FLOOR = 1e-12
 
 
 class Metric:
-    """Distance-generating function h with value, gradient, and Hessian."""
+    """Distance-generating function h with value, gradient, and Hessian.
+
+    A point is a float array of shape (dim,) that the caller builds.  A metric
+    with a bounded domain checks it in each of its methods (DomainError)."""
 
     dim: int
     name: str
@@ -36,13 +39,6 @@ class Metric:
         """Solve hessian(x) @ u = v."""
         raise NotImplementedError
 
-    def check_domain(self, x):
-        """Raise DomainError if x is outside the domain of h."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DomainError(f"{self.name}: expected dimension {self.dim}, got shape {x.shape}")
-        return x
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -56,19 +52,16 @@ class Euclidean(Metric):
         self.dim = int(dim)
 
     def value(self, x):
-        x = self.check_domain(x)
         return 0.5 * float(x @ x)
 
     def grad(self, x):
-        return self.check_domain(x).copy()
+        return np.array(x, dtype=float)
 
     def hessian(self, x):
-        self.check_domain(x)
         return np.eye(self.dim)
 
     def hessian_solve(self, x, v):
-        self.check_domain(x)
-        return np.asarray(v, dtype=float).copy()
+        return np.array(v, dtype=float)
 
 
 class QuadraticForm(Metric):
@@ -94,19 +87,15 @@ class QuadraticForm(Metric):
         self.dim = a.shape[0]
 
     def value(self, x):
-        x = self.check_domain(x)
         return 0.5 * float(x @ self.matrix @ x)
 
     def grad(self, x):
-        x = self.check_domain(x)
         return self.matrix @ x
 
     def hessian(self, x):
-        self.check_domain(x)
         return self.matrix.copy()
 
     def hessian_solve(self, x, v):
-        self.check_domain(x)
         c, lower = self._cho
         u, info = self._potrs(c, np.asarray(v, dtype=float), lower=lower)
         if info != 0:
@@ -123,7 +112,8 @@ class NegativeEntropy(Metric):
         self.dim = int(dim)
 
     def check_domain(self, x):
-        x = super().check_domain(x)
+        """x as a float array; DomainError if it is outside the domain."""
+        x = np.asarray(x, dtype=float)
         # never clamp: silently projected points would corrupt positivity checks;
         # the negated comparison rejects a NaN coordinate too.  minimum.reduce
         # is x.min() without its Python-level wrapper (this runs every stage)
@@ -157,8 +147,8 @@ def bregman_divergence(metric: Metric, y, x) -> float:
     Strictly positive for y != x; the generalized squared distance of the
     metric's geometry (exactly |x - y|^2 / 2 in the Euclidean case).
     """
-    y = metric.check_domain(y)
-    x = metric.check_domain(x)
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
     return metric.value(y) - metric.value(x) - float(metric.grad(x) @ (y - x))
 
 

@@ -4,7 +4,7 @@ Flags win over file values; required hyperparameters have no silent
 defaults, so a missing one is a usage error rather than a guess.  A key the
 experiment does not take (a misspelling, or a flag of another experiment)
 is a usage error too, rather than a silently ignored value.  Every usage
-rule, from a value's range to a step count an experiment needs, is checked
+rule, from a value's range to the steps a run needs or may make, is checked
 here, before a runner creates its output directory.  This is the one place
 the ranges are decided: the library functions the runners call trust them.
 """
@@ -48,6 +48,10 @@ _RANGES = {
     **{key: (">= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
 }
 
+# most optimizer and RK4 steps a run may make: 50x the largest shipped run
+MAX_STEPS = 10 ** 7
+MODIFIED_EQ_REFINE = 100  # RK4 steps per optimizer step of modified-eq's models
+
 
 def _step_count(t1: float, step: float) -> int:
     """Steps of size `step` that cover [0, t1], as the runners count them."""
@@ -74,6 +78,7 @@ def _check_values(kind: str, params: dict, seed: int):
             raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
     if seed < 0:
         raise UsageError(f"seed must be >= 0 (got {seed})")
+    total = params.get("steps", 0)
     if kind == "noether-residual":
         # the same tiling rule as the integrator's grid
         dt, t1 = params["dt"], params["t1"]
@@ -82,13 +87,21 @@ def _check_values(kind: str, params: dict, seed: int):
             raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}")
         if steps < 4:
             raise UsageError("dt too coarse: the residual needs at least 5 samples")
-    elif kind == "modified-eq" and _step_count(params["t1"], params["eta"]) < 3:
-        raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
-    elif kind == "rmsprop-equiv" and _step_count(params["t1"], params["eta"]) < 1:
-        raise UsageError("t1/eta must allow at least 1 step of the adaptive rule")
+        total = 2 * steps  # the half-step run
+    elif kind == "modified-eq":
+        steps = _step_count(params["t1"], params["eta"])
+        if steps < 3:
+            raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
+        total = MODIFIED_EQ_REFINE * steps
+    elif kind == "rmsprop-equiv":
+        total = _step_count(params["t1"], params["eta"])
+        if total < 1:
+            raise UsageError("t1/eta must allow at least 1 step of the adaptive rule")
     elif kind == "steady-state" and params["wd"] <= 0.0:
         raise UsageError(f"steady-state needs wd > 0 (got {params['wd']:g}): "
                          "without weight decay the norm has no radial balance point")
+    if total > MAX_STEPS:
+        raise UsageError(f"the run would make {total:.3g} steps, more than {MAX_STEPS:.0e}")
 
 
 @dataclass

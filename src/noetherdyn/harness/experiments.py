@@ -29,7 +29,7 @@ from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedu
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
                         table2_report)
-from .config import ExperimentConfig
+from .config import MODIFIED_EQ_REFINE, ExperimentConfig
 from .report import Verdict, compare_channels, write_csv, write_manifest, write_svg, write_table_csv, write_verdicts
 
 
@@ -231,13 +231,12 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     q1 = qs[1]
     v1 = centered_velocities(qs, eta)[0]
     t_end = steps * eta  # last discrete sample; t1 need not be a multiple
-    refine = 100
     ode = integrate_rk4(eom_modified(eta, beta, 0.0, loss), [q1], [v1],
-                        eta, t_end, eta / refine)
-    ode_at = ode.q[::refine, 0]
+                        eta, t_end, eta / MODIFIED_EQ_REFINE)
+    ode_at = ode.q[::MODIFIED_EQ_REFINE, 0]
     _, flow = rk4_solve(lambda t, y: -loss.grad(y) / (1.0 - beta),
-                        np.array([q1]), eta, t_end, eta / refine)
-    flow_at = flow[::refine, 0]
+                        np.array([q1]), eta, t_end, eta / MODIFIED_EQ_REFINE)
+    flow_at = flow[::MODIFIED_EQ_REFINE, 0]
 
     ode_dev = float(np.max(np.abs(ode_at - qs[1:])))
     flow_dev = float(np.max(np.abs(flow_at - qs[1:])))

@@ -25,16 +25,12 @@ def write_csv(path, times, channels: dict) -> Path:
     for name, col in zip(names, columns):
         if col.shape != times.shape:
             raise ValueError(f"channel {name!r} does not align with the time grid")
-    lines = ["t," + ",".join(names)]
-    for i in range(times.size):
-        row = [format_float(times[i])] + [format_float(col[i]) for col in columns]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_table_csv(path, ["t", *names], zip(times, *columns))
 
 
 def write_table_csv(path, header, rows) -> Path:
-    """Plain tabular CSV for non-time-series output (classification grids)."""
+    """Tabular CSV: one line per row; float cells (numpy's included) carry 17
+    significant digits, other cells their str()."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
@@ -152,7 +148,7 @@ def _widen(lo: float, hi: float):
     return lo, hi
 
 
-def write_svg(path, title: str, series, xlabel: str = "t", ylabel: str = "") -> Path:
+def write_svg(path, title: str, series, ylabel: str = "") -> Path:
     """Polyline chart; series is a list of (name, x array, y array)."""
     path = Path(path)
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -196,7 +192,7 @@ def write_svg(path, title: str, series, xlabel: str = "t", ylabel: str = "") -> 
         parts.append(f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 7}" y="{y + 3.5:.2f}" text-anchor="end">{_fmt_tick(tick)}</text>')
     parts.append(f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 8}" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 'text-anchor="middle">t</text>')
     if ylabel:
         parts.append(f'<text x="14" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
                      f'transform="rotate(-90 14 {_MT + plot_h / 2:.1f})">{ylabel}</text>')

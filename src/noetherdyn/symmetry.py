@@ -133,8 +133,6 @@ class Rescale(SymmetryTransform):
 
     def _blocks(self, q):
         q = np.asarray(q, dtype=float)
-        if q.size <= self.split:
-            raise ValueError(f"rescale split {self.split} needs dimension > {self.split}")
         return q[: self.split], q[self.split:]
 
     def apply(self, q, s):

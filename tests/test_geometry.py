@@ -77,13 +77,28 @@ class TestBregmanDivergence:
         with pytest.raises(DomainError):
             ne.value(np.array([1.0, 0.0]))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            bregman_divergence(Euclidean(2), np.ones(3), np.ones(3))
-
     def test_entropy_rejects_nan_coordinate(self):
         with pytest.raises(DomainError, match="nan"):
             NegativeEntropy(2).check_domain(np.array([1.0, np.nan]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), dim=strategies.integers(1, 4),
+           bad=strategies.floats(max_value=1e-12) | strategies.just(np.nan))
+    def test_entropy_domain_enforced_by_every_method(self, data, dim, bad):
+        """A point with one coordinate at or below the 1e-12 floor (zero, a
+        negative number or NaN) is rejected by every method and by the
+        divergence with the point as either argument."""
+        ne = NegativeEntropy(dim)
+        coords = strategies.lists(strategies.floats(0.3, 2.0), min_size=dim, max_size=dim)
+        good = np.array(data.draw(coords))
+        x = good.copy()
+        x[data.draw(strategies.integers(0, dim - 1))] = bad
+        for call in (lambda: ne.value(x), lambda: ne.grad(x), lambda: ne.hessian(x),
+                     lambda: ne.hessian_solve(x, good),
+                     lambda: bregman_divergence(ne, x, good),
+                     lambda: bregman_divergence(ne, good, x)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestMetricDerivatives:

@@ -15,7 +15,8 @@ from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simu
                         step_gd_momentum_wd)
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
-from noetherdyn.harness.config import build_config, parse_config_file
+from noetherdyn.harness.config import (MAX_STEPS, MODIFIED_EQ_REFINE, build_config,
+                                       parse_config_file)
 from noetherdyn.harness.experiments import FLAGSHIP_DIM, flagship_run
 from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
 
@@ -335,17 +336,43 @@ class TestCli:
         # ranges the library trusts its callers to have checked
         ["bn-effective-lr", "--eta", "0.01", "--beta", "1.0", "--wd", "1e-4"],
         ["bn-effective-lr", "--eta", "0", "--beta", "0.9", "--wd", "1e-4"],
-        ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "-1e-4"],
+        # "=": argparse would read a bare "-1e-4" as an option, not a value
+        ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd=-1e-4"],
         ["steady-state", "--eta", "0.01", "--beta", "-0.1", "--wd", "1e-4"],
         ["rmsprop-equiv", "--eta", "0", "--rho", "0.99"],
         ["rmsprop-equiv", "--eta", "0.01", "--rho", "1.0"],
         ["modified-eq", "--eta", "-0.1"],
+        # runs over the 10^7-step ceiling, optimizer and RK4 steps counted
+        ["rmsprop-equiv", "--eta", "1", "--rho", "0.5", "--t1", "1e20"],
+        ["rmsprop-equiv", "--eta", "1", "--rho", "0.5", "--t1", "1e13"],
+        ["modified-eq", "--eta", "1", "--t1", "1e13"],
+        ["noether-residual", "--dt", "1", "--t1", "1e13"],
+        ["conservation", "--eta", "1e-4", "--config", "steps.cfg"],
+        ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4",
+         "--config", "steps.cfg"],
     ])
-    def test_out_of_range_value_exits_2(self, tmp_path, argv):
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "dim.cfg").write_text("dim = 1\n")
+        (tmp_path / "steps.cfg").write_text("steps = 10000000000000\n")
         argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("noetherdyn: usage error: ")
+        assert stderr.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("conservation", {"eta": 1e-4, "steps": MAX_STEPS}),
+        ("modified-eq", {"eta": 1.0, "t1": MAX_STEPS // MODIFIED_EQ_REFINE}),
+        ("noether-residual", {"dt": 1.0, "t1": MAX_STEPS // 2}),
+        ("rmsprop-equiv", {"eta": 1.0, "rho": 0.5, "t1": MAX_STEPS}),
+    ])
+    def test_step_ceiling_admits_a_run_at_it(self, kind, params):
+        assert build_config(kind, params).kind == kind
+        over = dict(params, **{key: value + 1 for key, value in params.items()
+                               if key in ("steps", "t1")})
+        with pytest.raises(UsageError, match="steps"):
+            build_config(kind, over)
 
     def test_conservation_sweep_reuses_norm_drift(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies
 
 from noetherdyn import (
@@ -27,6 +27,7 @@ from noetherdyn import (
 )
 from noetherdyn.continuous import Trajectory
 from noetherdyn.harness.experiments import _residual_cases
+from noetherdyn.symmetry import SYMMETRIC_TOL
 from oracles import kinetic_asymmetry_euclidean, noether_charge
 
 
@@ -138,14 +139,28 @@ class TestChargeAndMomentum:
         assert c == pytest.approx(1.0)
 
 
+def triples(bound):
+    return strategies.lists(strategies.floats(-bound, bound), min_size=3, max_size=3)
+
+
 class TestKineticAsymmetry:
-    def test_euclidean_translation_and_rotation_vanish(self):
-        rng = np.random.default_rng(5)
-        e = Euclidean(3)
-        for _ in range(20):
-            q, qd = rng.standard_normal(3), rng.standard_normal(3)
-            assert abs(kinetic_asymmetry(e, Translation(rng.standard_normal(3)), q, qd)) <= 1e-8
-            assert abs(kinetic_asymmetry(e, Rotation(skew(3, rng)), q, qd)) <= 1e-8
+    @settings(max_examples=200, deadline=None)
+    @given(q=triples(3.0), qd=triples(3.0), alpha=strategies.floats(-1.0, 1.0),
+           direction=triples(2.0), upper=triples(2.0))
+    def test_euclidean_translation_and_rotation_vanish(self, q, qd, alpha, direction, upper):
+        """Table 2's symmetric cells on random states: the Euclidean kinetic
+        energy is invariant under translation and rotation, and so is any
+        constant-Hessian (quadratic-form) one under translation, each within
+        the experiment's own threshold."""
+        assume(np.linalg.norm(direction) >= 0.1)
+        q, qd = np.array(q), np.array(qd)
+        a01, a02, a12 = upper
+        translation = Translation(direction)
+        rotation = Rotation(np.array([[0.0, a01, a02], [-a01, 0.0, a12], [-a02, -a12, 0.0]]))
+        qf = QuadraticForm(np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]]))
+        for metric, tf in ((Euclidean(3), translation), (Euclidean(3), rotation),
+                           (qf, translation)):
+            assert abs(kinetic_asymmetry(metric, tf, q, qd, alpha)) <= SYMMETRIC_TOL
 
     def test_euclidean_scale_value(self):
         e = Euclidean(2)
