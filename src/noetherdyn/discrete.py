@@ -113,14 +113,8 @@ def simulate(step, state: OptimizerState, steps: int, observe):
     for n in range(1, steps + 1):
         state = step(state)
         record[n] = observe(state)
-    bad = first_nonfinite_row(record)
-    if bad is not None:
-        raise IntegrationError(f"run diverged: recorded value not finite after step {bad}")
-    return state, record
-
-
-def first_nonfinite_row(record):
-    """Index of the first row of `record` (one row per sample) that holds a
-    value that is not finite, or None if all are finite."""
     finite = np.isfinite(record).reshape(len(record), -1).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+    if not finite.all():
+        raise IntegrationError("run diverged: recorded value not finite after step "
+                               f"{int(np.argmin(finite))}")
+    return state, record

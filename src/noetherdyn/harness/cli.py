@@ -3,6 +3,8 @@
     noetherdyn <experiment> [--config FILE] [--eta F] [--beta F] [--wd F]
                [--rho F] [--dt F] [--t1 F] [--seed N] [--out DIR]
 
+argparse only splits argv; config.py reads each flag's text as it reads a
+config line.  Every usage error, argparse's included, is one stderr line.
 Flag values override config-file values.  NOETHERDYN_OUT sets the default
 output root.  Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 usage error, 3 numerical abort.
@@ -15,46 +17,47 @@ import sys
 import numpy as np
 
 from ..errors import DomainError, IntegrationError
-from .config import EXPERIMENT_KINDS, UsageError, build_config, parse_config_file
+from .config import EXPERIMENT_KINDS, UsageError, build_config, coerce, parse_config_file
 from .experiments import run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # in place of printing the usage and exiting 2
+        raise UsageError(message)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
-        prog="noetherdyn",
+    parser = _Parser(  # SUPPRESS: a flag not given is left out, not set to None
+        prog="noetherdyn", argument_default=argparse.SUPPRESS,
         description="Run a symmetry-dynamics experiment and emit CSV/SVG/verdict artifacts.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENT_KINDS)
+    parser.add_argument("experiment", help="one of: " + ", ".join(EXPERIMENT_KINDS))
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--eta", type=float, help="learning rate / step size")
-    parser.add_argument("--beta", type=float, help="momentum coefficient")
-    parser.add_argument("--wd", type=float, help="weight decay")
-    parser.add_argument("--rho", type=float, help="adaptive memory coefficient")
-    parser.add_argument("--dt", type=float, help="integration step")
-    parser.add_argument("--t1", type=float, help="integration horizon")
-    parser.add_argument("--seed", type=int, help="seed for any random initialization")
+    parser.add_argument("--eta", help="learning rate / step size")
+    parser.add_argument("--beta", help="momentum coefficient")
+    parser.add_argument("--wd", help="weight decay")
+    parser.add_argument("--rho", help="adaptive memory coefficient")
+    parser.add_argument("--dt", help="integration step")
+    parser.add_argument("--t1", help="integration horizon")
+    parser.add_argument("--seed", help="seed for any random initialization")
     parser.add_argument("--out", help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-
-    try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        flags = {key: value for key, value in vars(args).items()
-                 if key not in ("experiment", "config")}
-        cfg = build_config(args.experiment, file_values, flags,
-                           default_out=os.environ.get("NOETHERDYN_OUT"))
+        given = vars(_parser().parse_args(argv))
+        kind, config = given.pop("experiment"), given.pop("config", None)
+        file_values = parse_config_file(config) if config else {}
+        flags = {key: coerce(key, raw) for key, raw in given.items()}
+        cfg = build_config(kind, file_values, flags, os.environ.get("NOETHERDYN_OUT"))
         # a diverging run overflows before its finiteness check aborts it;
         # the exit-3 line is the one diagnostic.  "ignore", not "raise":
         # raising would abort at the first overflow, not at the checked step
         with np.errstate(all="ignore"):
             verdicts = run_experiment(cfg)
+    except SystemExit:  # --help, the one exit argparse still makes
+        return 0
     # OSError: a --config that cannot be read, or an --out that cannot be made
     except (UsageError, OSError) as exc:
         print(f"noetherdyn: usage error: {exc}", file=sys.stderr)

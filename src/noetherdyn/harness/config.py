@@ -7,6 +7,7 @@ is a usage error too, rather than a silently ignored value.  Every usage
 rule, from a value's range to the steps a run needs or may make, is checked
 here, before a runner creates its output directory.  This is the one place
 the ranges are decided: the library functions the runners call trust them.
+`coerce` is the one place text becomes a value, for file lines and flags.
 """
 
 import math
@@ -48,13 +49,14 @@ _RANGES = {
     **{key: (">= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
 }
 
-# most optimizer and RK4 steps a run may make: 50x the largest shipped run
+# most steps, optimizer or RK4, an experiment's longest single run may make,
+# which bounds the largest array a run allocates: 50x the largest shipped run
 MAX_STEPS = 10 ** 7
 MODIFIED_EQ_REFINE = 100  # RK4 steps per optimizer step of modified-eq's models
 
 
-def _step_count(t1: float, step: float) -> int:
-    """Steps of size `step` that cover [0, t1], as the runners count them."""
+def step_count(t1: float, step: float) -> int:
+    """Steps of size `step` that cover [0, t1]; the runners count theirs with it."""
     ratio = t1 / step
     if not math.isfinite(ratio):
         raise UsageError(f"t1 = {t1:g} is not a countable number of steps of {step:g}")
@@ -78,30 +80,30 @@ def _check_values(kind: str, params: dict, seed: int):
             raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
     if seed < 0:
         raise UsageError(f"seed must be >= 0 (got {seed})")
-    total = params.get("steps", 0)
+    longest = params.get("steps", 0)
     if kind == "noether-residual":
         # the same tiling rule as the integrator's grid
         dt, t1 = params["dt"], params["t1"]
-        steps = _step_count(t1, dt)
+        steps = step_count(t1, dt)
         if abs(steps * dt - t1) > 1e-9 * max(1.0, t1):
             raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}")
         if steps < 4:
             raise UsageError("dt too coarse: the residual needs at least 5 samples")
-        total = 2 * steps  # the half-step run
+        longest = 2 * steps  # the half-step run
     elif kind == "modified-eq":
-        steps = _step_count(params["t1"], params["eta"])
+        steps = step_count(params["t1"], params["eta"])
         if steps < 3:
             raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
-        total = MODIFIED_EQ_REFINE * steps
+        longest = MODIFIED_EQ_REFINE * steps  # a continuous model's RK4 run
     elif kind == "rmsprop-equiv":
-        total = _step_count(params["t1"], params["eta"])
-        if total < 1:
+        longest = step_count(params["t1"], params["eta"])
+        if longest < 1:
             raise UsageError("t1/eta must allow at least 1 step of the adaptive rule")
     elif kind == "steady-state" and params["wd"] <= 0.0:
         raise UsageError(f"steady-state needs wd > 0 (got {params['wd']:g}): "
                          "without weight decay the norm has no radial balance point")
-    if total > MAX_STEPS:
-        raise UsageError(f"the run would make {total:.3g} steps, more than {MAX_STEPS:.0e}")
+    if longest > MAX_STEPS:
+        raise UsageError(f"longest run would make {longest:.3g} steps, more than {MAX_STEPS:.0e}")
 
 
 @dataclass
@@ -138,8 +140,8 @@ class ExperimentConfig:
         return self.params[key]
 
 
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
+def coerce(key: str, raw: str):
+    """The value `raw`, a config-file line's or a flag's text, gives `key`."""
     if key == "out":
         return raw
     try:
@@ -164,7 +166,7 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise UsageError(f"{path}:{lineno}: key {key!r} is set twice")
-        values[key] = _coerce(key, raw)
+        values[key] = coerce(key, raw)
     return values
 
 

@@ -29,7 +29,7 @@ from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedu
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
                         table2_report)
-from .config import MODIFIED_EQ_REFINE, ExperimentConfig
+from .config import MODIFIED_EQ_REFINE, ExperimentConfig, step_count
 from .report import Verdict, compare_channels, write_csv, write_manifest, write_svg, write_table_csv, write_verdicts
 
 
@@ -221,7 +221,7 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     t1 = cfg["t1"]
     loss = Quadratic(np.eye(1))
 
-    steps = int(round(t1 / eta))
+    steps = step_count(t1, eta)
     _, qs = simulate(lambda state: step_gd_momentum_wd(state, loss, eta, beta=beta),
                      OptimizerState.initial([1.0]), steps, lambda state: state.q[0])
     times = eta * np.arange(steps + 1)
@@ -440,7 +440,7 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
         grad = loss.grad(state.q)
         return grad @ grad, state.accumulator
 
-    steps = int(round(t1 / eta))
+    steps = step_count(t1, eta)
     _, record = simulate(lambda state: step_rmsprop(state, loss, eta, rho), state, steps, observe)
     gsq, memory = record.T
     times = eta * np.arange(steps + 1)

@@ -274,10 +274,6 @@ class TestCli:
         assert (tmp_path / "t2" / "verdict.tsv").exists()
         assert (tmp_path / "t2" / "manifest.txt").exists()
 
-    def test_unknown_experiment_exits_2(self, tmp_path, capsys):
-        assert main(["no-such-thing", "--out", str(tmp_path)]) == 2
-        capsys.readouterr()
-
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["table2", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -350,16 +346,44 @@ class TestCli:
         ["conservation", "--eta", "1e-4", "--config", "steps.cfg"],
         ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4",
          "--config", "steps.cfg"],
+        # text no value is read from, and inputs argparse itself rejects
+        ["table2", "--seed", "1.5"],
+        ["table2", "--seed", "1e3"],
+        ["conservation", "--eta", "x"],
+        ["table2", "--bogus", "1"],
+        ["table2", "--eta"],
+        [],
+        ["no-such-thing"],
+        # a bare "-1e-4" reads as an option, so --wd has no value: still one line
+        ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "-1e-4"],
     ])
-    def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         (tmp_path / "dim.cfg").write_text("dim = 1\n")
         (tmp_path / "steps.cfg").write_text("steps = 10000000000000\n")
         argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
-        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        # the output root comes from the environment, so argv is the input as listed
+        monkeypatch.setenv("NOETHERDYN_OUT", str(tmp_path / "x"))
+        assert main(argv) == 2
         stderr = capsys.readouterr().err
         assert stderr.startswith("noetherdyn: usage error: ")
         assert stderr.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "x"])
+    def test_flag_and_config_line_are_read_alike(self, tmp_path, capsys, text):
+        (tmp_path / "c.cfg").write_text(f"seed = {text}\n")
+        assert main(["table2", "--seed", text, "--out", str(tmp_path / "x")]) == 2
+        from_flag = capsys.readouterr().err
+        assert main(["table2", "--config", str(tmp_path / "c.cfg"),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith("noetherdyn: usage error: ")
+
+    def test_help_exits_0_with_usage_on_stdout(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: noetherdyn ")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("kind, params", [
         ("conservation", {"eta": 1e-4, "steps": MAX_STEPS}),
