@@ -66,7 +66,6 @@ from .symmetry import (
     Scale,
     SymmetryTransform,
     Translation,
-    delta_h,
     kinetic_asymmetry,
     noether_residual,
     table2_report,

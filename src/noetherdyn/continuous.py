@@ -85,8 +85,10 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     d = q0.size
 
     def f(t, y):
-        qdd = system.rhs(t, y[:d], y[d:])
-        return np.concatenate((y[d:], qdd))
+        dy = np.empty(2 * d)
+        dy[:d] = y[d:]
+        dy[d:] = system.rhs(t, y[:d], y[d:])
+        return dy
 
     times, ys = rk4_solve(f, np.concatenate((q0, qdot0)), t0, t1, dt)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
@@ -124,6 +126,13 @@ def eom_bregman_euclidean(schedule: BregmanSchedule, loss) -> SecondOrderSystem:
     return SecondOrderSystem(name=f"bregman-euclidean[{schedule.name}]", rhs=rhs)
 
 
+def _scaled(c: float, v):
+    """c * v, with the product skipped when c is exactly 1.0: v * 1.0 is v,
+    bit for bit.  There is no such skip at 0: 0 * v carries the signs and
+    NaNs of v."""
+    return v if c == 1.0 else c * v
+
+
 def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderSystem:
     """Euler-Lagrange system of the full Lagrangian for any metric.
 
@@ -133,17 +142,20 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
                                   - e^(alpha+beta) grad f(q) ]
                 - (e^alpha - alpha_dot) qdot
 
-    which reduces to the Euclidean form above when H = I.
+    which reduces to the Euclidean form above when H = I.  Under
+    natural_schedule(1, mu) every coefficient but e^alpha - gamma_dot = 1 - mu
+    is exactly 1.0, and _scaled skips those products.
     """
 
     def rhs(t, q, q_dot):
         a = schedule.alpha(t)
         ea = math.exp(a)
-        u = q + math.exp(-a) * q_dot
+        u = q + _scaled(math.exp(-a), q_dot)
         delta = metric.grad(u) - metric.grad(q)
         drive = (ea - schedule.gamma_dot(t)) * delta \
-            - math.exp(a + schedule.beta(t)) * loss.grad(q)
-        return ea * metric.hessian_solve(u, drive) - (ea - schedule.alpha_dot(t)) * q_dot
+            - _scaled(math.exp(a + schedule.beta(t)), loss.grad(q))
+        return _scaled(ea, metric.hessian_solve(u, drive)) \
+            - _scaled(ea - schedule.alpha_dot(t), q_dot)
 
     return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
                              parameters={"metric": metric.name})

@@ -21,7 +21,9 @@ class Metric:
     """Distance-generating function h with value, gradient, and Hessian.
 
     A point is a float array of shape (dim,) that the caller builds.  A metric
-    with a bounded domain checks it in each of its methods (DomainError)."""
+    with a bounded domain checks it in each of its methods (DomainError).
+    grad and hessian also take a stack of points, shape (..., dim), and give
+    each point the bits it gets alone."""
 
     dim: int
     name: str
@@ -58,7 +60,7 @@ class Euclidean(Metric):
         return np.array(x, dtype=float)
 
     def hessian(self, x):
-        return np.eye(self.dim)
+        return np.broadcast_to(np.eye(self.dim), np.shape(x) + (self.dim,))
 
     def hessian_solve(self, x, v):
         return np.array(v, dtype=float)
@@ -90,10 +92,10 @@ class QuadraticForm(Metric):
         return 0.5 * float(x @ self.matrix @ x)
 
     def grad(self, x):
-        return self.matrix @ x
+        return (self.matrix @ x[..., None])[..., 0]
 
     def hessian(self, x):
-        return self.matrix.copy()
+        return np.broadcast_to(self.matrix, np.shape(x) + (self.dim,))
 
     def hessian_solve(self, x, v):
         c, lower = self._cho
@@ -117,7 +119,7 @@ class NegativeEntropy(Metric):
         # never clamp: silently projected points would corrupt positivity checks;
         # the negated comparison rejects a NaN coordinate too.  minimum.reduce
         # is x.min() without its Python-level wrapper (this runs every stage)
-        lowest = np.minimum.reduce(x)
+        lowest = np.minimum.reduce(x, axis=None)
         if not lowest > _ENTROPY_FLOOR:
             raise DomainError(
                 f"negative-entropy domain violation: min coordinate {lowest:.3e} <= {_ENTROPY_FLOOR:g}"
@@ -134,7 +136,7 @@ class NegativeEntropy(Metric):
 
     def hessian(self, x):
         x = self.check_domain(x)
-        return np.diag(1.0 / x)
+        return (1.0 / x)[..., None] * np.eye(self.dim)
 
     def hessian_solve(self, x, v):
         x = self.check_domain(x)

@@ -27,8 +27,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser():
-    parser = _Parser(  # SUPPRESS: a flag not given is left out, not set to None
-        prog="noetherdyn", argument_default=argparse.SUPPRESS,
+    # SUPPRESS: a flag not given is left out, not set to None.  No prefix of
+    # a flag is taken for it: which keys exist is decided by config.py alone
+    parser = _Parser(
+        prog="noetherdyn", argument_default=argparse.SUPPRESS, allow_abbrev=False,
         description="Run a symmetry-dynamics experiment and emit CSV/SVG/verdict artifacts.",
     )
     parser.add_argument("experiment", help="one of: " + ", ".join(EXPERIMENT_KINDS))
@@ -48,7 +50,7 @@ def main(argv=None) -> int:
     try:
         given = vars(_parser().parse_args(argv))
         kind, config = given.pop("experiment"), given.pop("config", None)
-        file_values = parse_config_file(config) if config else {}
+        file_values = parse_config_file(config) if config is not None else {}
         flags = {key: coerce(key, raw) for key, raw in given.items()}
         cfg = build_config(kind, file_values, flags, os.environ.get("NOETHERDYN_OUT"))
         # a diverging run overflows before its finiteness check aborts it;

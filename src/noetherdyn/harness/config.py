@@ -153,8 +153,9 @@ def coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; '#' starts a comment; each key at most once."""
     values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
+    try:  # open, not Path: Path("") is ".", and "" must name no file
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

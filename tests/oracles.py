@@ -2,10 +2,13 @@
 
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Lagrangian the Euler-Lagrange systems derive from,
-the finite-step heavy-ball schedule, the Noether charge and its Euclidean
-closed-form asymmetry, the direct quadrature of the exponential-kernel
-schedule, the exact constant-drive norm solution, and finite-difference
-gradients and Hessians.
+the finite-step heavy-ball schedule, eom_bregman's right-hand side with
+every product written out, the generalized momentum at one point, the
+Noether charge and its Euclidean closed-form asymmetry, the charge balance
+law measured one sample at a time, the direct quadrature of the
+exponential-kernel schedule, the exact constant-drive norm solution,
+finite-difference gradients and Hessians, and a bit-for-bit array
+comparison.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 
 from noetherdyn import GradNormHistory, r2_schedule
 from noetherdyn.geometry import BregmanSchedule, bregman_divergence
-from noetherdyn.symmetry import _FD_STEP, delta_h
+from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +53,61 @@ def lagrangian(metric, schedule: BregmanSchedule, loss, q, q_dot, t: float) -> f
     return math.exp(a + schedule.gamma(t)) * (kinetic - potential)
 
 
+def bregman_rhs(metric, schedule: BregmanSchedule, loss, t: float, q, q_dot):
+    """eom_bregman's qddot with every coefficient multiplied in, 1.0 or not."""
+    a = schedule.alpha(t)
+    ea = math.exp(a)
+    u = q + math.exp(-a) * q_dot
+    delta = metric.grad(u) - metric.grad(q)
+    drive = (ea - schedule.gamma_dot(t)) * delta \
+        - math.exp(a + schedule.beta(t)) * loss.grad(q)
+    return ea * metric.hessian_solve(u, drive) - (ea - schedule.alpha_dot(t)) * q_dot
+
+
 # ---------------------------------------------------------------------------
 # symmetry
+
+def delta_h(metric, q, q_dot, alpha_t: float):
+    """Generalized momentum grad h(q + e^-alpha qdot) - grad h(q) at one point.
+
+    Reduces to e^-alpha qdot under the Euclidean metric.
+    """
+    q = np.asarray(q, dtype=float)
+    q_dot = np.asarray(q_dot, dtype=float)
+    displaced = q + math.exp(-alpha_t) * q_dot
+    return metric.grad(displaced) - metric.grad(q)
+
 
 def noether_charge(metric, transform, q, q_dot, alpha_t: float) -> float:
     """Inner product of the generalized momentum with the transform generator."""
     return float(delta_h(metric, q, q_dot, alpha_t) @ transform.generator(q))
+
+
+def noether_residual_per_sample(metric, schedule, transform, trajectory) -> NoetherObservables:
+    """noether_residual with each term measured one sample at a time, on one
+    point, in Python."""
+    times = np.asarray(trajectory.times, dtype=float)
+    n = times.shape[0]
+    charge = np.empty(n)
+    dissipation = np.empty(n)
+    dynamic = np.empty(n)
+    noneuclid = np.empty(n)
+    for i in range(n):
+        t = times[i]
+        q = trajectory.q[i]
+        q_dot = trajectory.q_dot[i]
+        a = schedule.alpha(t)
+        delta = delta_h(metric, q, q_dot, a)
+        gen = transform.generator(q)
+        charge[i] = delta @ gen
+        dissipation[i] = schedule.gamma_dot(t) * charge[i]
+        dynamic[i] = delta @ transform.velocity_generator(q_dot)
+        mismatch = delta - math.exp(-a) * (metric.hessian(q) @ q_dot)
+        noneuclid[i] = math.exp(a) * float(mismatch @ gen)
+
+    rate = time_derivative(charge, times[1] - times[0])
+    residual = rate + dissipation - dynamic - noneuclid
+    return NoetherObservables(times, charge, rate, dissipation, dynamic, noneuclid, residual)
 
 
 def kinetic_asymmetry_euclidean(transform, q_dot, alpha_t: float = 0.0) -> float:
@@ -124,6 +176,18 @@ def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,
         raise AssertionError(
             f"quadrature schedule deviates from the exact solution by {worst:.3e}")
     return exact
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit comparison
+
+def assert_same_bits(actual, expected):
+    """Same shape, dtype and bytes: unlike ==, tells -0.0 from 0.0 and
+    matches a NaN with the same NaN."""
+    actual = np.ascontiguousarray(actual)
+    expected = np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

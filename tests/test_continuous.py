@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies
 
 from noetherdyn import (
+    Euclidean,
     IntegrationError,
+    NegativeEntropy,
     OptimizerState,
     Quadratic,
+    QuadraticForm,
     RayleighQuotient,
     SecondOrderSystem,
     eom_bregman,
@@ -21,7 +26,8 @@ from noetherdyn import (
     step_gd_momentum_wd,
 )
 from noetherdyn.symmetry import time_derivative
-from oracles import constant_history, lagrangian, sgdm_schedule
+from oracles import (assert_same_bits, bregman_rhs, constant_history, lagrangian,
+                     sgdm_schedule)
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
 
@@ -146,7 +152,6 @@ class TestBregmanEuclidean:
                                        modified.rhs(0.7, q, qd), rtol=1e-12)
 
     def test_general_form_reduces_to_euclidean(self):
-        from noetherdyn import Euclidean
         loss = Quadratic(np.diag([1.0, 2.0]), [0.0, 0.3])
         sched = natural_schedule(0.8, 1.1)
         general = eom_bregman(Euclidean(2), sched, loss)
@@ -162,8 +167,6 @@ class TestBregmanEuclidean:
         """Independent oracle for the general system: along its trajectories,
         d/dt of dL/dqdot must equal dL/dq, with both sides taken by finite
         differences of the Lagrangian value itself."""
-        from noetherdyn import Euclidean, NegativeEntropy, QuadraticForm
-
         metric = {"euclidean": Euclidean(2),
                   "quadratic-form": QuadraticForm(np.array([[2.0, 0.3], [0.3, 1.2]])),
                   "negative-entropy": NegativeEntropy(2)}[metric_name]
@@ -198,6 +201,40 @@ class TestBregmanEuclidean:
                          for j in range(2)], axis=1)
         residual = np.abs(rate - force) / np.maximum(1.0, np.abs(force))
         assert residual.max() <= 1e-5
+
+    METRICS = {"euclidean": Euclidean(3),
+               "quadratic-form": QuadraticForm(np.array([[2.0, 0.3, 0.0], [0.3, 1.2, 0.1],
+                                                         [0.0, 0.1, 1.5]])),
+               "negative-entropy": NegativeEntropy(3)}
+    # flat: a zero gradient everywhere, so at zero damping every drive entry
+    # is 0 * Delta_h, a zero that carries the sign of Delta_h
+    LOSSES = {"quadratic": Quadratic(np.diag([1.0, 2.0, 0.5]), [0.1, -0.2, 0.0]),
+              "flat": Quadratic(np.zeros((3, 3)))}
+    VELOCITY_ENTRY = strategies.one_of(strategies.sampled_from([0.0, -0.0]),
+                                       strategies.floats(-0.15, 0.15))
+
+    @settings(max_examples=300, deadline=None)
+    @given(metric=strategies.sampled_from(sorted(METRICS)),
+           loss=strategies.sampled_from(sorted(LOSSES)),
+           schedule=strategies.sampled_from(["zero-damping", "random-mass", "nesterov"]),
+           m=strategies.floats(0.1, 1.0), mu=strategies.floats(-2.0, 2.0),
+           t=strategies.floats(0.05, 1.0),
+           q=strategies.lists(strategies.floats(0.2, 3.0), min_size=3, max_size=3),
+           q_dot=strategies.lists(VELOCITY_ENTRY, min_size=3, max_size=3))
+    @example(metric="quadratic-form", loss="flat", schedule="zero-damping", m=1.0, mu=1.0,
+             t=0.5, q=[1.0, 1.0, 1.0], q_dot=[0.0, -0.1, 0.0])
+    def test_rhs_matches_the_unskipped_products_bit_for_bit(self, metric, loss, schedule,
+                                                            m, mu, t, q, q_dot):
+        """eom_bregman skips each product by an exactly-1.0 coefficient, as
+        natural_schedule(1, mu) has; the oracle multiplies every one in.
+        e^-alpha <= 1 keeps u = q + e^-alpha qdot in the entropy domain."""
+        sched = {"zero-damping": natural_schedule(1.0, 1.0),
+                 "random-mass": natural_schedule(m, mu),
+                 "nesterov": nesterov_schedule(2.0, 0.25)}[schedule]
+        metric, loss = self.METRICS[metric], self.LOSSES[loss]
+        q, q_dot = np.array(q), np.array(q_dot)
+        assert_same_bits(eom_bregman(metric, sched, loss).rhs(t, q, q_dot),
+                         bregman_rhs(metric, sched, loss, t, q, q_dot))
 
     def test_energy_dissipates_with_friction(self):
         m, mu = 0.5, 1.0

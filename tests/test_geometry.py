@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor, cho_solve
 
 from noetherdyn import (
@@ -18,7 +19,7 @@ from noetherdyn import (
     nesterov_schedule,
 )
 from noetherdyn.symmetry import fd_scalar_derivative
-from oracles import fd_gradient, fd_hessian, lagrangian, sgdm_schedule
+from oracles import assert_same_bits, fd_gradient, fd_hessian, lagrangian, sgdm_schedule
 
 
 def metrics_under_test():
@@ -141,6 +142,26 @@ class TestMetricDerivatives:
                                                 min_size=n, max_size=n)))
         solved = QuadraticForm(a).hessian_solve(np.zeros(n), v)
         assert np.array_equal(solved, cho_solve(cho_factor(a), v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), n=strategies.integers(1, 6), d=strategies.sampled_from([2, 3]),
+           family=strategies.sampled_from(["euclidean", "quadratic-form", "negative-entropy"]))
+    def test_stack_gives_each_point_its_own_bits(self, data, n, d, family):
+        """grad and hessian of an (n, d) stack equal the n one-point calls bit
+        for bit, on a column slice (the layout of a trajectory) and on a
+        contiguous stack."""
+        if family == "euclidean":
+            metric = Euclidean(d)
+        elif family == "quadratic-form":
+            b = np.random.default_rng(d).standard_normal((d, d))
+            metric = QuadraticForm(b @ b.T + np.eye(d))
+        else:
+            metric = NegativeEntropy(d)
+        low = 1e-3 if family == "negative-entropy" else -1e3
+        rows = data.draw(arrays(np.float64, (n, 2 * d), elements=strategies.floats(low, 1e3)))
+        for x in (rows[:, :d], np.ascontiguousarray(rows[:, d:])):
+            for method in (metric.grad, metric.hessian):
+                assert_same_bits(method(x), np.array([method(point) for point in x]))
 
     def test_quadratic_form_must_be_spd(self):
         with pytest.raises(ValueError):

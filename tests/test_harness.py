@@ -216,6 +216,11 @@ class TestCli:
                            "steps = 300\n", 1, "2 assertion(s) failed"),
         "missing-required": (["bn-effective-lr"], None, 2, "missing required parameter"),
         "repeated-key": (["table2"], "seed = 1\nseed = 2\n", 2, "key 'seed' is set twice"),
+        # a flag is taken only whole, as a config key is: no prefix of --seed
+        "flag-prefix": (["table2", "--se", "3"], None, 2, "unrecognized arguments: --se 3"),
+        # an empty path names no file; it does not mean "no config file"
+        "empty-config-path": (["conservation", "--eta", "1e-4", "--config", ""], None, 2,
+                              "No such file or directory: ''"),
         # anti-damping drives the entropy-metric trajectories out of domain
         "left-domain": (["noether-residual"], "dt = 0.001\nmu = -6\n", 3,
                         "rhs left its domain"),
@@ -239,6 +244,7 @@ class TestCli:
         if code == 0:
             assert stderr == ""
         if code == 2:
+            assert stderr.count("\n") == 1
             assert not (tmp_path / "x").exists()
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)

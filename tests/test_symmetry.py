@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies
+from hypothesis.extra.numpy import arrays
 
 from noetherdyn import (
     Euclidean,
@@ -16,19 +17,20 @@ from noetherdyn import (
     Scale,
     Translation,
     TwoLayerChain,
-    delta_h,
     eom_bregman,
     eom_bregman_euclidean,
     integrate_rk4,
     kinetic_asymmetry,
     natural_schedule,
+    nesterov_schedule,
     noether_residual,
     table2_report,
 )
 from noetherdyn.continuous import Trajectory
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import SYMMETRIC_TOL
-from oracles import kinetic_asymmetry_euclidean, noether_charge
+from oracles import (assert_same_bits, delta_h, kinetic_asymmetry_euclidean, noether_charge,
+                     noether_residual_per_sample)
 
 
 def skew(dim, rng):
@@ -93,6 +95,19 @@ class TestTransforms:
         for _ in range(20):
             v = rng.standard_normal(5)
             assert abs(v @ rot.generator(v)) <= 1e-12 * (1 + v @ v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), n=strategies.integers(1, 6), d=strategies.sampled_from([2, 3]),
+           kind=strategies.integers(0, 3))
+    def test_stack_gives_each_point_its_own_bits(self, data, n, d, kind):
+        """generator and velocity_generator of an (n, d) stack equal the n
+        one-point calls bit for bit, on a column slice (the layout of a
+        trajectory) and on a contiguous stack."""
+        tf = all_transforms(d, np.random.default_rng(d))[kind]
+        rows = data.draw(arrays(np.float64, (n, 2 * d), elements=strategies.floats(-1e3, 1e3)))
+        for x in (rows[:, :d], np.ascontiguousarray(rows[:, d:])):
+            for method in (tf.generator, tf.velocity_generator):
+                assert_same_bits(method(x), np.array([method(point) for point in x]))
 
     def test_rescale_inverse_blocks(self):
         rs = Rescale(2)
@@ -240,6 +255,12 @@ def _residual_setup():
     return cases
 
 
+def assert_same_observables(got, expected):
+    for name in ("times", "charge", "charge_rate", "dissipation", "dynamic_asymmetry",
+                 "noneuclid_term", "residual"):
+        assert_same_bits(getattr(got, name), getattr(expected, name))
+
+
 class TestNoetherResidual:
     def test_residual_vanishes_on_el_trajectories(self):
         sched = natural_schedule(1.0, 1.0)
@@ -303,6 +324,35 @@ class TestNoetherResidual:
         for channel in (obs.charge, obs.dissipation, obs.dynamic_asymmetry,
                         obs.noneuclid_term, obs.residual):
             np.testing.assert_array_equal(channel, np.zeros(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), case=strategies.sampled_from(_residual_cases()),
+           n=strategies.integers(5, 12), t0=strategies.floats(0.1, 2.0),
+           dt=strategies.floats(1e-3, 0.1), nesterov=strategies.booleans(),
+           m=strategies.floats(0.1, 1.5), mu=strategies.floats(-2.0, 2.0),
+           power=strategies.floats(1.0, 4.0), c=strategies.floats(0.1, 1.0))
+    def test_matches_the_per_sample_loop_bit_for_bit(self, data, case, n, t0, dt, nesterov,
+                                                     m, mu, power, c):
+        # random states, not solutions: only the bits of each term are compared.
+        # |e^-alpha v| < 1 keeps q (1 + e^-alpha v) in the entropy domain
+        metric, tf, _, _, _ = case
+        d = metric.dim
+        sched = nesterov_schedule(power, c) if nesterov else natural_schedule(m, mu)
+        rows = data.draw(arrays(np.float64, (n, 2 * d), elements=strategies.floats(0.05, 5.0)))
+        v = data.draw(arrays(np.float64, (n, d), elements=strategies.floats(-0.25, 0.25)))
+        rows[:, d:] = rows[:, :d] * v
+        traj = Trajectory(times=t0 + dt * np.arange(n), q=rows[:, :d], q_dot=rows[:, d:])
+        assert_same_observables(noether_residual(metric, sched, tf, traj),
+                                noether_residual_per_sample(metric, sched, tf, traj))
+
+    @pytest.mark.parametrize("nesterov", [False, True], ids=["natural", "nesterov"])
+    def test_matches_the_per_sample_loop_on_solutions(self, nesterov):
+        # the experiment's 12 cases, integrated: rows are column slices of the RK4 states
+        sched = nesterov_schedule(2.0, 0.25) if nesterov else natural_schedule(1.0, 1.0)
+        for metric, tf, loss, q0, qd0 in _residual_cases():
+            traj = integrate_rk4(eom_bregman(metric, sched, loss), q0, qd0, 0.5, 0.55, 1e-3)
+            assert_same_observables(noether_residual(metric, sched, tf, traj),
+                                    noether_residual_per_sample(metric, sched, tf, traj))
 
     def test_short_trajectory_rejected(self):
         sched = natural_schedule(1.0, 1.0)
