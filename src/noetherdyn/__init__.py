@@ -15,7 +15,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .closedform import (
-    GradNormHistory,
     bn_rmsprop_map,
     g_schedule,
     r2_schedule,

@@ -17,52 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GradNormHistory:
-    """Uniformly sampled |ghat(tau)|^2 record."""
-
-    times: np.ndarray
-    gsq: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        gsq = np.asarray(self.gsq, dtype=float)
-        if times.ndim != 1 or times.shape != gsq.shape:
-            raise ValueError("times and gsq must be matching 1-d arrays")
-        if times.size < 2:
-            raise ValueError("history needs at least two samples")
-        dt = times[1] - times[0]
-        if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-12 * max(1.0, dt)):
-            raise ValueError("history grid must be uniform and increasing")
-        if np.any(gsq < 0.0):
-            raise ValueError("squared gradient norms must be non-negative")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "gsq", gsq)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def exp_kernel_schedule(history: GradNormHistory, rate: float, prefactor: float,
+def exp_kernel_schedule(gsq: np.ndarray, dt: float, rate: float, prefactor: float,
                         initial: float) -> np.ndarray:
     """sqrt of the exponential-kernel convolution plus decaying memory.
 
-    The convolution uses trapezoid quadrature on the history grid, composed
-    recursively so the exact kernel carries between samples.
+    gsq[i] is the record at time i * dt.  The convolution uses trapezoid
+    quadrature on that grid, composed recursively so the exact kernel
+    carries between samples.
     """
-    dt = history.dt
-    gsq = history.gsq
     decay = math.exp(-rate * dt)
     conv = np.empty_like(gsq)
     conv[0] = 0.0
     for i in range(1, gsq.size):
         conv[i] = decay * conv[i - 1] + 0.5 * dt * (decay * gsq[i - 1] + gsq[i])
-    memory = initial * np.exp(-rate * (history.times - history.times[0]))
+    memory = initial * np.exp(-rate * (dt * np.arange(gsq.size)))
     return np.sqrt(prefactor * conv + memory)
 
 
-def r2_schedule(history: GradNormHistory, eta: float, beta: float, k: float,
+def r2_schedule(gsq: np.ndarray, dt: float, eta: float, beta: float, k: float,
                 r0: float) -> np.ndarray:
     """Squared-norm schedule induced by scale symmetry at finite step size:
 
@@ -72,17 +44,15 @@ def r2_schedule(history: GradNormHistory, eta: float, beta: float, k: float,
 
     With k = 0 every gradient is accumulated and the norm grows without
     bound; positive weight decay turns the memory into a moving window.
-    Requires eta > 0, 0 <= beta < 1 and k >= 0, which the caller checks,
-    and a positive r0, checked here.
+    Requires eta > 0, 0 <= beta < 1 and k >= 0, which the caller checks;
+    r0 enters only as r0^4.
     """
-    if r0 <= 0:
-        raise ValueError("initial norm must be positive")
     rate = 4.0 * k / (1.0 - beta)
     prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
-    return exp_kernel_schedule(history, rate, prefactor, r0 ** 4)
+    return exp_kernel_schedule(gsq, dt, rate, prefactor, r0 ** 4)
 
 
-def g_schedule(history: GradNormHistory, eta: float, rho: float, g0: float) -> np.ndarray:
+def g_schedule(gsq: np.ndarray, dt: float, eta: float, rho: float, g0: float) -> np.ndarray:
     """Adaptive scaling factor sqrt(G(t)) of the recursive-memory rule:
 
         sqrt(G(t)) = sqrt( ((1-rho)/eta)
@@ -92,7 +62,7 @@ def g_schedule(history: GradNormHistory, eta: float, rho: float, g0: float) -> n
     Requires eta > 0, 0 < rho <= 1 and g0 > 0; the caller checks them.
     """
     rate = (1.0 - rho) / eta
-    return exp_kernel_schedule(history, rate, rate, g0)
+    return exp_kernel_schedule(gsq, dt, rate, rate, g0)
 
 
 def steady_angular_speed(eta: float, beta: float, k: float) -> float:
@@ -107,10 +77,8 @@ def steady_radius(eta: float, beta: float, k: float, gnorm: float) -> float:
     """Steady norm (eta(1+beta) / (2k(1-beta)^2))^(1/4) sqrt(|ghat|).
 
     Requires eta > 0, 0 <= beta < 1 and k > 0 (no steady norm without weight
-    decay), which the caller checks, and gnorm >= 0, checked here.
+    decay), which the caller checks; math.sqrt rejects a negative gnorm.
     """
-    if gnorm < 0:
-        raise ValueError("gradient norm must be non-negative")
     return (eta * (1.0 + beta) / (2.0 * k * (1.0 - beta) ** 2)) ** 0.25 * math.sqrt(gnorm)
 
 

@@ -74,13 +74,11 @@ def step_rmsprop(state: OptimizerState, loss, eta: float, rho: float) -> Optimiz
 
         q <- q - (eta / sqrt(G)) * g,   G <- rho * G + (1 - rho) * |g|^2
 
-    The q-update uses the pre-update G.  There is no epsilon guard: a
-    positive accumulator at initialization already rules out division by
-    zero, and the accumulator stays positive thereafter.  Requires eta > 0
-    and 0 < rho < 1; the caller checks them.
+    The q-update uses the pre-update G.  There is no epsilon guard and no
+    check: a positive accumulator at initialization stays positive, and
+    math.sqrt or the division raise if it does not.  Requires eta > 0 and
+    0 < rho < 1; the caller checks them.
     """
-    if state.accumulator <= 0.0:
-        raise ValueError(f"corrupted accumulator G={state.accumulator:g} (must be positive)")
     g = loss.grad(state.q)
     q_new = state.q - (eta / math.sqrt(state.accumulator)) * g
     g_new = rho * state.accumulator + (1.0 - rho) * float(g @ g)
@@ -97,15 +95,15 @@ def centered_velocities(qs: np.ndarray, eta: float) -> np.ndarray:
     return (qs[2:] - qs[:-2]) / (2.0 * eta)
 
 
-def simulate(step, state: OptimizerState, steps: int, observe):
-    """Apply `step` (state -> state) `steps` times, recording observe(state)
-    at the initial state and after every step.
+def simulate(step, state: OptimizerState, steps: int, observe, dt: float):
+    """Apply `step` (state -> state, worth dt of time) `steps` times,
+    recording observe(state) at the initial state and after every step.
 
     Returns (final_state, record) with record[n] the observation after n
     steps, so record has steps + 1 rows; an observe that returns a tuple
     gives one column per element.  A run whose record stops being finite
-    aborts with the first such step; the record is checked once, after the
-    loop, so the check costs no time per step.
+    aborts at the first such step n, naming its time n * dt; the record is
+    checked once, after the loop, so the check costs no time per step.
     """
     first = np.asarray(observe(state), dtype=float)
     record = np.empty((steps + 1,) + first.shape)
@@ -115,6 +113,7 @@ def simulate(step, state: OptimizerState, steps: int, observe):
         record[n] = observe(state)
     finite = np.isfinite(record).reshape(len(record), -1).all(axis=1)
     if not finite.all():
-        raise IntegrationError("run diverged: recorded value not finite after step "
-                               f"{int(np.argmin(finite))}")
+        n = int(np.argmin(finite))
+        raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
+                               time=n * dt)
     return state, record

@@ -133,6 +133,8 @@ class ExperimentConfig:
             merged[key] = _as_integer(key, merged[key])
         self.seed = _as_integer("seed", self.seed)
         _check_values(self.kind, merged, self.seed)
+        if self.out == "":  # Path("") is ".": the artifacts would land in the cwd
+            raise UsageError("out must name a directory (got an empty path)")
         self.params = merged
         self.out = Path(self.out)
 

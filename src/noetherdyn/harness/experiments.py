@@ -14,7 +14,6 @@ import numpy as np
 
 from .. import __version__
 from ..closedform import (
-    GradNormHistory,
     bn_rmsprop_map,
     g_schedule,
     r2_schedule,
@@ -174,7 +173,7 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
 
     def gd_norms(lr, n):
         _, series = simulate(lambda state: step_gd_momentum_wd(state, ray, lr),
-                             OptimizerState.initial(q0), n, lambda state: state.q @ state.q)
+                             OptimizerState.initial(q0), n, lambda state: state.q @ state.q, lr)
         return series
 
     norms = gd_norms(eta, steps)
@@ -186,7 +185,7 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     chain = TwoLayerChain([1.0], [1.0])
     _, balance = simulate(lambda state: step_gd_momentum_wd(state, chain, eta),
                           OptimizerState.initial([1.5, 0.5]), steps,
-                          lambda state: state.q[0] ** 2 - state.q[1] ** 2)
+                          lambda state: state.q[0] ** 2 - state.q[1] ** 2, eta)
     bal_drift = abs(balance[-1] - balance[0]) / abs(balance[0])
     verdicts.append(Verdict("conservation.rescale-balance-drift",
                             bal_drift <= 1e-3, bal_drift, 1e-3))
@@ -223,7 +222,7 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 
     steps = step_count(t1, eta)
     _, qs = simulate(lambda state: step_gd_momentum_wd(state, loss, eta, beta=beta),
-                     OptimizerState.initial([1.0]), steps, lambda state: state.q[0])
+                     OptimizerState.initial([1.0]), steps, lambda state: state.q[0], eta)
     times = eta * np.arange(steps + 1)
 
     # anchor both continuous models at the first interior sample, with the
@@ -259,7 +258,7 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     s = np.sqrt(eta_n)
     n_steps = int(round(1.0 / s))
     _, xs = simulate(lambda state: step_nesterov(state, loss, eta_n),
-                     OptimizerState.initial([1.0]), n_steps, lambda state: state.q[0])
+                     OptimizerState.initial([1.0]), n_steps, lambda state: state.q[0], s)
     k0 = int(round(0.2 / s))
     v0 = centered_velocities(xs, s)[k0 - 1]
     system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
@@ -358,8 +357,7 @@ def flagship_run(cfg: ExperimentConfig):
 def run_bn_effective_lr(cfg: ExperimentConfig, out: Path):
     eta, beta, k = cfg["eta"], cfg["beta"], cfg["wd"]
     times, norm_sq, gsq, ang = flagship_run(cfg)
-    history = GradNormHistory(times=times, gsq=gsq)
-    predicted = r2_schedule(history, eta, beta, k, np.sqrt(norm_sq[0]))
+    predicted = r2_schedule(gsq, eta, eta, beta, k, np.sqrt(norm_sq[0]))  # one sample per step
 
     t_start = transient_end(beta, k, times[-1])
     result = compare_channels(times, norm_sq, predicted, 0.05, window=(t_start, times[-1]))
@@ -441,11 +439,11 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
         return grad @ grad, state.accumulator
 
     steps = step_count(t1, eta)
-    _, record = simulate(lambda state: step_rmsprop(state, loss, eta, rho), state, steps, observe)
+    _, record = simulate(lambda state: step_rmsprop(state, loss, eta, rho), state, steps,
+                         observe, eta)
     gsq, memory = record.T
     times = eta * np.arange(steps + 1)
-    history = GradNormHistory(times=times, gsq=gsq)
-    predicted = g_schedule(history, eta, rho, g0)
+    predicted = g_schedule(gsq, eta, eta, rho, g0)  # one sample per step
     measured = np.sqrt(memory)
     result = compare_channels(times, measured, predicted, 0.02)
     verdicts = [Verdict("rmsprop-equiv.discrete-vs-schedule", result.passed,
@@ -465,11 +463,10 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
     kernel = bn_rmsprop_map(eta_bn, beta_bn, k_bn)
     n = 5000
     grid = 0.01 * np.arange(n + 1)
-    synthetic = GradNormHistory(times=grid,
-                                gsq=1.0 + 0.5 * np.sin(0.7 * grid) + 0.2 * np.cos(2.3 * grid) ** 2)
+    synthetic = 1.0 + 0.5 * np.sin(0.7 * grid) + 0.2 * np.cos(2.3 * grid) ** 2
     r0 = 2.0 ** 0.25
-    norm_series = r2_schedule(synthetic, eta_bn, beta_bn, k_bn, r0)
-    adaptive_series = g_schedule(synthetic, kernel.eta, kernel.rho, r0 ** 4)
+    norm_series = r2_schedule(synthetic, 0.01, eta_bn, beta_bn, k_bn, r0)
+    adaptive_series = g_schedule(synthetic, 0.01, kernel.eta, kernel.rho, r0 ** 4)
     identity = compare_channels(grid, norm_series, adaptive_series, 1e-10)
     verdicts.append(Verdict("rmsprop-equiv.functional-identity", identity.passed,
                             identity.max_deviation, identity.tolerance))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from noetherdyn import GradNormHistory, r2_schedule
+from noetherdyn import r2_schedule
 from noetherdyn.geometry import BregmanSchedule, bregman_divergence
 from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
 
@@ -119,14 +119,12 @@ def kinetic_asymmetry_euclidean(transform, q_dot, alpha_t: float = 0.0) -> float
 # ---------------------------------------------------------------------------
 # closedform
 
-def constant_history(value: float, t1: float, dt: float) -> GradNormHistory:
-    """History holding |ghat|^2 = value on the uniform grid 0, dt, ..., t1."""
-    n = int(round(t1 / dt))
-    times = dt * np.arange(n + 1)
-    return GradNormHistory(times=times, gsq=np.full(n + 1, float(value)))
+def constant_history(value: float, t1: float, dt: float) -> np.ndarray:
+    """Record holding |ghat|^2 = value on the uniform grid 0, dt, ..., t1."""
+    return np.full(int(round(t1 / dt)) + 1, float(value))
 
 
-def exp_kernel_quadrature(history: GradNormHistory, rate: float, prefactor: float,
+def exp_kernel_quadrature(gsq: np.ndarray, dt: float, rate: float, prefactor: float,
                           initial: float) -> np.ndarray:
     """Direct trapezoid quadrature of the exponential-kernel schedule,
 
@@ -136,7 +134,7 @@ def exp_kernel_quadrature(history: GradNormHistory, rate: float, prefactor: floa
     summed afresh over every interval up to each sample: O(n^2), with no
     recursion carrying the kernel from one sample to the next.
     """
-    times, gsq = history.times, history.gsq
+    times = dt * np.arange(gsq.size)
     out = np.empty(times.size)
     for i in range(times.size):
         weighted = np.exp(-rate * (times[i] - times[:i + 1])) * gsq[:i + 1]
@@ -169,8 +167,8 @@ def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,
     if not 0.0 <= beta < 1.0:
         raise ValueError("friction must lie in (0, 1] to invert the step-size map")
     eta = 2.0 * m / (1.0 + beta)
-    history = GradNormHistory(times=times, gsq=np.full(times.size, float(gsq)))
-    quadrature = r2_schedule(history, eta, beta, k, r0)
+    quadrature = r2_schedule(np.full(times.size, float(gsq)), times[1] - times[0],
+                             eta, beta, k, r0)
     worst = float(np.max(np.abs(quadrature - exact) / np.abs(exact)))
     if worst > 1e-8:
         raise AssertionError(

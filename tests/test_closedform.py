@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies
 
 from noetherdyn import (
-    GradNormHistory,
     bn_rmsprop_map,
     g_schedule,
     r2_schedule,
@@ -20,24 +19,8 @@ from oracles import constant_history, exp_kernel_quadrature, solve_bernoulli_che
 
 
 def wiggly_history(t1=50.0, dt=0.01, floor=0.2):
-    n = int(round(t1 / dt))
-    times = dt * np.arange(n + 1)
-    gsq = 1.0 + 0.5 * np.sin(0.7 * times) + floor * np.cos(2.3 * times) ** 2
-    return GradNormHistory(times=times, gsq=gsq)
-
-
-class TestHistoryValidation:
-    def test_rejects_negative_samples(self):
-        with pytest.raises(ValueError):
-            GradNormHistory(times=np.array([0.0, 0.1]), gsq=np.array([1.0, -0.1]))
-
-    def test_rejects_nonuniform_grid(self):
-        with pytest.raises(ValueError):
-            GradNormHistory(times=np.array([0.0, 0.1, 0.3]), gsq=np.ones(3))
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            GradNormHistory(times=np.array([0.0]), gsq=np.array([1.0]))
+    times = dt * np.arange(int(round(t1 / dt)) + 1)
+    return 1.0 + 0.5 * np.sin(0.7 * times) + floor * np.cos(2.3 * times) ** 2
 
 
 class TestExpKernelSchedule:
@@ -49,44 +32,42 @@ class TestExpKernelSchedule:
         """The recursion that carries the exact kernel between samples is the
         trapezoid rule summed afresh at every sample.  rate * t1 < 400 keeps
         the memory term above 1e-177, far from underflow."""
-        h = GradNormHistory(times=dt * np.arange(len(gsq)), gsq=np.array(gsq))
-        np.testing.assert_allclose(exp_kernel_schedule(h, rate, prefactor, initial),
-                                   exp_kernel_quadrature(h, rate, prefactor, initial),
+        gsq = np.array(gsq)
+        np.testing.assert_allclose(exp_kernel_schedule(gsq, dt, rate, prefactor, initial),
+                                   exp_kernel_quadrature(gsq, dt, rate, prefactor, initial),
                                    rtol=1e-12, atol=0.0)
 
 
 class TestR2Schedule:
     def test_initial_condition_exact(self):
-        h = wiggly_history()
-        out = r2_schedule(h, 0.01, 0.9, 1e-4, 1.7)
+        out = r2_schedule(wiggly_history(), 0.01, 0.01, 0.9, 1e-4, 1.7)
         assert out[0] == 1.7 ** 2
 
     def test_pure_memory_decay(self):
-        h = constant_history(0.0, 100.0, 0.05)
+        gsq, dt = constant_history(0.0, 100.0, 0.05), 0.05
         eta, beta, k, r0 = 0.01, 0.5, 1e-3, 2.0
-        out = r2_schedule(h, eta, beta, k, r0)
-        expected = np.exp(-2.0 * k * h.times / (1.0 - beta)) * r0 ** 2
+        out = r2_schedule(gsq, dt, eta, beta, k, r0)
+        times = dt * np.arange(gsq.size)
+        expected = np.exp(-2.0 * k * times / (1.0 - beta)) * r0 ** 2
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_no_decay_accumulates_without_bound(self):
         # k = 0: every gradient accumulates, sqrt-of-linear growth
         c = 0.8
-        h = constant_history(c, 100.0, 0.01)
+        gsq, dt = constant_history(c, 100.0, 0.01), 0.01
         eta, beta, r0 = 0.01, 0.9, 1.2
-        out = r2_schedule(h, eta, beta, 0.0, r0)
+        out = r2_schedule(gsq, dt, eta, beta, 0.0, r0)
         prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
-        expected = np.sqrt(prefactor * c * h.times + r0 ** 4)
+        expected = np.sqrt(prefactor * c * dt * np.arange(gsq.size) + r0 ** 4)
         np.testing.assert_allclose(out, expected, rtol=1e-6)
         assert np.all(np.diff(out) > 0)
 
     def test_strict_positivity(self):
-        h = wiggly_history(floor=0.0)
-        out = r2_schedule(h, 0.02, 0.0, 0.05, 0.3)
+        out = r2_schedule(wiggly_history(floor=0.0), 0.01, 0.02, 0.0, 0.05, 0.3)
         assert np.all(out > 0)
 
     def test_monotone_memory_without_drive(self):
-        h = constant_history(0.0, 10.0, 0.01)
-        out = r2_schedule(h, 0.01, 0.0, 0.01, 1.0)
+        out = r2_schedule(constant_history(0.0, 10.0, 0.01), 0.01, 0.01, 0.0, 0.01, 1.0)
         assert np.all(np.diff(out) < 0)
 
     def test_quadrature_is_second_order(self):
@@ -96,8 +77,8 @@ class TestR2Schedule:
         for dt in (0.1, 0.05, 0.025):
             n = int(round(t1 / dt))
             times = dt * np.arange(n + 1)
-            h = GradNormHistory(times=times, gsq=1.0 + 0.5 * np.sin(0.7 * times))
-            vals.append(r2_schedule(h, eta, beta, k, r0)[-1])
+            gsq = 1.0 + 0.5 * np.sin(0.7 * times)
+            vals.append(r2_schedule(gsq, dt, eta, beta, k, r0)[-1])
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 3.0 <= ratio <= 5.0
 
@@ -105,26 +86,24 @@ class TestR2Schedule:
 class TestGSchedule:
     def test_fixed_point_history(self):
         g0 = 2.5
-        h = constant_history(g0, 10.0, 0.01)
-        out = g_schedule(h, 0.01, 0.99, g0)
+        out = g_schedule(constant_history(g0, 10.0, 0.01), 0.01, 0.01, 0.99, g0)
         np.testing.assert_allclose(out, np.sqrt(g0), rtol=1e-4)
 
     def test_pure_decay(self):
-        h = constant_history(0.0, 10.0, 0.01)
+        gsq, dt = constant_history(0.0, 10.0, 0.01), 0.01
         eta, rho, g0 = 0.01, 0.99, 4.0
-        out = g_schedule(h, eta, rho, g0)
-        expected = np.exp(-(1.0 - rho) * h.times / (2.0 * eta)) * 2.0
+        out = g_schedule(gsq, dt, eta, rho, g0)
+        times = dt * np.arange(gsq.size)
+        expected = np.exp(-(1.0 - rho) * times / (2.0 * eta)) * 2.0
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_frozen_memory_limit(self):
         # rho -> 1: the kernel weight vanishes and the memory never updates
-        h = wiggly_history(t1=10.0)
-        out = g_schedule(h, 0.01, 1.0, 9.0)
+        out = g_schedule(wiggly_history(t1=10.0), 0.01, 0.01, 1.0, 9.0)
         np.testing.assert_allclose(out, 3.0, rtol=1e-12)
 
     def test_strict_positivity(self):
-        h = wiggly_history(floor=0.0)
-        assert np.all(g_schedule(h, 0.05, 0.9, 0.01) > 0)
+        assert np.all(g_schedule(wiggly_history(floor=0.0), 0.01, 0.05, 0.9, 0.01) > 0)
 
 
 class TestSteadyFormulas:
@@ -176,9 +155,8 @@ class TestKernelMap:
         times = 0.01 * np.arange(501)
         gsq = (1.0 + amps[0] * np.sin(freqs[0] * times + phase)
                + amps[1] * np.cos(freqs[1] * times))
-        h = GradNormHistory(times=times, gsq=gsq)
-        a = r2_schedule(h, eta, beta, k, r0)
-        b = g_schedule(h, m.eta, m.rho, r0 ** 4)
+        a = r2_schedule(gsq, 0.01, eta, beta, k, r0)
+        b = g_schedule(gsq, 0.01, m.eta, m.rho, r0 ** 4)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
 

@@ -250,25 +250,25 @@ class TestNoetherRadial:
     def test_constant_drive_reaches_steady_radius(self):
         # dt stays below the RK4 stability bound for the fast rate mu/m = 200
         m, mu, k, c = 0.005, 1.0, 0.01, 1.0
-        history = constant_history(c, 400.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(m, mu, k, history), [4.0], [0.0],
+        gsq = constant_history(c, 400.0, 0.01)
+        traj = integrate_rk4(eom_noether_radial(m, mu, k, gsq, 0.01), [4.0], [0.0],
                              0.0, 400.0, 0.01)
         steady = np.sqrt(m * c ** 2 / (k * mu ** 2))
         assert traj.q[-1, 0] == pytest.approx(steady, rel=1e-4)
 
     def test_no_drive_no_decay_keeps_norm(self):
-        history = constant_history(0.0, 5.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(0.01, 1.0, 0.0, history), [2.0], [0.0],
+        gsq = constant_history(0.0, 5.0, 0.01)
+        traj = integrate_rk4(eom_noether_radial(0.01, 1.0, 0.0, gsq, 0.01), [2.0], [0.0],
                              0.0, 5.0, 0.01)
         np.testing.assert_allclose(traj.q[:, 0], 2.0, rtol=1e-12)
 
     def test_matches_closed_form_schedule(self):
         m, mu, k = 0.005, 1.0, 1e-4
-        history = constant_history(1.0, 100.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(m, mu, k, history), [4.0], [0.0],
+        gsq = constant_history(1.0, 100.0, 0.01)
+        traj = integrate_rk4(eom_noether_radial(m, mu, k, gsq, 0.01), [4.0], [0.0],
                              0.0, 100.0, 0.01)
-        sched = r2_schedule(history, 2.0 * m, 0.0, k, 2.0)
-        window = history.times >= 20.0
+        sched = r2_schedule(gsq, 0.01, 2.0 * m, 0.0, k, 2.0)
+        window = traj.times >= 20.0
         rel = np.abs(traj.q[window, 0] - sched[window]) / sched[window]
         assert np.max(rel) <= 1e-3
 

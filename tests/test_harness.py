@@ -111,6 +111,12 @@ class TestCompareChannels:
         with pytest.raises(ValueError):
             compare_channels(np.linspace(0, 1, 5), np.ones(5), np.ones(6), 1.0)
 
+    def test_empty_window_is_error(self):
+        # no sample in the window: a loud failure, not a verdict on nothing
+        t = np.linspace(0, 1, 11)
+        with pytest.raises(ValueError):
+            compare_channels(t, np.ones(11), np.ones(11), 0.5, window=(2.0, 3.0))
+
 
 class TestEmission:
     def test_csv_roundtrips_doubles_exactly(self, tmp_path):
@@ -176,7 +182,7 @@ def test_flagship_loop_matches_reference_stepper(seed):
     _, qs = simulate(
         lambda state: step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
                                           weight_decay=cfg["wd"]),
-        state, cfg["steps"], lambda state: state.q)
+        state, cfg["steps"], lambda state: state.q, cfg["eta"])
     rr = np.array([q @ q for q in qs])
     g2 = np.array([(q @ q) * (g @ g) for q, g in ((q, loss.grad(q)) for q in qs)])
     qhat = [q / np.sqrt(q @ q) for q in qs]
@@ -228,27 +234,43 @@ class TestCli:
         "rk4-non-finite": (["noether-residual"], "dt = 0.001\nmu = -800\n", 3,
                            "state is no longer finite (t=0.881)"),
         "discrete-non-finite": (["conservation", "--eta", "5"], "steps = 100\n", 3,
-                                "not finite after step 6"),
+                                "not finite after step 6 (t=30)"),
+        "simulate-non-finite": (["modified-eq", "--eta", "5", "--beta", "0.5", "--t1", "4000"],
+                                None, 3, "not finite after step 587 (t=2935)"),
+        # an empty path is the working directory: it names no output directory
+        "empty-out-flag": (["table2", "--out", ""], None, 2, "out must name a directory"),
+        "empty-out-line": (["table2"], "out =\n", 2, "out must name a directory"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))
-    def test_exit_code(self, tmp_path, capsys, case):
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, case):
+        # runs in tmp_path with the default output directory x, which a
+        # row's own --out flag or out line overrides
         argv, config, code, fragment = self.EXIT_CODES[case]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NOETHERDYN_OUT", "x")
         if config is not None:
-            (tmp_path / "c.cfg").write_text(config)
-            argv = argv + ["--config", str(tmp_path / "c.cfg")]
-        assert main(argv + ["--out", str(tmp_path / "x")]) == code
+            Path("c.cfg").write_text(config)
+            argv = argv + ["--config", "c.cfg"]
+        assert main(argv) == code
         stderr = capsys.readouterr().err
         assert fragment in stderr
         assert "Traceback" not in stderr
         if code == 0:
             assert stderr == ""
-        if code == 2:
+        if code == 2:  # nothing written, in x or in the working directory
             assert stderr.count("\n") == 1
-            assert not (tmp_path / "x").exists()
+            assert sorted(os.listdir()) == (["c.cfg"] if config is not None else [])
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
             assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
+
+    def test_empty_out_variable_falls_back_to_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NOETHERDYN_OUT", "")
+        assert main(["table2"]) == 0
+        assert (tmp_path / "noetherdyn-out" / "table2.csv").exists()
+        assert not (tmp_path / "table2.csv").exists()
 
     def test_diverging_flagship_stops_at_its_first_nonfinite_step(self, tmp_path, capsys):
         started = time.process_time()
