@@ -94,20 +94,20 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
-def eom_modified(eta: float, beta: float, k: float, loss) -> SecondOrderSystem:
+def eom_modified(eta: float, beta: float, loss) -> SecondOrderSystem:
     """Second-order model of heavy-ball descent at finite learning rate:
 
-        (eta (1+beta) / 2) qddot + (1-beta) qdot + grad f(q) + k q = 0.
+        (eta (1+beta) / 2) qddot + (1-beta) qdot + grad f(q) = 0.
 
     The learning rate plays the role of a small mass; the model collapses
     to rescaled gradient flow (1-beta) qdot = -grad f as eta -> 0.
-    Requires eta > 0, 0 <= beta < 1 and k >= 0; the caller checks them.
+    Requires eta > 0 and 0 <= beta < 1; the caller checks them.
     """
     mass = eta * (1.0 + beta) / 2.0
     friction = 1.0 - beta
 
     def rhs(t, q, q_dot):
-        return -(friction * q_dot + loss.grad(q) + k * q) / mass
+        return -(friction * q_dot + loss.grad(q)) / mass
 
     return SecondOrderSystem(name="modified-heavy-ball", rhs=rhs)
 

@@ -1,13 +1,13 @@
-"""Experiment configuration: flat key-value files plus flag overrides.
+"""Experiment configuration: flat key-value files, and the command line.
 
-Flags win over file values; required hyperparameters have no silent
-defaults, so a missing one is a usage error rather than a guess.  A key the
-experiment does not take (a misspelling, or a flag of another experiment)
-is a usage error too, rather than a silently ignored value.  Every usage
-rule, from a value's range to the steps a run needs or may make, is checked
-here, before a runner creates its output directory.  This is the one place
-the ranges are decided: the library functions the runners call trust them.
-`coerce` is the one place text becomes a value, for file lines and flags.
+The command line `experiment [--key value | --key=value]...` is read as
+config lines, each flag as the line `key = value`; flags win over file
+values.  Required hyperparameters have no silent defaults, and a key the
+experiment does not take, or a key set twice, is a usage error rather than
+a guess or an ignored value.  Every usage rule, from a value's range to the
+steps a run needs or may make, is checked here, before a runner creates its
+output directory; the library functions the runners call trust these
+ranges.  `coerce` is the one place text becomes a value.
 """
 
 import math
@@ -34,8 +34,6 @@ PARAMETERS = {
     "rmsprop-equiv": {"eta": REQUIRED, "rho": REQUIRED, "t1": 10.0},
     "steady-state": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED, "steps": 200_000},
 }
-
-EXPERIMENT_KINDS = tuple(PARAMETERS)
 
 _INTEGER_KEYS = {key for params in PARAMETERS.values()
                  for key, default in params.items() if type(default) is int}
@@ -74,7 +72,8 @@ def _as_integer(key: str, value) -> int:
 
 def _check_values(kind: str, params: dict, seed: int):
     for key, value in params.items():
-        if not math.isfinite(value):
+        # an int is finite, and math.isfinite overflows on one past 1e308
+        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
             raise UsageError(f"parameter {key} must be finite (got {value})")
         if key in _RANGES and not _RANGES[key][1](value):
             raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
@@ -103,7 +102,7 @@ def _check_values(kind: str, params: dict, seed: int):
         raise UsageError(f"steady-state needs wd > 0 (got {params['wd']:g}): "
                          "without weight decay the norm has no radial balance point")
     if longest > MAX_STEPS:
-        raise UsageError(f"longest run would make {longest:.3g} steps, more than {MAX_STEPS:.0e}")
+        raise UsageError(f"longest run would make {longest} steps, more than {MAX_STEPS:.0e}")
 
 
 @dataclass
@@ -116,7 +115,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in PARAMETERS:
             raise UsageError(
-                f"unknown experiment {self.kind!r}; choose from {', '.join(EXPERIMENT_KINDS)}")
+                f"unknown experiment {self.kind!r}; choose from {', '.join(PARAMETERS)}")
         table = PARAMETERS[self.kind]
         unknown = sorted(set(self.params) - set(table))
         if unknown:
@@ -173,13 +172,33 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def read_command_line(argv, default_out: str = None) -> ExperimentConfig:
+    """The configuration `experiment [--key value | --key=value]...` names, each
+    flag read as the config line `key = value` over the `--config` file's lines."""
+    words, given, tokens = [], {}, iter(argv)
+    for token in tokens:
+        if not token.startswith("--"):
+            words.append(token)
+            continue
+        key, has_value, raw = token[2:].partition("=")
+        raw = raw if has_value else next(tokens, None)  # the next token, even "-1e-4"
+        if raw is None:
+            raise UsageError(f"flag --{key} has no value")
+        if key in given:
+            raise UsageError(f"flag --{key} is set twice")
+        given[key] = raw
+    if len(words) != 1:
+        raise UsageError(f"name one experiment (got {', '.join(map(repr, words)) or 'none'})")
+    config = given.pop("config", None)
+    file_values = parse_config_file(config) if config is not None else {}
+    flags = {key: coerce(key, raw) for key, raw in given.items()}
+    return build_config(words[0], file_values, flags, default_out)
+
+
 def build_config(kind: str, file_values: dict = None, flag_values: dict = None,
                  default_out: str = None) -> ExperimentConfig:
     """Merge config-file values with flag overrides (flags win)."""
-    merged = dict(file_values or {})
-    for key, value in (flag_values or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged = {**(file_values or {}), **(flag_values or {})}
     seed = merged.pop("seed", 0)
     out = merged.pop("out", default_out or "noetherdyn-out")
     return ExperimentConfig(kind=kind, params=merged, seed=seed, out=out)

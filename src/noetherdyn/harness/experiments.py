@@ -7,6 +7,7 @@ rerun with the same configuration reproduces every CSV byte-for-byte.
 """
 
 import math
+import shutil
 import time
 from pathlib import Path
 
@@ -230,7 +231,7 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     q1 = qs[1]
     v1 = centered_velocities(qs, eta)[0]
     t_end = steps * eta  # last discrete sample; t1 need not be a multiple
-    ode = integrate_rk4(eom_modified(eta, beta, 0.0, loss), [q1], [v1],
+    ode = integrate_rk4(eom_modified(eta, beta, loss), [q1], [v1],
                         eta, t_end, eta / MODIFIED_EQ_REFINE)
     ode_at = ode.q[::MODIFIED_EQ_REFINE, 0]
     _, flow = rk4_solve(lambda t, y: -loss.grad(y) / (1.0 - beta),
@@ -499,14 +500,30 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment: artifacts, manifest, verdict file.
 
-    Returns the verdict list; all assertions passing means CLI exit 0.
+    Returns the verdict list; all assertions passing means CLI exit 0.  A
+    run that raises removes the directories it created, and a directory that
+    already existed keeps no earlier run's manifest or verdict file, so only
+    a finished run leaves its record.
     """
     runner = _RUNNERS[cfg.kind]
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    verdicts = runner(cfg, out)
-    wall = time.perf_counter() - started
-    write_manifest(out / "manifest.txt", cfg, wall, __version__)
-    write_verdicts(out / "verdict.tsv", verdicts)
+    created = []  # each directory this run makes, in the order it makes them
+    try:
+        # one at a time, not mkdir(parents=True): with ".." in the path
+        # ("a/../b") the directories made are not one subtree
+        for path in (*reversed(out.parents), out):
+            if not path.is_dir():
+                path.mkdir()
+                created.append(path)
+        for name in ("manifest.txt", "verdict.tsv"):
+            (out / name).unlink(missing_ok=True)
+        started = time.perf_counter()
+        verdicts = runner(cfg, out)
+        wall = time.perf_counter() - started
+        write_manifest(out / "manifest.txt", cfg, wall, __version__)
+        write_verdicts(out / "verdict.tsv", verdicts)
+    except BaseException:
+        for path in reversed(created):  # innermost first
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     return verdicts

@@ -83,15 +83,15 @@ class TestModifiedEquation:
     def test_velocity_decay_without_force(self):
         eta, beta = 0.1, 0.5
         loss = Quadratic(np.zeros((1, 1)))
-        system = eom_modified(eta, beta, 0.0, loss)
+        system = eom_modified(eta, beta, loss)
         rate = 2.0 * (1.0 - beta) / (eta * (1.0 + beta))
         traj = integrate_rk4(system, [0.0], [1.0], 0.0, 0.5, 1e-3)
         np.testing.assert_allclose(traj.q_dot[-1, 0], np.exp(-rate * 0.5), rtol=1e-8)
 
     def test_small_step_form_without_momentum(self):
-        # beta = 0, k = 0 recovers (eta/2) qddot + qdot = -g
+        # beta = 0 recovers (eta/2) qddot + qdot = -g
         loss = Quadratic(np.eye(2))
-        system = eom_modified(0.1, 0.0, 0.0, loss)
+        system = eom_modified(0.1, 0.0, loss)
         q = np.array([1.0, -2.0])
         qd = np.array([0.3, 0.0])
         expected = (-qd - loss.grad(q)) * (2.0 / 0.1)
@@ -113,7 +113,7 @@ class TestModifiedEquation:
 
         q1 = qs[1]
         v1 = (qs[2] - qs[0]) / (2.0 * eta)
-        ode = integrate_rk4(eom_modified(eta, beta, 0.0, loss), [q1], [v1],
+        ode = integrate_rk4(eom_modified(eta, beta, loss), [q1], [v1],
                             eta, 2.0, eta / 100)
         ode_dev = np.max(np.abs(ode.q[::100, 0] - qs[1:]))
         _, gf = rk4_solve(lambda t, y: -loss.grad(y) / (1.0 - beta),
@@ -144,7 +144,7 @@ class TestBregmanEuclidean:
         eta, beta = 0.05, 0.3
         loss = Quadratic(np.diag([1.0, 3.0]), [0.2, -0.1])
         bregman = eom_bregman_euclidean(sgdm_schedule(eta, beta), loss)
-        modified = eom_modified(eta, beta, 0.0, loss)
+        modified = eom_modified(eta, beta, loss)
         rng = np.random.default_rng(1)
         for _ in range(20):
             q, qd = rng.standard_normal(2), rng.standard_normal(2)

@@ -1,5 +1,6 @@
 """Configuration, emission formats, channel comparison, and the CLI."""
 
+import math
 import os
 import re
 import subprocess
@@ -10,15 +11,36 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
                         step_gd_momentum_wd)
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
-from noetherdyn.harness.config import (MAX_STEPS, MODIFIED_EQ_REFINE, build_config,
-                                       parse_config_file)
+from noetherdyn.harness.config import (MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS, build_config,
+                                       parse_config_file, read_command_line)
 from noetherdyn.harness.experiments import FLAGSHIP_DIM, flagship_run
 from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
+
+
+# every key a flag or a config line may set: each experiment's, seed and out
+_KEYS = sorted({key for table in PARAMETERS.values() for key in table} | {"seed", "out"})
+# value texts hold no '#' and no outer blanks, which a config line drops;
+# these texts are no value of some key or of any
+_MALFORMED = strategies.sampled_from(["", "x", "1e3", "2.5", "1.5.", "0x10", "--seed"])
+
+
+def _value_text(key):
+    """A value of `key` as text: a number in range or out of it, or non-finite."""
+    if key == "out":
+        return strategies.sampled_from(["run", "a/b", "-1", ""])
+    if key in ("seed", "steps"):
+        number = strategies.integers(-2, 300_000) | strategies.integers(10 ** 6, 10 ** 400)
+    else:
+        number = strategies.floats(-0.1, 1.0) | strategies.sampled_from(
+            [1e-3, 1e-4, 0.5, 1.0, math.nan, math.inf, -math.inf])
+    return number.map(repr)
 
 
 class TestConfig:
@@ -39,9 +61,9 @@ class TestConfig:
         path.write_text("# comment\neta = 0.1\nbeta = 0.5  # inline\nseed = 3\n")
         values = parse_config_file(path)
         assert values == {"eta": 0.1, "beta": 0.5, "seed": 3}
-        cfg = build_config("modified-eq", values, {"beta": 0.25, "eta": None})
-        assert cfg["eta"] == 0.1  # None flags do not override
-        assert cfg["beta"] == 0.25  # explicit flags win
+        cfg = build_config("modified-eq", values, {"beta": 0.25})
+        assert cfg["eta"] == 0.1
+        assert cfg["beta"] == 0.25  # flags win
         assert cfg.seed == 3
 
     def test_unknown_key_is_usage_error(self):
@@ -67,6 +89,30 @@ class TestConfig:
     def test_shipped_config_builds(self, path):
         cfg = build_config(path.stem, parse_config_file(path))
         assert cfg.kind == path.stem
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=strategies.sampled_from(list(PARAMETERS)), data=strategies.data())
+    def test_flags_and_config_lines_are_read_alike(self, tmp_path_factory, kind, data):
+        """The same `key = value` lines, given as flags or as a config file,
+        give an equal configuration or the same usage error."""
+        every = strategies.permutations([*PARAMETERS[kind], "seed", "out"])  # all it takes
+        keys = data.draw(every | strategies.lists(strategies.sampled_from(_KEYS), unique=True))
+        texts = [data.draw(_value_text(key)) for key in keys]
+        if keys and data.draw(strategies.booleans()):
+            texts[data.draw(strategies.integers(0, len(keys) - 1))] = data.draw(_MALFORMED)
+        argv = [kind]
+        for key, text in zip(keys, texts):
+            argv += [f"--{key}={text}"] if data.draw(strategies.booleans()) else [f"--{key}", text]
+        path = tmp_path_factory.getbasetemp() / "flags-as-lines.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, text in zip(keys, texts)))
+
+        def read(argv):
+            try:
+                return read_command_line(argv)
+            except UsageError as exc:
+                return f"usage error: {exc}"
+
+        assert read(argv) == read([kind, "--config", str(path)])
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -223,7 +269,14 @@ class TestCli:
         "missing-required": (["bn-effective-lr"], None, 2, "missing required parameter"),
         "repeated-key": (["table2"], "seed = 1\nseed = 2\n", 2, "key 'seed' is set twice"),
         # a flag is taken only whole, as a config key is: no prefix of --seed
-        "flag-prefix": (["table2", "--se", "3"], None, 2, "unrecognized arguments: --se 3"),
+        "flag-prefix": (["table2", "--se", "3"], None, 2,
+                        "experiment 'table2' does not take parameter(s): se"),
+        # each key at most once, as in a config file: the second value does not win
+        "repeated-flag": (["conservation", "--eta", "1e-4", "--eta", "2e-4"], None, 2,
+                          "flag --eta is set twice"),
+        # the token after a flag is its value, a negative number included
+        "negative-value": (["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "-1e-4"],
+                           None, 2, "parameter wd must be >= 0"),
         # an empty path names no file; it does not mean "no config file"
         "empty-config-path": (["conservation", "--eta", "1e-4", "--config", ""], None, 2,
                               "No such file or directory: ''"),
@@ -258,12 +311,32 @@ class TestCli:
         assert "Traceback" not in stderr
         if code == 0:
             assert stderr == ""
-        if code == 2:  # nothing written, in x or in the working directory
-            assert stderr.count("\n") == 1
+        if code in (2, 3):  # one line, and no directory left, in x or in the working directory
+            assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
             assert sorted(os.listdir()) == (["c.cfg"] if config is not None else [])
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
-            assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
+
+    @pytest.mark.parametrize("out, existing", [("a/b", False), ("a/../b/c", False), ("a/b", True)],
+                             ids=["created", "created-through-parent", "existing"])
+    def test_numerical_abort_leaves_no_run_record(self, tmp_path, out, existing):
+        """Only a finished run leaves a manifest and verdicts: an abort removes
+        every directory the run created, and a directory that existed loses an
+        earlier run's record before the runner starts."""
+        out = tmp_path / out
+        (tmp_path / "c.cfg").write_text("dt = 0.001\nmu = -6\n")
+        if existing:
+            out.mkdir(parents=True)
+            for name in ("manifest.txt", "verdict.tsv", "notes.txt"):
+                (out / name).write_text("an earlier run\n")
+        argv = ["noether-residual", "--config", str(tmp_path / "c.cfg"), "--out", str(out)]
+        assert main(argv) == 3
+        if existing:  # two CSVs are written before an entropy trajectory leaves its domain
+            assert sorted(path.name for path in out.iterdir()) == [
+                "notes.txt", "residual_euclidean-translation.csv",
+                "residual_quadratic-form-translation.csv"]
+        else:
+            assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
 
     def test_empty_out_variable_falls_back_to_the_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -360,7 +433,6 @@ class TestCli:
         # ranges the library trusts its callers to have checked
         ["bn-effective-lr", "--eta", "0.01", "--beta", "1.0", "--wd", "1e-4"],
         ["bn-effective-lr", "--eta", "0", "--beta", "0.9", "--wd", "1e-4"],
-        # "=": argparse would read a bare "-1e-4" as an option, not a value
         ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd=-1e-4"],
         ["steady-state", "--eta", "0.01", "--beta", "-0.1", "--wd", "1e-4"],
         ["rmsprop-equiv", "--eta", "0", "--rho", "0.99"],
@@ -374,7 +446,7 @@ class TestCli:
         ["conservation", "--eta", "1e-4", "--config", "steps.cfg"],
         ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4",
          "--config", "steps.cfg"],
-        # text no value is read from, and inputs argparse itself rejects
+        # text no value is read from, and command lines outside the grammar
         ["table2", "--seed", "1.5"],
         ["table2", "--seed", "1e3"],
         ["conservation", "--eta", "x"],
@@ -382,8 +454,9 @@ class TestCli:
         ["table2", "--eta"],
         [],
         ["no-such-thing"],
-        # a bare "-1e-4" reads as an option, so --wd has no value: still one line
         ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "-1e-4"],
+        ["table2", "conservation"],
+        ["table2", "--seed", "1", "--seed=1"],
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         (tmp_path / "dim.cfg").write_text("dim = 1\n")
@@ -407,11 +480,18 @@ class TestCli:
         assert capsys.readouterr().err == from_flag
         assert from_flag.startswith("noetherdyn: usage error: ")
 
-    def test_help_exits_0_with_usage_on_stdout(self, capsys):
-        assert main(["--help"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("usage: noetherdyn ")
-        assert captured.err == ""
+    def test_help_exits_0_with_usage_on_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--help"], ["-h"], ["table2", "--eta", "x", "--help"]):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: noetherdyn ")
+            assert captured.err == ""
+        kinds = [line.split(maxsplit=1) for line in captured.out.splitlines()
+                 if line.startswith("  ")]
+        assert [kind[0] for kind in kinds] == list(PARAMETERS)  # one line each
+        assert ["bn-effective-lr", "eta, beta, wd, steps (200000)"] in kinds
+        assert os.listdir() == []
 
     @pytest.mark.parametrize("kind, params", [
         ("conservation", {"eta": 1e-4, "steps": MAX_STEPS}),
