@@ -7,11 +7,12 @@ experiment does not take, or a key set twice, is a usage error rather than
 a guess or an ignored value.  Every usage rule, from a value's range to the
 steps a run needs or may make, is checked here, before a runner creates its
 output directory; the library functions the runners call trust these
-ranges.  `coerce` is the one place text becomes a value.
+ranges.  `coerce` is the one place a value is read: `ExperimentConfig` reads
+every value with it, a value given from Python as its text `str(value)`,
+so a Python caller and a config line get the same value or the same error.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,19 +62,10 @@ def step_count(t1: float, step: float) -> int:
     return round(ratio)
 
 
-def _as_integer(key: str, value) -> int:
-    """An integer key's value as an int; a bool or a non-integral number is a
-    usage error rather than a TypeError deep inside a runner."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       or float(value).is_integer()):
-        raise UsageError(f"parameter {key} must be an integer (got {value!r})")
-    return int(value)
-
-
 def _check_values(kind: str, params: dict, seed: int):
     for key, value in params.items():
-        # an int is finite, and math.isfinite overflows on one past 1e308
-        if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        # an integer key's int is finite, and math.isfinite overflows on one past 1e308
+        if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite (got {value})")
         if key in _RANGES and not _RANGES[key][1](value):
             raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
@@ -128,9 +120,8 @@ class ExperimentConfig:
             raise UsageError(
                 f"experiment {self.kind!r} is missing required parameter(s): "
                 + ", ".join(missing))
-        for key in _INTEGER_KEYS & merged.keys():
-            merged[key] = _as_integer(key, merged[key])
-        self.seed = _as_integer("seed", self.seed)
+        merged = {key: coerce(key, value) for key, value in merged.items()}
+        self.seed = coerce("seed", self.seed)
         _check_values(self.kind, merged, self.seed)
         if self.out == "":  # Path("") is ".": the artifacts would land in the cwd
             raise UsageError("out must name a directory (got an empty path)")
@@ -141,18 +132,21 @@ class ExperimentConfig:
         return self.params[key]
 
 
-def coerce(key: str, raw: str):
-    """The value `raw`, a config-file line's or a flag's text, gives `key`."""
-    if key == "out":
-        return raw
+def coerce(key: str, raw):
+    """The value `raw` gives `key`: a config line's or a flag's text as read,
+    any other value as its text `str(raw)` would be read."""
+    text = None
     try:
-        return int(raw) if key in _INTEGER_KEYS or key == "seed" else float(raw)
+        text = str(raw)  # an int of 4,301 digits or more has no str()
+        return int(text) if key in _INTEGER_KEYS or key == "seed" else float(text)
     except ValueError:
-        raise UsageError(f"could not parse value {raw!r} for key {key!r}") from None
+        shown = "an int too long for str()" if text is None else repr(text)
+        raise UsageError(f"could not parse value {shown} for key {key!r}") from None
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; each key at most once."""
+    """Flat `key = value` lines, each value kept as its text; '#' starts a
+    comment; each key at most once."""
     values = {}
     try:  # open, not Path: Path("") is ".", and "" must name no file
         with open(path, encoding="utf-8") as fh:
@@ -168,7 +162,7 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise UsageError(f"{path}:{lineno}: key {key!r} is set twice")
-        values[key] = coerce(key, raw)
+        values[key] = raw
     return values
 
 
@@ -191,8 +185,7 @@ def read_command_line(argv, default_out: str = None) -> ExperimentConfig:
         raise UsageError(f"name one experiment (got {', '.join(map(repr, words)) or 'none'})")
     config = given.pop("config", None)
     file_values = parse_config_file(config) if config is not None else {}
-    flags = {key: coerce(key, raw) for key, raw in given.items()}
-    return build_config(words[0], file_values, flags, default_out)
+    return build_config(words[0], file_values, given, default_out)
 
 
 def build_config(kind: str, file_values: dict = None, flag_values: dict = None,

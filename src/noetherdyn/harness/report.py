@@ -113,8 +113,6 @@ _ML, _MR, _MT, _MB = 64, 16, 36, 44
 def _nice_ticks(lo: float, hi: float, n: int = 5):
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo != 0 else 1.0)
     span = hi - lo
     raw = span / max(n, 1)
     mag = 10.0 ** math.floor(math.log10(raw))

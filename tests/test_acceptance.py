@@ -1,5 +1,9 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
+Each experiment runs at its shipped config, `configs/<kind>.cfg`, read as
+`noetherdyn <kind> --config configs/<kind>.cfg` reads it, so the shipped
+configs are the acceptance configs.  They hold only the values they set,
+and a changed default moves these verdicts as it moves the benchmark's.
 Each criterion prints one pass/fail line (run with `pytest -s` to see them
 live).  Experiments run once into a shared module-scoped directory; the
 determinism criterion reruns all of them and compares CSV bytes.
@@ -13,45 +17,37 @@ from types import SimpleNamespace
 
 import pytest
 
-from noetherdyn.harness import ExperimentConfig
+from noetherdyn.harness.config import build_config, parse_config_file
 from noetherdyn.harness.experiments import run_experiment
 
-CONFIGS = {
-    "table2": {},
-    "noether-residual": {"dt": 1e-3},
-    "conservation": {"eta": 1e-4},
-    "modified-eq": {"eta": 0.1, "beta": 0.5},
-    "bn-effective-lr": {"eta": 0.01, "beta": 0.9, "wd": 1e-4},
-    "steady-state": {"eta": 0.01, "beta": 0.9, "wd": 1e-4},
-    "rmsprop-equiv": {"eta": 0.01, "rho": 0.99},
-}
-
-SEED = 0
+CONFIG_FILES = {path.stem: path
+                for path in sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))}
 
 # the benchmark's stored verdicts, keyed by kind and then by input set (or
 # "any" for a kind that ignores the seed); read here, never written
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference_verdicts.json"
 REFERENCE_REL_TOL = 1e-12
 
-# sha256 of every artifact the seed-0 runs write, except the manifest (which
-# holds the output path and the wall time); regenerate with
-# `python tests/test_acceptance.py` only in a change meant to move bytes
+# sha256 of every artifact the shipped-config runs write (each at the default
+# seed 0), except the manifest (which holds the output path and the wall
+# time); regenerate with `python tests/test_acceptance.py` only in a change
+# meant to move bytes
 GOLDEN = Path(__file__).with_name("golden_digests_seed0.json")
 
 
 def _run(kind, out):
-    cfg = ExperimentConfig(kind=kind, params=dict(CONFIGS[kind]), seed=SEED, out=out)
+    cfg = build_config(kind, parse_config_file(CONFIG_FILES[kind]), {"out": str(out)})
     started = time.perf_counter()
     verdicts = run_experiment(cfg)
     wall = time.perf_counter() - started
     return SimpleNamespace(verdicts={v.assertion_id: v for v in verdicts},
-                           wall=wall, out=out)
+                           wall=wall, out=out, seed=cfg.seed)
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance")
-    return {kind: _run(kind, base / kind) for kind in CONFIGS}
+    return {kind: _run(kind, base / kind) for kind in CONFIG_FILES}
 
 
 def _digests(runs):
@@ -156,7 +152,7 @@ def test_criterion_09_functional_identity(runs):
 def test_criterion_10_determinism(runs, tmp_path_factory):
     base = tmp_path_factory.mktemp("determinism")
     mismatches = []
-    for kind in CONFIGS:
+    for kind in CONFIG_FILES:
         rerun = _run(kind, base / kind)
         first = runs[kind].out
         csvs = sorted(p.name for p in first.glob("*.csv"))
@@ -176,7 +172,7 @@ def test_verdicts_match_benchmark_reference(runs):
     drifted = []
     for kind, run in runs.items():
         table = reference[kind]
-        expected = table["any"] if "any" in table else table[str(SEED)]
+        expected = table["any"] if "any" in table else table[str(run.seed)]
         assert set(run.verdicts) == set(expected), kind
         for aid, value in expected.items():
             measured = run.verdicts[aid].measured
@@ -203,6 +199,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = _digests({kind: _run(kind, Path(tmp) / kind) for kind in CONFIGS})
+        digests = _digests({kind: _run(kind, Path(tmp) / kind) for kind in CONFIG_FILES})
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -30,6 +30,23 @@ _KEYS = sorted({key for table in PARAMETERS.values() for key in table} | {"seed"
 # these texts are no value of some key or of any
 _MALFORMED = strategies.sampled_from(["", "x", "1e3", "2.5", "1.5.", "0x10", "--seed"])
 
+# the keys ExperimentConfig reads a value for: every key but the path out
+_VALUE_KEYS = [key for key in _KEYS if key != "out"]
+# a Python value of each kind a caller may pass, in range or not
+_PYTHON_VALUE = strategies.one_of(
+    strategies.integers(-2, 300_000),
+    strategies.integers(10 ** 6, 10 ** 400),  # past float range too
+    strategies.sampled_from([10 ** 4300, 10 ** 5000]),  # 4,301 digits or more: no str()
+    strategies.floats(-0.1, 1.0),
+    strategies.sampled_from([math.nan, math.inf, -math.inf, 3.0, 1e3, 2.5]),
+    strategies.booleans(),
+    strategies.none(),
+    strategies.sampled_from(["0.1", "1e-4", "3", "1e3", "x", "", " 0.5 "]),
+    strategies.lists(strategies.integers(0, 3), max_size=2),
+    strategies.sampled_from([np.float64(0.01), np.float64(math.nan), np.float32(0.5),
+                             np.int64(3), np.bool_(True)]),
+)
+
 
 def _value_text(key):
     """A value of `key` as text: a number in range or out of it, or non-finite."""
@@ -60,7 +77,7 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\neta = 0.1\nbeta = 0.5  # inline\nseed = 3\n")
         values = parse_config_file(path)
-        assert values == {"eta": 0.1, "beta": 0.5, "seed": 3}
+        assert values == {"eta": "0.1", "beta": "0.5", "seed": "3"}  # read in ExperimentConfig
         cfg = build_config("modified-eq", values, {"beta": 0.25})
         assert cfg["eta"] == 0.1
         assert cfg["beta"] == 0.25  # flags win
@@ -79,6 +96,12 @@ class TestConfig:
         ("modified-eq", {"eta": 0.1, "t1": -2.0}),
         ("conservation", {"eta": 1e-4, "steps": 20.5}),  # an integer key
         ("conservation", {"eta": 1e-4, "steps": True}),
+        # a Python value is read as its text: 10**400 is inf for a float key
+        ("modified-eq", {"eta": 10 ** 400}),
+        ("conservation", {"eta": 10 ** 400}),
+        ("conservation", {"eta": True}),
+        ("conservation", {"eta": None}),
+        ("table2", {"seed": 1e3}),  # the text 1000.0, no integer, as --seed 1e3 is not
     ])
     def test_out_of_range_value_is_usage_error(self, kind, params):
         with pytest.raises(UsageError):
@@ -113,6 +136,31 @@ class TestConfig:
                 return f"usage error: {exc}"
 
         assert read(argv) == read([kind, "--config", str(path)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=strategies.sampled_from(list(PARAMETERS)), data=strategies.data())
+    def test_python_values_are_read_as_their_text(self, kind, data):
+        """Any Python value gives a configuration or a usage error, and one with
+        a str() gives what that text gives: an equal configuration or the same
+        usage error."""
+        every = strategies.permutations([*PARAMETERS[kind], "seed"])
+        keys = data.draw(every | strategies.lists(strategies.sampled_from(_VALUE_KEYS),
+                                                  unique=True))
+        values = {key: data.draw(_PYTHON_VALUE) for key in keys}
+
+        def build(values):
+            try:
+                return build_config(kind, values)
+            except UsageError as exc:
+                return f"usage error: {exc}"
+
+        built = build(values)
+        try:
+            texts = {key: str(value) for key, value in values.items()}
+        except ValueError:  # an int of 4,301 digits or more has no str()
+            assert isinstance(built, str)
+            return
+        assert built == build(texts)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
