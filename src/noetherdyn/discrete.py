@@ -99,12 +99,13 @@ def simulate(step, state: OptimizerState, steps: int, observe, dt: float):
     """Apply `step` (state -> state, worth dt of time) `steps` times,
     recording observe(state) at the initial state and after every step.
 
-    Returns (final_state, record) with record[n] the observation after n
-    steps, so record has steps + 1 rows; an observe that returns a tuple
-    gives one column per element.  A run whose record stops being finite
-    aborts at the first such step n, naming its time n * dt; the record is
-    checked once, after the loop, so the check costs no time per step.
+    Returns (times, record) with times = dt * np.arange(steps + 1) and
+    record[n] the observation after n steps, at times[n]; an observe that
+    returns a tuple gives one column per element.  A run whose record stops
+    being finite aborts at the first such step n, naming its time times[n];
+    the record is checked once, after the loop, so it costs no time per step.
     """
+    times = dt * np.arange(steps + 1)
     first = np.asarray(observe(state), dtype=float)
     record = np.empty((steps + 1,) + first.shape)
     record[0] = first
@@ -115,5 +116,5 @@ def simulate(step, state: OptimizerState, steps: int, observe, dt: float):
     if not finite.all():
         n = int(np.argmin(finite))
         raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
-                               time=n * dt)
-    return state, record
+                               time=times[n])
+    return times, record

@@ -13,18 +13,24 @@ import sys
 import numpy as np
 
 from ..errors import DomainError, IntegrationError
-from .config import PARAMETERS, REQUIRED, UsageError, read_command_line
+from .config import COMMON, PARAMETERS, REQUIRED, UsageError, read_command_line
 from .experiments import run_experiment
 
 
+def _keys(table) -> str:
+    return ", ".join(key if value is REQUIRED else f"{key} ({value})"
+                     for key, value in table.items())
+
+
 def _usage() -> str:
-    """The --help text: the grammar, then each experiment's keys from PARAMETERS."""
+    """The --help text: the grammar, then each experiment's keys from PARAMETERS
+    and the keys all of them take from COMMON."""
     lines = ["usage: noetherdyn <experiment> [--config FILE] [--key value | --key=value]...",
              "Each flag is read as the config line 'key = value' and overrides the file.",
-             "Experiments and their keys, (default) if optional; each also takes seed (0) and out:"]
+             "Experiments and their keys, (default) if optional:"]
     for kind, table in PARAMETERS.items():
-        keys = (key if value is REQUIRED else f"{key} ({value})" for key, value in table.items())
-        lines.append(f"  {kind:<17} {', '.join(keys)}".rstrip())
+        lines.append(f"  {kind:<17} {_keys(table)}".rstrip())
+    lines.append(f"Every experiment also takes: {_keys(COMMON)}")
     return "\n".join(lines)
 
 

@@ -10,11 +10,12 @@ output directory; the library functions the runners call trust these
 ranges.  `coerce` is the one place a value is read: `ExperimentConfig` reads
 every value with it, a value given from Python as its text `str(value)`,
 so a Python caller and a config line get the same value or the same error.
+`seed` and `out` are keys like any other, which every experiment takes.
 """
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import PurePath
 
 
 class UsageError(ValueError):
@@ -36,16 +37,23 @@ PARAMETERS = {
     "steady-state": {"eta": REQUIRED, "beta": REQUIRED, "wd": REQUIRED, "steps": 200_000},
 }
 
-_INTEGER_KEYS = {key for params in PARAMETERS.values()
+# the parameters every experiment takes, with their defaults
+COMMON = {"seed": 0, "out": "noetherdyn-out"}
+
+_INTEGER_KEYS = {key for params in (*PARAMETERS.values(), COMMON)
                  for key, default in params.items() if type(default) is int}
 
-# allowed values: integer keys are >= 1, the seed >= 0, and mu is unbounded
+# allowed values: integer keys are >= 1, the seed >= 0, and mu is unbounded;
+# an empty out is refused, since Path("") is "." and the artifacts would
+# land in the working directory
 _RANGES = {
-    **{key: ("> 0", lambda v: v > 0.0) for key in ("eta", "dt", "t1")},
-    "beta": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "rho": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "wd": (">= 0", lambda v: v >= 0.0),
-    **{key: (">= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
+    **{key: ("be > 0", lambda v: v > 0.0) for key in ("eta", "dt", "t1")},
+    "beta": ("be in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "rho": ("be in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "wd": ("be >= 0", lambda v: v >= 0.0),
+    **{key: ("be >= 1", lambda v: v >= 1) for key in _INTEGER_KEYS},
+    "seed": ("be >= 0", lambda v: v >= 0),
+    "out": ("name a directory", lambda v: v != ""),
 }
 
 # most steps, optimizer or RK4, an experiment's longest single run may make,
@@ -62,15 +70,13 @@ def step_count(t1: float, step: float) -> int:
     return round(ratio)
 
 
-def _check_values(kind: str, params: dict, seed: int):
+def _check_values(kind: str, params: dict):
     for key, value in params.items():
         # an integer key's int is finite, and math.isfinite overflows on one past 1e308
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite (got {value})")
         if key in _RANGES and not _RANGES[key][1](value):
-            raise UsageError(f"parameter {key} must be {_RANGES[key][0]} (got {value})")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0 (got {seed})")
+            raise UsageError(f"parameter {key} must {_RANGES[key][0]} (got {value!r})")
     longest = params.get("steps", 0)
     if kind == "noether-residual":
         # the same tiling rule as the integrator's grid
@@ -101,14 +107,12 @@ def _check_values(kind: str, params: dict, seed: int):
 class ExperimentConfig:
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
-    out: Path = Path("noetherdyn-out")
 
     def __post_init__(self):
         if self.kind not in PARAMETERS:
             raise UsageError(
                 f"unknown experiment {self.kind!r}; choose from {', '.join(PARAMETERS)}")
-        table = PARAMETERS[self.kind]
+        table = {**PARAMETERS[self.kind], **COMMON}
         unknown = sorted(set(self.params) - set(table))
         if unknown:
             raise UsageError(
@@ -121,12 +125,8 @@ class ExperimentConfig:
                 f"experiment {self.kind!r} is missing required parameter(s): "
                 + ", ".join(missing))
         merged = {key: coerce(key, value) for key, value in merged.items()}
-        self.seed = coerce("seed", self.seed)
-        _check_values(self.kind, merged, self.seed)
-        if self.out == "":  # Path("") is ".": the artifacts would land in the cwd
-            raise UsageError("out must name a directory (got an empty path)")
+        _check_values(self.kind, merged)
         self.params = merged
-        self.out = Path(self.out)
 
     def __getitem__(self, key):
         return self.params[key]
@@ -134,11 +134,17 @@ class ExperimentConfig:
 
 def coerce(key: str, raw):
     """The value `raw` gives `key`: a config line's or a flag's text as read,
-    any other value as its text `str(raw)` would be read."""
+    any other value as its text `str(raw)` would be read; `out` keeps its
+    text and, as str(None) is a path too, takes only a str or a path."""
+    if key == "out":
+        if not isinstance(raw, (str, PurePath)):
+            raise UsageError(
+                f"parameter out must be a path (got a value of type {type(raw).__name__})")
+        return str(raw)
     text = None
     try:
         text = str(raw)  # an int of 4,301 digits or more has no str()
-        return int(text) if key in _INTEGER_KEYS or key == "seed" else float(text)
+        return int(text) if key in _INTEGER_KEYS else float(text)
     except ValueError:
         shown = "an int too long for str()" if text is None else repr(text)
         raise UsageError(f"could not parse value {shown} for key {key!r}") from None
@@ -190,8 +196,7 @@ def read_command_line(argv, default_out: str = None) -> ExperimentConfig:
 
 def build_config(kind: str, file_values: dict = None, flag_values: dict = None,
                  default_out: str = None) -> ExperimentConfig:
-    """Merge config-file values with flag overrides (flags win)."""
-    merged = {**(file_values or {}), **(flag_values or {})}
-    seed = merged.pop("seed", 0)
-    out = merged.pop("out", default_out or "noetherdyn-out")
-    return ExperimentConfig(kind=kind, params=merged, seed=seed, out=out)
+    """Merge config-file values with flag overrides (flags win); a nonempty
+    `default_out` replaces out's default."""
+    given_out = {"out": default_out} if default_out else {}
+    return ExperimentConfig(kind, {**given_out, **(file_values or {}), **(flag_values or {})})

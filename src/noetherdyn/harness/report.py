@@ -60,9 +60,7 @@ def write_verdicts(path, verdicts) -> Path:
 
 def write_manifest(path, config, wall_time: float, version: str) -> Path:
     lines = [f"experiment = {config.kind}",
-             f"version = {version}",
-             f"seed = {config.seed}",
-             f"out = {config.out}"]
+             f"version = {version}"]
     for key in sorted(config.params):
         lines.append(f"{key} = {config.params[key]}")
     lines.append(f"wall_time_s = {wall_time:.3f}")
@@ -71,18 +69,12 @@ def write_manifest(path, config, wall_time: float, version: str) -> Path:
     return path
 
 
-@dataclass
-class ChannelVerdict:
-    passed: bool
-    max_deviation: float
-    argmax_time: float
-    tolerance: float
-
-
-def compare_channels(times, a, b, tolerance: float, window=None) -> ChannelVerdict:
-    """Max relative deviation |a - b| / |b| from the reference series b,
-    strict inequality.  window is an optional (t_lo, t_hi) restriction; a
-    window that holds no sample makes np.argmax raise ValueError.
+def compare_channels(assertion_id: str, times, a, b, tolerance: float,
+                     window=None) -> Verdict:
+    """The verdict `assertion_id` on series a against the reference series b:
+    it measures the max relative deviation |a - b| / |b| and passes when that
+    is strictly below `tolerance`.  window is an optional (t_lo, t_hi)
+    restriction; a window that holds no sample makes np.max raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -94,11 +86,8 @@ def compare_channels(times, a, b, tolerance: float, window=None) -> ChannelVerdi
         lo, hi = window
         mask = (times >= lo) & (times <= hi)
     dev = np.abs(a - b)[mask] / np.abs(b)[mask]
-    idx = int(np.argmax(dev))
-    max_dev = float(dev[idx])
-    t_at = float(times[mask][idx])
-    return ChannelVerdict(passed=bool(max_dev < tolerance), max_deviation=max_dev,
-                          argmax_time=t_at, tolerance=tolerance)
+    max_dev = float(np.max(dev))
+    return Verdict(assertion_id, bool(max_dev < tolerance), max_dev, tolerance)
 
 
 # ---------------------------------------------------------------------------

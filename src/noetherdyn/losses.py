@@ -17,24 +17,26 @@ from .errors import SingularLossError
 _ORIGIN_TOL = 1e-12
 
 
+def _symmetric_matrix(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-12):
+        raise ValueError("matrix must be square symmetric")
+    return a
+
+
 class Loss:
-    """Objective f(q) with analytic gradient."""
+    """Objective f(q) with analytic gradient.  A loss with a singular point
+    (the Rayleigh quotient and the radial well, at the origin) checks for it
+    itself, where it computes |q|, and raises SingularLossError there."""
 
     dim: int
     name: str
-    scale_invariant = False
 
     def value(self, q) -> float:
         raise NotImplementedError
 
     def grad(self, q) -> np.ndarray:
         raise NotImplementedError
-
-    def _as_point(self, q):
-        q = np.asarray(q, dtype=float)
-        if self.scale_invariant and math.sqrt(q @ q) <= _ORIGIN_TOL:
-            raise SingularLossError("origin is a singular point of scale-invariant losses")
-        return q
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -48,22 +50,25 @@ class RayleighQuotient(Loss):
     """
 
     name = "rayleigh"
-    scale_invariant = True
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-12):
-            raise ValueError("matrix must be square symmetric")
-        self.matrix = a
-        self.dim = a.shape[0]
+        self.matrix = _symmetric_matrix(matrix)
+        self.dim = self.matrix.shape[0]
+
+    @staticmethod
+    def _point(q):
+        q = np.asarray(q, dtype=float)
+        r2 = float(q @ q)
+        if math.sqrt(r2) <= _ORIGIN_TOL:
+            raise SingularLossError("origin is a singular point of the Rayleigh quotient")
+        return q, r2
 
     def value(self, q):
-        q = self._as_point(q)
-        return float(q @ self.matrix @ q) / float(q @ q)
+        q, r2 = self._point(q)
+        return float(q @ self.matrix @ q) / r2
 
     def grad(self, q):
-        q = self._as_point(q)
-        r2 = float(q @ q)
+        q, r2 = self._point(q)
         aq = self.matrix @ q
         f = float(q @ aq) / r2
         return 2.0 * (aq - f * q) / r2
@@ -130,11 +135,8 @@ class Quadratic(Loss):
     name = "quadratic"
 
     def __init__(self, matrix, offset=None):
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-12):
-            raise ValueError("matrix must be square symmetric")
-        self.matrix = a
-        self.dim = a.shape[0]
+        self.matrix = _symmetric_matrix(matrix)
+        self.dim = self.matrix.shape[0]
         self.offset = np.zeros(self.dim) if offset is None else np.asarray(offset, dtype=float)
 
     def value(self, q):

@@ -2,8 +2,7 @@
 
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Lagrangian the Euler-Lagrange systems derive from,
-the finite-step heavy-ball schedule, eom_bregman's right-hand side with
-every product written out, the generalized momentum at one point, the
+eom_bregman's right-hand side with every product written out, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
 law measured one sample at a time, the direct quadrature of the
 exponential-kernel schedule, the exact constant-drive norm solution,
@@ -22,25 +21,6 @@ from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
 
 # ---------------------------------------------------------------------------
 # geometry
-
-def sgdm_schedule(eta: float, momentum: float) -> BregmanSchedule:
-    """Finite-step heavy-ball schedule; its effective mass is eta(1+momentum)/2."""
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    m = eta * (1.0 + momentum) / 2.0
-    log_m = math.log(m)
-    rate = 2.0 * (1.0 - momentum) / (eta * (1.0 + momentum))
-    return BregmanSchedule(
-        name=f"sgdm(eta={eta:g},beta={momentum:g})",
-        alpha=lambda t: -log_m,
-        beta=lambda t: log_m,
-        gamma=lambda t: rate * t,
-        alpha_dot=lambda t: 0.0,
-        gamma_dot=lambda t: rate,
-    )
-
 
 def lagrangian(metric, schedule: BregmanSchedule, loss, q, q_dot, t: float) -> float:
     """e^(alpha+gamma) * (D_h(q + e^-alpha qdot, q) - e^beta f(q))."""

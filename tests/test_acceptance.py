@@ -41,7 +41,7 @@ def _run(kind, out):
     verdicts = run_experiment(cfg)
     wall = time.perf_counter() - started
     return SimpleNamespace(verdicts={v.assertion_id: v for v in verdicts},
-                           wall=wall, out=out, seed=cfg.seed)
+                           wall=wall, out=out, seed=cfg["seed"])
 
 
 @pytest.fixture(scope="module")

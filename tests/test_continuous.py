@@ -26,8 +26,7 @@ from noetherdyn import (
     step_gd_momentum_wd,
 )
 from noetherdyn.symmetry import time_derivative
-from oracles import (assert_same_bits, bregman_rhs, constant_history, lagrangian,
-                     sgdm_schedule)
+from oracles import assert_same_bits, bregman_rhs, constant_history, lagrangian
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
 
@@ -143,7 +142,7 @@ class TestBregmanEuclidean:
     def test_sgdm_preset_equals_modified_equation(self):
         eta, beta = 0.05, 0.3
         loss = Quadratic(np.diag([1.0, 3.0]), [0.2, -0.1])
-        bregman = eom_bregman_euclidean(sgdm_schedule(eta, beta), loss)
+        bregman = eom_bregman_euclidean(natural_schedule(eta * (1 + beta) / 2, 1 - beta), loss)
         modified = eom_modified(eta, beta, loss)
         rng = np.random.default_rng(1)
         for _ in range(20):

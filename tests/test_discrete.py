@@ -26,6 +26,14 @@ def iterates(state):
     return state.q
 
 
+def shown(states, observe=iterates):
+    """observe, appending each state it is shown to `states`."""
+    def record(state):
+        states.append(state)
+        return observe(state)
+    return record
+
+
 class TestHeavyBall:
     def test_single_gd_step(self):
         loss = Quadratic(np.eye(1))
@@ -144,7 +152,9 @@ class TestSimulate:
     def test_records_initial_state_and_every_step(self):
         loss = Quadratic(np.eye(2))
         st0 = OptimizerState.initial([1.0, -2.0])
-        final, qs = simulate(lambda s: step_gd_momentum_wd(s, loss, 0.1), st0, 4, iterates, 0.1)
+        states = []
+        _, qs = simulate(lambda s: step_gd_momentum_wd(s, loss, 0.1), st0, 4, shown(states), 0.1)
+        final = states[-1]
         assert qs.shape == (5, 2)
         np.testing.assert_array_equal(qs[0], st0.q)
         np.testing.assert_array_equal(qs[-1], final.q)
@@ -152,15 +162,18 @@ class TestSimulate:
 
     def test_zero_steps_records_only_the_initial_state(self):
         st0 = OptimizerState.initial([3.0])
-        final, qs = simulate(lambda s: pytest.fail("step must not run"), st0, 0, iterates, 1.0)
-        assert final is st0
+        states = []
+        _, qs = simulate(lambda s: pytest.fail("step must not run"), st0, 0, shown(states), 1.0)
+        assert len(states) == 1 and states[0] is st0
         np.testing.assert_array_equal(qs, [[3.0]])
 
     def test_tuple_observation_gives_one_column_per_element(self):
         loss = Quadratic(np.diag([1.0, 3.0]))
-        final, record = simulate(lambda s: step_rmsprop(s, loss, 0.01, 0.9),
-                                 OptimizerState.initial([1.0, 1.0], accumulator=2.0), 6,
-                                 lambda s: (s.q @ s.q, s.accumulator), 0.01)
+        states = []
+        _, record = simulate(lambda s: step_rmsprop(s, loss, 0.01, 0.9),
+                             OptimizerState.initial([1.0, 1.0], accumulator=2.0), 6,
+                             shown(states, lambda s: (s.q @ s.q, s.accumulator)), 0.01)
+        final = states[-1]
         assert record.shape == (7, 2)
         assert record[0].tolist() == [2.0, 2.0]
         assert record[-1].tolist() == [final.q @ final.q, final.accumulator]
@@ -187,27 +200,43 @@ class TestSimulate:
         for n in range(steps):
             state = step(state)
             expected[n + 1] = state.q @ state.q
-        final, record = simulate(step, OptimizerState.initial(q0), steps,
-                                 lambda s: s.q @ s.q, eta)
+        states = []
+        _, record = simulate(step, OptimizerState.initial(q0), steps,
+                             shown(states, lambda s: s.q @ s.q), eta)
         assert record.tobytes() == expected.tobytes()
-        assert final.q.tobytes() == state.q.tobytes()
+        assert states[-1].q.tobytes() == state.q.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(dt=strategies.floats(1e-6, 1e3), steps=strategies.integers(0, 60),
+           data=strategies.data())
+    def test_times_are_the_step_grid_and_an_abort_names_its_row(self, dt, steps, data):
+        """times is dt * np.arange(steps + 1) bit for bit, and a run whose
+        record first stops being finite at row n aborts at times[n]."""
+        step = lambda s: step_gd_momentum_wd(s, Quadratic(np.zeros((1, 1))), 0.1)  # noqa: E731
+        times, _ = simulate(step, OptimizerState.initial([1.0]), steps, iterates, dt)
+        assert times.tobytes() == (dt * np.arange(steps + 1)).tobytes()
+        n = data.draw(strategies.integers(0, steps))
+        with pytest.raises(IntegrationError) as caught:
+            simulate(step, OptimizerState.initial([1.0]), steps,
+                     lambda s: np.nan if s.step_index >= n else 1.0, dt)
+        assert caught.value.time == times[n]
 
 
 class TestGradientFlowConservation:
     def test_norm_nearly_conserved_at_small_step(self):
         ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, 4)))
         q0 = np.full(4, 0.5)
-        st, _ = simulate(lambda s: step_gd_momentum_wd(s, ray, 1e-4),
+        _, qs = simulate(lambda s: step_gd_momentum_wd(s, ray, 1e-4),
                          OptimizerState.initial(q0), 10_000, iterates, 1e-4)
-        drift = abs(st.q @ st.q - q0 @ q0) / (q0 @ q0)
+        drift = abs(qs[-1] @ qs[-1] - q0 @ q0) / (q0 @ q0)
         assert drift <= 1e-3
 
     def test_rescale_balance_nearly_conserved(self):
         tl = TwoLayerChain([1.0], [1.0])
-        st, _ = simulate(lambda s: step_gd_momentum_wd(s, tl, 1e-4),
+        _, qs = simulate(lambda s: step_gd_momentum_wd(s, tl, 1e-4),
                          OptimizerState.initial([1.5, 0.5]), 10_000, iterates, 1e-4)
         balance0 = 1.5 ** 2 - 0.5 ** 2
-        balance = st.q[0] ** 2 - st.q[1] ** 2
+        balance = qs[-1, 0] ** 2 - qs[-1, 1] ** 2
         assert abs(balance - balance0) / abs(balance0) <= 1e-3
 
     def test_norm_drift_scales_linearly_with_step_size(self):
@@ -217,9 +246,9 @@ class TestGradientFlowConservation:
         etas = [1e-4, 1e-3, 1e-2]
         drifts = []
         for eta in etas:
-            st, _ = simulate(lambda s: step_gd_momentum_wd(s, ray, eta),
+            _, qs = simulate(lambda s: step_gd_momentum_wd(s, ray, eta),
                              OptimizerState.initial(q0), int(round(1.0 / eta)), iterates, eta)
-            drifts.append(abs(st.q @ st.q - q0 @ q0) / (q0 @ q0))
+            drifts.append(abs(qs[-1] @ qs[-1] - q0 @ q0) / (q0 @ q0))
         slope = np.polyfit(np.log(etas), np.log(drifts), 1)[0]
         assert abs(slope - 1.0) <= 0.2
 

@@ -19,7 +19,7 @@ from noetherdyn import (
     nesterov_schedule,
 )
 from noetherdyn.symmetry import fd_scalar_derivative
-from oracles import assert_same_bits, fd_gradient, fd_hessian, lagrangian, sgdm_schedule
+from oracles import assert_same_bits, fd_gradient, fd_hessian, lagrangian
 
 
 def metrics_under_test():
@@ -203,8 +203,9 @@ class TestSchedules:
         assert s.gamma(3.0) == pytest.approx(0.25 * 3.0)
 
     def test_sgdm_preset_values(self):
+        # heavy ball: mass eta (1 + b) / 2, friction 1 - b
         eta, b = 0.1, 0.5
-        s = sgdm_schedule(eta, b)
+        s = natural_schedule(eta * (1 + b) / 2, 1 - b)
         m = eta * (1 + b) / 2
         assert s.alpha(1.0) == pytest.approx(-np.log(m))
         assert s.beta(1.0) == pytest.approx(np.log(m))
@@ -227,8 +228,8 @@ class TestSchedules:
     @pytest.mark.parametrize("schedule", [
         natural_schedule(1.0, 1.0),
         natural_schedule(0.2, 0.7),
-        sgdm_schedule(0.1, 0.0),
-        sgdm_schedule(0.01, 0.9),
+        natural_schedule(0.1 * (1 + 0.0) / 2, 1 - 0.0),  # heavy ball, eta 0.1, beta 0
+        natural_schedule(0.01 * (1 + 0.9) / 2, 1 - 0.9),  # heavy ball, eta 0.01, beta 0.9
         nesterov_schedule(2.0, 0.25),
         nesterov_schedule(3.0, 0.1),
     ])
@@ -243,7 +244,7 @@ class TestSchedules:
 class TestLagrangian:
     def test_sgdm_zero_state(self):
         loss = Quadratic(np.zeros((1, 1)))
-        val = lagrangian(Euclidean(1), sgdm_schedule(0.1, 0.0), loss,
+        val = lagrangian(Euclidean(1), natural_schedule(0.05, 1.0), loss,  # heavy ball, eta 0.1
                          np.zeros(1), np.zeros(1), 0.0)
         assert val == 0.0
 
@@ -257,7 +258,7 @@ class TestLagrangian:
     def test_sgdm_kinetic_only_value(self):
         # e^(alpha+gamma) D_h at t=0: (2/eta) * (eta/2)^2/2 = eta/8 per unit |qdot|^2... fixed 0.025
         loss = Quadratic(np.zeros((1, 1)))
-        val = lagrangian(Euclidean(1), sgdm_schedule(0.1, 0.0), loss,
+        val = lagrangian(Euclidean(1), natural_schedule(0.05, 1.0), loss,  # heavy ball, eta 0.1
                          np.zeros(1), np.array([1.0]), 0.0)
         assert val == pytest.approx(0.025)
 

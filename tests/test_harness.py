@@ -18,20 +18,18 @@ from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simu
                         step_gd_momentum_wd)
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
 from noetherdyn.harness.cli import main
-from noetherdyn.harness.config import (MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS, build_config,
-                                       parse_config_file, read_command_line)
+from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
+                                       build_config, parse_config_file, read_command_line)
 from noetherdyn.harness.experiments import FLAGSHIP_DIM, flagship_run
 from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
 
 
 # every key a flag or a config line may set: each experiment's, seed and out
-_KEYS = sorted({key for table in PARAMETERS.values() for key in table} | {"seed", "out"})
+_KEYS = sorted({key for table in (*PARAMETERS.values(), COMMON) for key in table})
 # value texts hold no '#' and no outer blanks, which a config line drops;
 # these texts are no value of some key or of any
 _MALFORMED = strategies.sampled_from(["", "x", "1e3", "2.5", "1.5.", "0x10", "--seed"])
 
-# the keys ExperimentConfig reads a value for: every key but the path out
-_VALUE_KEYS = [key for key in _KEYS if key != "out"]
 # a Python value of each kind a caller may pass, in range or not
 _PYTHON_VALUE = strategies.one_of(
     strategies.integers(-2, 300_000),
@@ -46,6 +44,10 @@ _PYTHON_VALUE = strategies.one_of(
     strategies.sampled_from([np.float64(0.01), np.float64(math.nan), np.float32(0.5),
                              np.int64(3), np.bool_(True)]),
 )
+# a path a caller may pass as out, as text or as a Path; each text is its
+# Path's str(), but Path("") is "."
+_PATH_TEXT = strategies.sampled_from(["run", "a/b", "-1", "x y", ".", ""])
+_PATH_VALUE = _PATH_TEXT | _PATH_TEXT.map(Path)
 
 
 def _value_text(key):
@@ -81,7 +83,7 @@ class TestConfig:
         cfg = build_config("modified-eq", values, {"beta": 0.25})
         assert cfg["eta"] == 0.1
         assert cfg["beta"] == 0.25  # flags win
-        assert cfg.seed == 3
+        assert cfg["seed"] == 3
 
     def test_unknown_key_is_usage_error(self):
         with pytest.raises(UsageError, match="stpes"):
@@ -102,6 +104,11 @@ class TestConfig:
         ("conservation", {"eta": True}),
         ("conservation", {"eta": None}),
         ("table2", {"seed": 1e3}),  # the text 1000.0, no integer, as --seed 1e3 is not
+        # out takes a path's text: str(None) is a path too, but not one meant
+        ("table2", {"out": None}),
+        ("table2", {"out": 3}),
+        ("table2", {"out": ["a"]}),
+        ("table2", {"out": ""}),  # Path("") is the working directory
     ])
     def test_out_of_range_value_is_usage_error(self, kind, params):
         with pytest.raises(UsageError):
@@ -118,7 +125,7 @@ class TestConfig:
     def test_flags_and_config_lines_are_read_alike(self, tmp_path_factory, kind, data):
         """The same `key = value` lines, given as flags or as a config file,
         give an equal configuration or the same usage error."""
-        every = strategies.permutations([*PARAMETERS[kind], "seed", "out"])  # all it takes
+        every = strategies.permutations([*PARAMETERS[kind], *COMMON])  # all it takes
         keys = data.draw(every | strategies.lists(strategies.sampled_from(_KEYS), unique=True))
         texts = [data.draw(_value_text(key)) for key in keys]
         if keys and data.draw(strategies.booleans()):
@@ -143,10 +150,10 @@ class TestConfig:
         """Any Python value gives a configuration or a usage error, and one with
         a str() gives what that text gives: an equal configuration or the same
         usage error."""
-        every = strategies.permutations([*PARAMETERS[kind], "seed"])
-        keys = data.draw(every | strategies.lists(strategies.sampled_from(_VALUE_KEYS),
-                                                  unique=True))
-        values = {key: data.draw(_PYTHON_VALUE) for key in keys}
+        every = strategies.permutations([*PARAMETERS[kind], *COMMON])
+        keys = data.draw(every | strategies.lists(strategies.sampled_from(_KEYS), unique=True))
+        values = {key: data.draw(_PATH_VALUE if key == "out" else _PYTHON_VALUE)
+                  for key in keys}
 
         def build(values):
             try:
@@ -173,43 +180,40 @@ class TestCompareChannels:
     def test_identical_series_pass_with_zero_deviation(self):
         t = np.linspace(0, 1, 11)
         a = 2.0 + np.sin(t)
-        v = compare_channels(t, a, a.copy(), 1e-9)
-        assert v.passed and v.max_deviation == 0.0
+        v = compare_channels("c.same", t, a, a.copy(), 1e-9)
+        assert v == Verdict("c.same", True, 0.0, 1e-9)
 
     def test_exactly_tolerance_fails(self):
         t = np.linspace(0, 1, 11)
         a = np.ones(11)
         b = np.ones(11)
         a[4] = 1.5
-        v = compare_channels(t, a, b, 0.5)
-        assert not v.passed
-        assert v.max_deviation == 0.5
-        assert v.argmax_time == pytest.approx(0.4)
+        assert compare_channels("c.at", t, a, b, 0.5) == Verdict("c.at", False, 0.5, 0.5)
 
     def test_relative_mode(self):
         t = np.linspace(0, 1, 5)
         b = np.full(5, 2.0)
         a = b * 1.01
-        v = compare_channels(t, a, b, 0.02)
-        assert v.passed and v.max_deviation == pytest.approx(0.01)
+        v = compare_channels("c.rel", t, a, b, 0.02)
+        assert v.passed and v.measured == pytest.approx(0.01)
 
     def test_window_restriction(self):
         t = np.linspace(0, 1, 11)
         a = np.ones(11)
         b = np.ones(11)
         b[0] = 2.0  # outside the window
-        v = compare_channels(t, a, b, 0.5, window=(0.35, 1.0))
+        v = compare_channels("c.window", t, a, b, 0.5, window=(0.35, 1.0))
         assert v.passed
 
     def test_grid_mismatch_is_error(self):
         with pytest.raises(ValueError):
-            compare_channels(np.linspace(0, 1, 5), np.ones(5), np.ones(6), 1.0)
+            compare_channels("c.grid", np.linspace(0, 1, 5), np.ones(5), np.ones(6), 1.0)
 
     def test_empty_window_is_error(self):
         # no sample in the window: a loud failure, not a verdict on nothing
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
-            compare_channels(t, np.ones(11), np.ones(11), 0.5, window=(2.0, 3.0))
+            compare_channels("c.empty", t, np.ones(11), np.ones(11), 0.5, window=(2.0, 3.0))
 
 
 class TestEmission:
@@ -259,14 +263,14 @@ def test_flagship_loop_matches_reference_stepper(seed):
     """The inlined flagship update must be bit-identical to the reference
     heavy-ball step function and loss gradient, in all four channels."""
     cfg = ExperimentConfig(kind="bn-effective-lr",
-                           params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": 500},
-                           seed=seed)
+                           params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": 500,
+                                   "seed": seed})
     times, norm_sq, gsq, ang = flagship_run(cfg)
 
     dim = FLAGSHIP_DIM
     lam = np.concatenate(([1.0], np.linspace(1.01, 1.02, dim - 1)))
     loss = RayleighQuotient(np.diag(lam))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     tangent = rng.standard_normal(dim)
     tangent[0] = 0.0
     tangent /= np.linalg.norm(tangent)
@@ -539,6 +543,9 @@ class TestCli:
                  if line.startswith("  ")]
         assert [kind[0] for kind in kinds] == list(PARAMETERS)  # one line each
         assert ["bn-effective-lr", "eta, beta, wd, steps (200000)"] in kinds
+        shared = ", ".join(f"{key} ({default})" for key, default in COMMON.items())
+        assert f"Every experiment also takes: {shared}" in captured.out.splitlines()
+        assert shared == "seed (0), out (noetherdyn-out)"
         assert os.listdir() == []
 
     @pytest.mark.parametrize("kind, params", [

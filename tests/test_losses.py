@@ -34,7 +34,7 @@ def all_losses():
 
 def sample_point(loss, rng):
     q = rng.standard_normal(loss.dim)
-    if (loss.scale_invariant or loss.name == "radial-well") and np.linalg.norm(q) < 0.3:
+    if isinstance(loss, (RayleighQuotient, RadialWell)) and np.linalg.norm(q) < 0.3:
         q = q + 1.0
     return q
 
@@ -55,6 +55,10 @@ class TestValues:
             r.value([0.0, 0.0])
         with pytest.raises(SingularLossError):
             r.grad([0.0, 1e-13])
+        for method in (r.value, r.grad):  # singular up to |q| = 1e-12, inclusive
+            with pytest.raises(SingularLossError):
+                method([1e-12, 0.0])
+            method([2e-12, 0.0])
 
 
 class TestGradients:
@@ -90,7 +94,7 @@ class TestGradients:
 
 class TestScaleInvarianceLaws:
     def scale_invariant_losses(self):
-        return [loss for loss in all_losses() if loss.scale_invariant]
+        return [loss for loss in all_losses() if isinstance(loss, RayleighQuotient)]
 
     def test_gradient_tangency(self):
         rng = np.random.default_rng(2)
