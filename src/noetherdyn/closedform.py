@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCHEDULE_CHUNK = 4096  # record samples per Python list in exp_kernel_schedule
+
 
 def exp_kernel_schedule(gsq: np.ndarray, dt: float, rate: float, prefactor: float,
                         initial: float) -> np.ndarray:
@@ -23,13 +25,23 @@ def exp_kernel_schedule(gsq: np.ndarray, dt: float, rate: float, prefactor: floa
 
     gsq[i] is the record at time i * dt.  The convolution uses trapezoid
     quadrature on that grid, composed recursively so the exact kernel
-    carries between samples.
+    carries between samples.  The recursion runs on Python floats, a chunk
+    of the record at a time: a Python loop over numpy scalars costs several
+    times as much, and a list of the whole record would hold over 10 MB for
+    a 200,001-sample run.
     """
     decay = math.exp(-rate * dt)
     conv = np.empty_like(gsq)
-    conv[0] = 0.0
-    for i in range(1, gsq.size):
-        conv[i] = decay * conv[i - 1] + 0.5 * dt * (decay * gsq[i - 1] + gsq[i])
+    conv[0] = c = 0.0
+    prev = float(gsq[0])
+    for lo in range(1, gsq.size, SCHEDULE_CHUNK):
+        chunk = []
+        append = chunk.append
+        for x in gsq[lo:lo + SCHEDULE_CHUNK].tolist():
+            c = decay * c + 0.5 * dt * (decay * prev + x)
+            prev = x
+            append(c)
+        conv[lo:lo + len(chunk)] = chunk
     memory = initial * np.exp(-rate * (dt * np.arange(gsq.size)))
     return np.sqrt(prefactor * conv + memory)
 

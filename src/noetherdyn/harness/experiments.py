@@ -278,28 +278,35 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 
 FLAGSHIP_DIM = 10
 RECORD_EVERY = 100  # the CSVs and SVGs keep every 100th step
+BLOCK = 1024  # steps per block of flagship_run's record
 
 
 def flagship_run(cfg: ExperimentConfig):
     """Heavy-ball descent with weight decay on a scale-invariant objective,
     recording the norm, the unit-sphere gradient norm, and the per-step
-    angular displacement.  Like `simulate`, it aborts at the first step
-    whose record is not finite, checked on each row as it is written: the
-    norm and the gradient norm suffice, since a finite positive norm makes
-    that step's angular displacement finite, and a zero norm makes its
-    gradient norm NaN.
+    angular displacement.
 
     The update is fused inline rather than run through `simulate` and the
     library step: at 200k steps the per-call overhead of OptimizerState,
     RayleighQuotient.grad and step_gd_momentum_wd roughly doubles the run
-    time.  For the same reason each step writes into preallocated work
-    vectors through the ufuncs' `out` argument, computes q @ q once, and
-    calls `x.dot(y)`, the same BLAS dot product as `x @ y` at about a third
-    of the call cost on these 10-vectors.  Every elementwise op and dot
-    product has the same operands, in the same order, as the library step,
-    and |d| = sqrt(d.dot(d)) is how numpy's norm reduces a real vector, so
-    tests/test_harness.py checks all four channels bit for bit against the
-    library step.
+    time.  The per-step loop carries only the serial chain: the point q,
+    rr = q.dot(q), the gradient and the momentum buffer, each op written
+    into preallocated vectors through the ufunc's `out` argument.  Each
+    step writes its gradient and its next point into rows of (BLOCK, dim)
+    arrays, and at the end of each block the whole block is recorded at
+    once: the norm, |ghat|^2 = rr |g|^2, the normalised points and the
+    angular steps |qhat_n - qhat_(n-1)|.  Every elementwise op has the same
+    operands, in the same order, as the library step, and a block's dot
+    products are `np.vecdot`, which makes the same per-row BLAS call as
+    `x.dot(x)`, so tests/test_harness.py checks all four channels bit for
+    bit against the library step.
+
+    Like `simulate`, it aborts at the first step whose record is not finite:
+    the norm and the gradient norm suffice, since a finite positive norm
+    makes that step's angular displacement finite, and a zero norm makes
+    its gradient norm NaN.  The check runs on each block as it is recorded,
+    so a diverging run stops at the end of the block that holds its first
+    non-finite step, and still names that step and its time.
     """
     eta = cfg["eta"]
     beta = cfg["beta"]
@@ -314,41 +321,69 @@ def flagship_run(cfg: ExperimentConfig):
     tangent[0] = 0.0
     tangent /= np.linalg.norm(tangent)
     angle = np.deg2rad(60.0)
-    q = np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent
 
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+    # a constant operand as a vector: a ufunc call converts a Python float
+    # on every call, which costs more than the op on ten entries
+    k_vec, eta_vec, beta_vec, two_vec = (np.full(dim, c) for c in (k, eta, beta, 2.0))
+    aq, t = np.empty(dim), np.empty(dim)
     buffer = np.zeros(dim)
-    aq, g, t, d, qhat = (np.empty(dim) for _ in range(5))
+    # row i holds step lo + i of the current block; the point after its last
+    # step goes to row `BLOCK` and moves to row 0 for the next block
+    points = np.empty((BLOCK + 1, dim))
+    grads = np.empty((BLOCK, dim))
+    # row 0 holds the normalised point of the step before the block
+    units = np.empty((BLOCK + 1, dim))
+    point_rows, grad_rows = list(points), list(grads)
+
+    q = point_rows[0]
+    q[:] = np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent
+    rr = q.dot(q)
+    divide(q, math.sqrt(rr), units[0])  # so the angular step at step 0 is 0
     norm_sq = np.empty(steps + 1)
     gsq = np.empty(steps + 1)
-    ang = np.zeros(steps + 1)
-    rr = q.dot(q)
-    qhat_prev = q / math.sqrt(rr)
+    ang = np.empty(steps + 1)
     times = eta * np.arange(steps + 1)
 
-    for n in range(steps + 1):
-        np.multiply(lam, q, aq)  # the diagonal matrix product, bit for bit
-        f = q.dot(aq) / rr
-        np.multiply(f, q, t)  # g = 2 (aq - f q) / rr
-        np.subtract(aq, t, t)
-        np.multiply(2.0, t, t)
-        np.divide(t, rr, g)
-        norm_sq[n] = rr
-        gsq_n = gsq[n] = rr * g.dot(g)  # |ghat|^2 = r^2 |grad f(q)|^2 by scale invariance
-        if not (math.isfinite(rr) and math.isfinite(gsq_n)):
+    for lo in range(0, steps + 1, BLOCK):
+        rows = min(BLOCK, steps + 1 - lo)
+        last = steps - lo  # the row of the final step, if it is in this block
+        for i in range(rows):
+            multiply(lam, q, aq)  # the diagonal matrix product, bit for bit
+            f = q.dot(aq) / rr
+            multiply(f, q, t)  # g = 2 (aq - f q) / rr
+            subtract(aq, t, t)
+            multiply(two_vec, t, t)
+            g = grad_rows[i]
+            divide(t, rr, g)
+            if i == last:
+                break
+            multiply(k_vec, q, t)  # buffer = beta buffer - eta (g + k q)
+            add(g, t, t)
+            multiply(eta_vec, t, t)
+            multiply(beta_vec, buffer, buffer)
+            subtract(buffer, t, buffer)
+            q_next = point_rows[i + 1]
+            add(q, buffer, q_next)
+            q = q_next
+            rr = q.dot(q)
+
+        block_q = points[:rows]
+        block_norm_sq = np.vecdot(block_q, block_q, out=norm_sq[lo:lo + rows])
+        block_gsq = gsq[lo:lo + rows]
+        # |ghat|^2 = r^2 |grad f(q)|^2 by scale invariance
+        multiply(block_norm_sq, np.vecdot(grads[:rows], grads[:rows]), block_gsq)
+        finite = np.isfinite(block_norm_sq) & np.isfinite(block_gsq)
+        if not finite.all():
+            n = lo + int(np.argmin(finite))
             raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
                                    time=times[n])
-        if n < steps:
-            np.multiply(k, q, t)  # buffer = beta buffer - eta (g + k q)
-            np.add(g, t, t)
-            np.multiply(eta, t, t)
-            np.multiply(beta, buffer, buffer)
-            np.subtract(buffer, t, buffer)
-            np.add(q, buffer, q)
-            rr = q.dot(q)
-            np.divide(q, math.sqrt(rr), qhat)
-            np.subtract(qhat, qhat_prev, d)
-            ang[n + 1] = math.sqrt(d.dot(d))
-            qhat, qhat_prev = qhat_prev, qhat
+        divide(block_q, np.sqrt(block_norm_sq)[:, None], units[1:rows + 1])
+        d = subtract(units[1:rows + 1], units[:rows])
+        np.sqrt(np.vecdot(d, d), out=ang[lo:lo + rows])
+        units[0] = units[rows]
+        points[0] = points[rows]
+        q = point_rows[0]
     return times, norm_sq, gsq, ang
 
 

@@ -5,7 +5,8 @@ than in the package: the Lagrangian the Euler-Lagrange systems derive from,
 eom_bregman's right-hand side with every product written out, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
 law measured one sample at a time, the direct quadrature of the
-exponential-kernel schedule, the exact constant-drive norm solution,
+exponential-kernel schedule and its recursion run one numpy sample at a
+time, the exact constant-drive norm solution,
 finite-difference gradients and Hessians, and a bit-for-bit array
 comparison.
 """
@@ -122,6 +123,19 @@ def exp_kernel_quadrature(gsq: np.ndarray, dt: float, rate: float, prefactor: fl
         memory = initial * math.exp(-rate * (times[i] - times[0]))
         out[i] = math.sqrt(prefactor * integral + memory)
     return out
+
+
+def exp_kernel_recurrence(gsq: np.ndarray, dt: float, rate: float, prefactor: float,
+                          initial: float) -> np.ndarray:
+    """exp_kernel_schedule's recursion written one numpy sample at a time,
+    reading each step's accumulator back from the array it writes."""
+    decay = math.exp(-rate * dt)
+    conv = np.empty_like(gsq)
+    conv[0] = 0.0
+    for i in range(1, gsq.size):
+        conv[i] = decay * conv[i - 1] + 0.5 * dt * (decay * gsq[i - 1] + gsq[i])
+    memory = initial * np.exp(-rate * (dt * np.arange(gsq.size)))
+    return np.sqrt(prefactor * conv + memory)
 
 
 def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,

@@ -14,8 +14,9 @@ from noetherdyn import (
     steady_angular_speed,
     steady_radius,
 )
-from noetherdyn.closedform import exp_kernel_schedule
-from oracles import constant_history, exp_kernel_quadrature, solve_bernoulli_check
+from noetherdyn.closedform import SCHEDULE_CHUNK, exp_kernel_schedule
+from oracles import (assert_same_bits, constant_history, exp_kernel_quadrature,
+                     exp_kernel_recurrence, solve_bernoulli_check)
 
 
 def wiggly_history(t1=50.0, dt=0.01, floor=0.2):
@@ -36,6 +37,20 @@ class TestExpKernelSchedule:
         np.testing.assert_allclose(exp_kernel_schedule(gsq, dt, rate, prefactor, initial),
                                    exp_kernel_quadrature(gsq, dt, rate, prefactor, initial),
                                    rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=strategies.integers(0, 2), offset=strategies.integers(-2, 2),
+           seed=strategies.integers(0, 2 ** 32 - 1), dt=strategies.floats(1e-4, 0.1),
+           rate=strategies.floats(0.0, 20.0), prefactor=strategies.floats(1e-3, 1e3),
+           initial=strategies.floats(1e-3, 1e3))
+    def test_chunked_recursion_matches_per_sample_recursion(self, chunks, offset, seed, dt,
+                                                            rate, prefactor, initial):
+        """Bit for bit, on records that end at, just before and just after
+        the chunk boundaries of the Python-float recursion."""
+        size = max(1, chunks * SCHEDULE_CHUNK + offset)
+        gsq = np.random.default_rng(seed).exponential(size=size)
+        assert_same_bits(exp_kernel_schedule(gsq, dt, rate, prefactor, initial),
+                         exp_kernel_recurrence(gsq, dt, rate, prefactor, initial))
 
 
 class TestR2Schedule:

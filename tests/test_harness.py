@@ -16,12 +16,13 @@ from hypothesis import strategies
 
 from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
                         step_gd_momentum_wd)
-from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels
+from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, experiments
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
                                        build_config, parse_config_file, read_command_line)
-from noetherdyn.harness.experiments import FLAGSHIP_DIM, flagship_run
+from noetherdyn.harness.experiments import BLOCK, FLAGSHIP_DIM, flagship_run
 from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
+from oracles import assert_same_bits
 
 
 # every key a flag or a config line may set: each experiment's, seed and out
@@ -292,6 +293,44 @@ def test_flagship_loop_matches_reference_stepper(seed):
     assert ang.tobytes() == ang_reference.tobytes()
 
 
+def _reference_channels(cfg):
+    """The four flagship channels from `simulate` running the library step."""
+    dim = FLAGSHIP_DIM
+    lam = np.concatenate(([1.0], np.linspace(1.01, 1.02, dim - 1)))
+    loss = RayleighQuotient(np.diag(lam))
+    rng = np.random.default_rng(cfg["seed"])
+    tangent = rng.standard_normal(dim)
+    tangent[0] = 0.0
+    tangent /= np.linalg.norm(tangent)
+    angle = np.deg2rad(60.0)
+    state = OptimizerState.initial(np.cos(angle) * np.eye(dim)[0] + np.sin(angle) * tangent)
+    times, qs = simulate(
+        lambda state: step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
+                                          weight_decay=cfg["wd"]),
+        state, cfg["steps"], lambda state: state.q, cfg["eta"])
+    qhat = [q / np.sqrt(q @ q) for q in qs]
+    return (times, np.array([q @ q for q in qs]),
+            np.array([(q @ q) * (g @ g) for q, g in ((q, loss.grad(q)) for q in qs)]),
+            np.array([0.0] + [np.linalg.norm(qhat[n + 1] - qhat[n])
+                              for n in range(cfg["steps"])]))
+
+
+@pytest.mark.parametrize("block, steps", [(BLOCK, BLOCK - 1), (BLOCK, BLOCK), (BLOCK, BLOCK + 1),
+                                          (BLOCK, 2 * BLOCK + 1), (7, 5), (7, 6), (7, 7),
+                                          (7, 13), (7, 14), (7, 15), (1, 4)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_flagship_blocks_match_reference_stepper(monkeypatch, block, steps, seed):
+    """The record is written a block of steps at a time: the last step may
+    end a block, fall just short of its end, or open the next one, and every
+    channel keeps its bits across each boundary."""
+    monkeypatch.setattr(experiments, "BLOCK", block)
+    cfg = ExperimentConfig(kind="bn-effective-lr",
+                           params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": steps,
+                                   "seed": seed})
+    for channel, reference in zip(flagship_run(cfg), _reference_channels(cfg)):
+        assert_same_bits(channel, reference)
+
+
 def test_diverging_flagship_run_aborts_with_its_time():
     cfg = ExperimentConfig(kind="bn-effective-lr",
                            params={"eta": 50.0, "beta": 0.9, "wd": 1.0, "steps": 200})
@@ -406,6 +445,22 @@ class TestCli:
         assert capsys.readouterr().err == ("noetherdyn: numerical abort: run diverged: recorded"
                                            " value not finite after step 92 (t=4600)\n")
         assert elapsed < 1.0  # all 200,000 steps take several seconds
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_diverging_flagship_names_its_step_whatever_the_block(self, tmp_path, capsys,
+                                                                 monkeypatch, block):
+        """The record is checked a block at a time; the abort still names
+        the first non-finite step (92 lies inside a block of 7 and of 64)."""
+        monkeypatch.setattr(experiments, "BLOCK", block)
+        started = time.process_time()
+        code = main(["bn-effective-lr", "--eta", "50", "--beta", "0.9", "--wd", "1",
+                     "--out", str(tmp_path / "x")])
+        elapsed = time.process_time() - started
+        assert code == 3
+        assert capsys.readouterr().err == ("noetherdyn: numerical abort: run diverged: recorded"
+                                           " value not finite after step 92 (t=4600)\n")
+        assert not (tmp_path / "x").exists()
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("preset, expected", [(None, "1 1 1"), ("3", "1 3 1")],
                              ids=["unset", "caller-set"])
