@@ -104,7 +104,6 @@ class KernelMap:
     terms to coincide.
     """
 
-    eta: float
     rho: float
     prefactor_ratio: float
 
@@ -126,4 +125,4 @@ def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
         raise ValueError("decay-rate match needs a smaller eta: rho would be negative")
 
     ratio = math.inf if rate == 0.0 else prefactor / rate
-    return KernelMap(eta=eta, rho=rho, prefactor_ratio=ratio)
+    return KernelMap(rho=rho, prefactor_ratio=ratio)

@@ -112,9 +112,15 @@ def simulate(step, state: OptimizerState, steps: int, observe, dt: float):
     for n in range(1, steps + 1):
         state = step(state)
         record[n] = observe(state)
-    finite = np.isfinite(record).reshape(len(record), -1).all(axis=1)
+    raise_if_diverged(np.isfinite(record).reshape(len(record), -1).all(axis=1), times, 0)
+    return times, record
+
+
+def raise_if_diverged(finite, times, first: int):
+    """Abort a run at its first non-finite record: `finite[i]` says whether
+    the record of step first + i is finite, and `times` is the run's whole
+    grid.  Raises IntegrationError naming that step and its time."""
     if not finite.all():
-        n = int(np.argmin(finite))
+        n = first + int(np.argmin(finite))
         raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
                                time=times[n])
-    return times, record

@@ -135,11 +135,13 @@ class ExperimentConfig:
 def coerce(key: str, raw):
     """The value `raw` gives `key`: a config line's or a flag's text as read,
     any other value as its text `str(raw)` would be read; `out` keeps its
-    text and, as str(None) is a path too, takes only a str or a path."""
+    text, and takes only a str or a nonempty path (str(None) is a path too)."""
     if key == "out":
         if not isinstance(raw, (str, PurePath)):
             raise UsageError(
                 f"parameter out must be a path (got a value of type {type(raw).__name__})")
+        if raw == PurePath(""):  # Path("") is Path("."): neither says which was meant
+            raise UsageError(f"parameter out must name a directory (got {raw!r})")
         return str(raw)
     text = None
     try:

@@ -125,24 +125,23 @@ class RadialWell(Loss):
 
 
 class Quadratic(Loss):
-    """f(q) = <q, A q> / 2 + <b, q> for symmetric positive-semidefinite A.
+    """f(q) = <q, A q> / 2 for symmetric positive-semidefinite A.
 
-    Translation invariant along any null direction of A orthogonal to b,
-    which makes a degenerate quadratic a convenient exactly-invariant
-    objective with tunable curvature.
+    Translation invariant along any null direction of A, which makes a
+    degenerate quadratic a convenient exactly-invariant objective with
+    tunable curvature.
     """
 
     name = "quadratic"
 
-    def __init__(self, matrix, offset=None):
+    def __init__(self, matrix):
         self.matrix = _symmetric_matrix(matrix)
         self.dim = self.matrix.shape[0]
-        self.offset = np.zeros(self.dim) if offset is None else np.asarray(offset, dtype=float)
 
     def value(self, q):
         q = np.asarray(q, dtype=float)
-        return 0.5 * float(q @ self.matrix @ q) + float(self.offset @ q)
+        return 0.5 * float(q @ self.matrix @ q)
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
-        return self.matrix @ q + self.offset
+        return self.matrix @ q

@@ -194,14 +194,6 @@ def kinetic_asymmetry(metric: Metric, transform: SymmetryTransform, q, q_dot,
     return fd_scalar_derivative(energy, 0.0)
 
 
-@dataclass
-class Table2Cell:
-    metric: str
-    transform: str
-    label: str  # "symmetric" | "asymmetric"
-    max_abs: float
-
-
 def _sample_state(metric: Metric, rng):
     if metric.name == "negative-entropy":
         q = rng.uniform(0.6, 1.6, size=metric.dim)
@@ -212,25 +204,22 @@ def _sample_state(metric: Metric, rng):
     return q, q_dot
 
 
-def table2_report(metrics, transforms, samples: int = 16, seed: int = 0):
-    """Classify each (metric, transform) pair as symmetric or asymmetric.
+def table2_report(metrics, transforms, samples: int = 16, seed: int = 0) -> np.ndarray:
+    """The metric x transform array of the largest |kinetic asymmetry| over
+    `samples` random states; a cell is symmetric iff its entry is at most
+    SYMMETRIC_TOL.
 
-    A cell is symmetric iff |kinetic asymmetry| <= SYMMETRIC_TOL at every
-    sampled random state.  `_sample_state` keeps every state, and its
-    finite-s neighbours, inside the metric's domain.  Requires samples >= 1
-    (unchecked).
+    `_sample_state` keeps every state, and its finite-s neighbours, inside
+    the metric's domain.  Requires samples >= 1 (unchecked).
     """
     rng = np.random.default_rng(seed)
-    rows = []
-    for metric in metrics:
-        row = []
-        for transform in transforms:
-            max_abs = max(abs(kinetic_asymmetry(metric, transform, *_sample_state(metric, rng)))
-                          for _ in range(samples))
-            label = "symmetric" if max_abs <= SYMMETRIC_TOL else "asymmetric"
-            row.append(Table2Cell(metric.name, transform.name, label, max_abs))
-        rows.append(row)
-    return rows
+    max_abs = np.empty((len(metrics), len(transforms)))
+    for i, metric in enumerate(metrics):
+        for j, transform in enumerate(transforms):
+            max_abs[i, j] = max(abs(kinetic_asymmetry(metric, transform,
+                                                      *_sample_state(metric, rng)))
+                                for _ in range(samples))
+    return max_abs
 
 
 @dataclass

@@ -139,7 +139,7 @@ class TestKernelMap:
     def test_rate_identity(self):
         eta, beta, k = 0.01, 0.9, 1e-4
         m = bn_rmsprop_map(eta, beta, k)
-        assert (1.0 - m.rho) / m.eta == pytest.approx(4.0 * k / (1.0 - beta))
+        assert (1.0 - m.rho) / eta == pytest.approx(4.0 * k / (1.0 - beta))
 
     def test_zero_decay_maps_to_frozen_rho(self):
         m = bn_rmsprop_map(0.01, 0.9, 0.0)
@@ -171,7 +171,7 @@ class TestKernelMap:
         gsq = (1.0 + amps[0] * np.sin(freqs[0] * times + phase)
                + amps[1] * np.cos(freqs[1] * times))
         a = r2_schedule(gsq, 0.01, eta, beta, k, r0)
-        b = g_schedule(gsq, 0.01, m.eta, m.rho, r0 ** 4)
+        b = g_schedule(gsq, 0.01, eta, m.rho, r0 ** 4)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
 

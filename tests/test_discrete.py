@@ -1,4 +1,4 @@
-"""Discrete update rules: hand-rolled oracles and conservation behavior."""
+"""Discrete update rules against hand-rolled oracles, and the `simulate` loop."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,7 @@ from noetherdyn import (
     OptimizerState,
     Quadratic,
     RayleighQuotient,
-    TwoLayerChain,
     centered_velocities,
-    eom_bregman_euclidean,
-    integrate_rk4,
-    nesterov_schedule,
     simulate,
     step_gd_momentum_wd,
     step_nesterov,
@@ -87,24 +83,6 @@ class TestNesterov:
         x3 = y2 - 0.1 * y2
         np.testing.assert_allclose(qs[:, 0], [x0, x1, x2, x3], rtol=1e-14)
 
-    def test_tracks_accelerated_gradient_ode(self):
-        """f along the iterates follows the n=2 singular-damping model, with
-        one discrete step worth sqrt(eta) of model time."""
-        eta = 1e-4
-        s = np.sqrt(eta)
-        loss = Quadratic(np.eye(1))
-        nsteps = int(round(1.0 / s))
-        _, qs = simulate(lambda s: step_nesterov(s, loss, eta),
-                         OptimizerState.initial([1.0]), nsteps, iterates, s)
-        xs = qs[:, 0]
-        k0 = int(round(0.2 / s))
-        v0 = (xs[k0 + 1] - xs[k0 - 1]) / (2 * s)
-        system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
-        traj = integrate_rk4(system, [xs[k0]], [v0], k0 * s, 1.0, s / 10)
-        f_ode = loss.value(traj.q[-1])
-        f_disc = loss.value([xs[nsteps]])
-        assert abs(f_disc - f_ode) / abs(f_ode) <= 1e-2
-
 
 class TestRmsprop:
     def test_hand_rolled_step(self):
@@ -115,10 +93,13 @@ class TestRmsprop:
         assert st.accumulator == pytest.approx(1.0)  # 0.9*1 + 0.1*1
 
     def test_constant_gradient_norm_fixes_accumulator(self):
-        loss = Quadratic(np.zeros((2, 2)), [3.0, 4.0])  # |g| = 5 everywhere
+        class Slope:  # f(q) = 3 q1 + 4 q2: |g| = 5 everywhere
+            def grad(self, q):
+                return np.array([3.0, 4.0])
+
         st = OptimizerState.initial([0.0, 0.0], accumulator=25.0)
         for _ in range(10):
-            st = step_rmsprop(st, loss, 0.01, 0.9)
+            st = step_rmsprop(st, Slope(), 0.01, 0.9)
             assert st.accumulator == pytest.approx(25.0)
 
     def test_zero_gradient_decays_accumulator_geometrically(self):
@@ -192,7 +173,7 @@ class TestSimulate:
            eta=strategies.floats(1e-4, 0.5),
            steps=strategies.integers(0, 60))
     def test_bit_identical_to_hand_rolled_loop(self, q0, eta, steps):
-        loss = Quadratic(np.diag([1.0, 2.0, 3.0]), [0.5, -0.25, 0.0])
+        loss = Quadratic(np.diag([1.0, 2.0, 3.0]))
         step = lambda s: step_gd_momentum_wd(s, loss, eta, beta=0.5, weight_decay=1e-3)  # noqa: E731
         state = OptimizerState.initial(q0)
         expected = np.empty(steps + 1)
@@ -220,37 +201,6 @@ class TestSimulate:
             simulate(step, OptimizerState.initial([1.0]), steps,
                      lambda s: np.nan if s.step_index >= n else 1.0, dt)
         assert caught.value.time == times[n]
-
-
-class TestGradientFlowConservation:
-    def test_norm_nearly_conserved_at_small_step(self):
-        ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, 4)))
-        q0 = np.full(4, 0.5)
-        _, qs = simulate(lambda s: step_gd_momentum_wd(s, ray, 1e-4),
-                         OptimizerState.initial(q0), 10_000, iterates, 1e-4)
-        drift = abs(qs[-1] @ qs[-1] - q0 @ q0) / (q0 @ q0)
-        assert drift <= 1e-3
-
-    def test_rescale_balance_nearly_conserved(self):
-        tl = TwoLayerChain([1.0], [1.0])
-        _, qs = simulate(lambda s: step_gd_momentum_wd(s, tl, 1e-4),
-                         OptimizerState.initial([1.5, 0.5]), 10_000, iterates, 1e-4)
-        balance0 = 1.5 ** 2 - 0.5 ** 2
-        balance = qs[-1, 0] ** 2 - qs[-1, 1] ** 2
-        assert abs(balance - balance0) / abs(balance0) <= 1e-3
-
-    def test_norm_drift_scales_linearly_with_step_size(self):
-        """Symmetry breaking per unit time is proportional to the step size."""
-        ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, 4)))
-        q0 = np.full(4, 0.5)
-        etas = [1e-4, 1e-3, 1e-2]
-        drifts = []
-        for eta in etas:
-            _, qs = simulate(lambda s: step_gd_momentum_wd(s, ray, eta),
-                             OptimizerState.initial(q0), int(round(1.0 / eta)), iterates, eta)
-            drifts.append(abs(qs[-1] @ qs[-1] - q0 @ q0) / (q0 @ q0))
-        slope = np.polyfit(np.log(etas), np.log(drifts), 1)[0]
-        assert abs(slope - 1.0) <= 0.2
 
 
 def test_centered_velocity_export():

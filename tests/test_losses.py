@@ -28,7 +28,7 @@ def all_losses():
         RayleighQuotient(sym),
         TwoLayerChain([1.0, 2.0], [1.0, 0.5]),
         RadialWell(1.0, 25.0, 3),
-        Quadratic(np.diag([1.0, 2.0, 3.0]), [0.1, 0.0, -0.2]),
+        Quadratic(np.diag([1.0, 2.0, 3.0])),
     ]
 
 
