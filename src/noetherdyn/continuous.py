@@ -5,7 +5,9 @@ finite-difference charge derivatives and channel alignment trivial, and
 none of the systems is stiff at the parameters we test.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,32 +48,64 @@ def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(steps + 1)
 
 
-def rk4_solve(f, y0, t0: float, t1: float, dt: float):
-    """Classical 4th-order Runge-Kutta on a flat state vector.
+def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
+    """Classical 4th-order Runge-Kutta on a flat state vector y of n entries.
+
+    With split = 0, dy/dt = f(t, y).  With split > 0, the first `split`
+    entries of dy/dt are y's last `split` entries, and f(t, head, tail),
+    called with y cut into y[:n - split] and y[n - split:], returns the
+    other n - split: a second-order system qddot = rhs(t, q, qdot) is
+    split = d on y = [q, qdot].
 
     Returns (times, states) with states[i] the solution at times[i].
     Domain violations raised by f abort with the offending time attached,
     and so does the first state that is not finite (checked once per step).
+
+    Each stage lives in one buffer [y_j, f_j] of 2n - split entries, made
+    once per solve, so its derivative is the view buffer[n - split:]; f's
+    result is copied into f_j, and every combination writes into a buffer
+    with a constant vector operand.  Each value is the same expression as
+    y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
     """
     times = _grid(t0, t1, dt)
-    y = np.asarray(y0, dtype=float).copy()
-    if not np.isfinite(y).all():
+    y0 = np.asarray(y0, dtype=float)
+    if not np.isfinite(y0).all():
         raise IntegrationError("initial state is not finite", time=t0)
-    out = np.empty((times.size, y.size))
-    out[0] = y
+    n = y0.size
+    out = np.empty((times.size, n))
+    out[0] = y0
+    buffers = np.empty((4, 2 * n - split))
+    y1, y2, y3, y4 = buffers[:, :n]
+    k1, k2, k3, k4 = buffers[:, n - split:]
+    f1, f2, f3, f4 = buffers[:, n:]
+    args1, args2, args3, args4 = [(y,) if split == 0 else (y[:n - split], y[n - split:])
+                                  for y in (y1, y2, y3, y4)]
+    half, whole, sixth, two = (np.full(n, c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    zero = np.zeros(n)
+    product = np.empty(n)
+    total = np.empty(n)
+    mid = 0.5 * dt
+    y1[...] = y0
     for i in range(times.size - 1):
         t = times[i]
         try:
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-            k4 = f(t + dt, y + dt * k3)
+            f1[...] = f(t, *args1)
+            np.add(y1, np.multiply(half, k1, out=product), out=y2)
+            f2[...] = f(t + mid, *args2)
+            np.add(y1, np.multiply(half, k2, out=product), out=y3)
+            f3[...] = f(t + mid, *args3)
+            np.add(y1, np.multiply(whole, k3, out=product), out=y4)
+            f4[...] = f(t + dt, *args4)
         except DomainError as exc:
             raise IntegrationError(f"rhs left its domain: {exc}", time=t) from exc
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+        np.add(k1, np.multiply(two, k2, out=product), out=total)
+        np.add(total, np.multiply(two, k3, out=product), out=total)
+        np.add(total, k4, out=total)
+        y = out[i + 1]
+        np.add(y1, np.multiply(sixth, total, out=total), out=y)
+        if not math.isfinite(np.dot(zero, y)):  # 0 * y sums to NaN iff y has inf or NaN
             raise IntegrationError("state is no longer finite", time=times[i + 1])
-        out[i + 1] = y
+        y1[...] = y
     return times, out
 
 
@@ -83,14 +117,7 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     if q0.shape != qdot0.shape:
         raise ValueError("q0 and qdot0 must share a shape")
     d = q0.size
-
-    def f(t, y):
-        dy = np.empty(2 * d)
-        dy[:d] = y[d:]
-        dy[d:] = system.rhs(t, y[:d], y[d:])
-        return dy
-
-    times, ys = rk4_solve(f, np.concatenate((q0, qdot0)), t0, t1, dt)
+    times, ys = rk4_solve(system.rhs, np.concatenate((q0, qdot0)), t0, t1, dt, split=d)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
@@ -126,11 +153,19 @@ def eom_bregman_euclidean(schedule: BregmanSchedule, loss) -> SecondOrderSystem:
     return SecondOrderSystem(name=f"bregman-euclidean[{schedule.name}]", rhs=rhs)
 
 
-def _scaled(c: float, v):
-    """c * v, with the product skipped when c is exactly 1.0: v * 1.0 is v,
-    bit for bit.  There is no such skip at 0: 0 * v carries the signs and
-    NaNs of v."""
-    return v if c == 1.0 else c * v
+def _coefficients(schedule: BregmanSchedule, t: float):
+    """eom_bregman's coefficients at t: e^-alpha, e^alpha - gamma_dot,
+    e^(alpha+beta), e^alpha and e^alpha - alpha_dot."""
+    a = schedule.alpha(t)
+    ea = math.exp(a)
+    return (math.exp(-a), ea - schedule.gamma_dot(t), math.exp(a + schedule.beta(t)), ea,
+            ea - schedule.alpha_dot(t))
+
+
+def _keep(c, v):
+    """The product c * v for a stationary c of exactly 1.0: v itself, as v * 1.0
+    is v bit for bit."""
+    return v
 
 
 def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderSystem:
@@ -142,20 +177,32 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
                                   - e^(alpha+beta) grad f(q) ]
                 - (e^alpha - alpha_dot) qdot
 
-    which reduces to the Euclidean form above when H = I.  Under
-    natural_schedule(1, mu) every coefficient but e^alpha - gamma_dot = 1 - mu
-    is exactly 1.0, and _scaled skips those products.
+    which reduces to the Euclidean form above when H = I.  A stationary
+    schedule's coefficients are computed once, here, and a product by one
+    that is exactly 1.0 is skipped; natural_schedule(1, mu) has every one
+    but e^alpha - gamma_dot = 1 - mu.  There is no such skip at 0: 0 * v
+    carries the signs and NaNs of v, so the damping is always multiplied in.
     """
+    if schedule.stationary:
+        scalars = _coefficients(schedule, 0.0)
+        by_inverse, by_force, by_scale, by_drag = (
+            _keep if c == 1.0 else operator.mul for c in scalars[:1] + scalars[2:])
+        # as vectors: an array operand costs less than a float, for the same bits
+        fixed = tuple(np.full(metric.dim, c) for c in scalars)
+
+        def coefficients(t):
+            return fixed
+
+    else:
+        coefficients = functools.partial(_coefficients, schedule)
+        by_inverse = by_force = by_scale = by_drag = operator.mul
 
     def rhs(t, q, q_dot):
-        a = schedule.alpha(t)
-        ea = math.exp(a)
-        u = q + _scaled(math.exp(-a), q_dot)
+        inverse, damping, force, scale, drag = coefficients(t)
+        u = q + by_inverse(inverse, q_dot)
         delta = metric.grad(u) - metric.grad(q)
-        drive = (ea - schedule.gamma_dot(t)) * delta \
-            - _scaled(math.exp(a + schedule.beta(t)), loss.grad(q))
-        return _scaled(ea, metric.hessian_solve(u, drive)) \
-            - _scaled(ea - schedule.alpha_dot(t), q_dot)
+        drive = damping * delta - by_force(force, loss.grad(q))
+        return by_scale(scale, metric.hessian_solve(u, drive)) - by_drag(drag, q_dot)
 
     return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
                              parameters={"metric": metric.name})

@@ -173,6 +173,8 @@ class BregmanSchedule:
     alpha sets the velocity scale of the kinetic energy, beta the weighting
     of the potential, gamma the dissipation.  alpha_dot and gamma_dot are
     the analytic derivatives (checked against finite differences in tests).
+    A stationary schedule promises that alpha, beta, alpha_dot and gamma_dot
+    are constants, so that a consumer may evaluate them once.
     """
 
     name: str
@@ -181,6 +183,7 @@ class BregmanSchedule:
     gamma: Callable[[float], float]
     alpha_dot: Callable[[float], float]
     gamma_dot: Callable[[float], float]
+    stationary: bool = False
 
 
 def natural_schedule(m: float, mu: float) -> BregmanSchedule:
@@ -196,6 +199,7 @@ def natural_schedule(m: float, mu: float) -> BregmanSchedule:
         gamma=lambda t: (mu / m) * t,
         alpha_dot=lambda t: 0.0,
         gamma_dot=lambda t: mu / m,
+        stationary=True,
     )
 
 

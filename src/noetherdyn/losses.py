@@ -98,7 +98,8 @@ class TwoLayerChain(Loss):
     def grad(self, q):
         q1, q2 = np.asarray(q, dtype=float)
         resid = q2 * q1 * self.x - self.y
-        return np.array([float(resid @ self.x) * q2, float(resid @ self.x) * q1])
+        c = float(resid @ self.x)
+        return np.array([c * q2, c * q1])
 
 
 class RadialWell(Loss):

@@ -2,7 +2,8 @@
 
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Lagrangian the Euler-Lagrange systems derive from,
-eom_bregman's right-hand side with every product written out, the generalized momentum at one point, the
+eom_bregman's right-hand side with every product written out, an RK4
+loop that allocates every stage, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
 law measured one sample at a time, the direct quadrature of the
 exponential-kernel schedule and its recursion run one numpy sample at a
@@ -15,7 +16,9 @@ import math
 
 import numpy as np
 
-from noetherdyn import r2_schedule
+from noetherdyn import IntegrationError, r2_schedule
+from noetherdyn.continuous import _grid
+from noetherdyn.errors import DomainError
 from noetherdyn.geometry import BregmanSchedule, bregman_divergence
 from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
 
@@ -43,6 +46,44 @@ def bregman_rhs(metric, schedule: BregmanSchedule, loss, t: float, q, q_dot):
     drive = (ea - schedule.gamma_dot(t)) * delta \
         - math.exp(a + schedule.beta(t)) * loss.grad(q)
     return ea * metric.hessian_solve(u, drive) - (ea - schedule.alpha_dot(t)) * q_dot
+
+
+# ---------------------------------------------------------------------------
+# continuous
+
+def rk4_reference(f, y0, t0: float, t1: float, dt: float, split: int = 0):
+    """rk4_solve as a loop that allocates each stage, its derivative and each
+    new state, with f's calling convention turned into a full dy/dt."""
+    y = np.asarray(y0, dtype=float).copy()
+    n = y.size
+    if split:
+        rest = f
+
+        def f(t, y):
+            dy = np.empty(n)
+            dy[:split] = y[n - split:]
+            dy[split:] = rest(t, y[:n - split], y[n - split:])
+            return dy
+
+    times = _grid(t0, t1, dt)
+    if not np.isfinite(y).all():
+        raise IntegrationError("initial state is not finite", time=t0)
+    out = np.empty((times.size, y.size))
+    out[0] = y
+    for i in range(times.size - 1):
+        t = times[i]
+        try:
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = f(t + dt, y + dt * k3)
+        except DomainError as exc:
+            raise IntegrationError(f"rhs left its domain: {exc}", time=t) from exc
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise IntegrationError("state is no longer finite", time=times[i + 1])
+        out[i + 1] = y
+    return times, out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Integrator order and the continuous-time optimizer models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from noetherdyn import (
+    BregmanSchedule,
+    DomainError,
     Euclidean,
     IntegrationError,
     NegativeEntropy,
@@ -24,7 +28,8 @@ from noetherdyn import (
 )
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import time_derivative
-from oracles import assert_same_bits, bregman_rhs, constant_history, lagrangian
+from oracles import (assert_same_bits, bregman_rhs, constant_history, lagrangian,
+                     rk4_reference)
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
 
@@ -63,6 +68,109 @@ class TestRk4:
         times, ys = rk4_solve(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.001)
         assert abs(ys[-1, 0] - np.exp(-1.0)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), n=strategies.integers(1, 6),
+           t0=strategies.floats(-1.0, 1.0), dt=strategies.floats(1e-4, 0.05),
+           steps=strategies.integers(1, 300))
+    def test_linear_systems_match_the_allocating_loop_bit_for_bit(self, data, n, t0, dt,
+                                                                   steps):
+        """dy/dt = A y + b, with the first `split` entries of dy/dt read from
+        the state (split 0: plain first order)."""
+        split = data.draw(strategies.integers(0, n - 1), label="split")
+        entries = strategies.floats(-1.0, 1.0)
+        a = np.array(data.draw(strategies.lists(entries, min_size=n * (n - split),
+                                                max_size=n * (n - split)), label="A"))
+        a = a.reshape(n - split, n)
+        b = np.array(data.draw(strategies.lists(entries, min_size=n - split,
+                                                max_size=n - split), label="b"))
+        y0 = np.array(data.draw(strategies.lists(entries, min_size=n, max_size=n), label="y0"))
+        t1 = t0 + steps * dt
+        if split == 0:
+            def f(t, y):
+                return a @ y + b
+        else:
+            def f(t, head, tail):
+                return a @ np.concatenate((head, tail)) + b
+        times, states = rk4_solve(f, y0, t0, t1, dt, split=split)
+        ref_times, ref_states = rk4_reference(f, y0, t0, t1, dt, split=split)
+        assert_same_bits(times, ref_times)
+        assert_same_bits(states, ref_states)
+        if 2 * split == n:
+            traj = integrate_rk4(SecondOrderSystem("linear", f), y0[:split], y0[split:],
+                                 t0, t1, dt)
+            assert_same_bits(traj.q, ref_states[:, :split])
+            assert_same_bits(traj.q_dot, ref_states[:, split:])
+
+    @staticmethod
+    def assert_matches_reference(system, q0, qd0, t0, t1, dt):
+        traj = integrate_rk4(system, q0, qd0, t0, t1, dt)
+        times, states = rk4_reference(system.rhs, np.concatenate((q0, qd0)), t0, t1, dt,
+                                      split=len(q0))
+        assert_same_bits(traj.times, times)
+        assert_same_bits(traj.q, states[:, :len(q0)])
+        assert_same_bits(traj.q_dot, states[:, len(q0):])
+
+    def test_harmonic_matches_the_allocating_loop_bit_for_bit(self):
+        self.assert_matches_reference(HARMONIC, [1.0], [0.0], 0.0, 2.0, 1e-3)
+
+    @pytest.mark.parametrize("dt", [1e-3, 5e-4])
+    @pytest.mark.parametrize("case", range(12))
+    def test_residual_cases_match_the_allocating_loop_bit_for_bit(self, case, dt):
+        metric, _, loss, q0, qd0 = _residual_cases()[case]
+        system = eom_bregman(metric, natural_schedule(1.0, 1.0), loss)
+        self.assert_matches_reference(system, q0, qd0, 0.0, 0.05, dt)
+
+    def test_rhs_returning_its_input_or_a_reused_array(self):
+        """The stage buffers are reused: a result that is f's own input, or one
+        array f overwrites on every call, must be copied, not aliased."""
+        y0 = np.array([1.0, -0.5, 0.25])
+        _, states = rk4_solve(lambda t, y: y, y0, 0.0, 0.1, 0.01)
+        _, expected = rk4_reference(lambda t, y: y, y0, 0.0, 0.1, 0.01)
+        assert_same_bits(states, expected)
+
+        constant = np.array([0.5, -1.0, 2.0])
+        _, states = rk4_solve(lambda t, y: constant, y0, 0.0, 0.1, 0.01)
+        _, expected = rk4_reference(lambda t, y: constant, y0, 0.0, 0.1, 0.01)
+        assert_same_bits(states, expected)
+        assert_same_bits(constant, np.array([0.5, -1.0, 2.0]))
+
+        self.assert_matches_reference(SecondOrderSystem("drift", lambda t, q, qd: qd),
+                                      [1.0, 2.0], [0.5, -0.5], 0.0, 0.1, 0.01)
+        reused = np.empty(2)
+
+        def spring(t, q, q_dot):
+            np.negative(q, out=reused)
+            reused[1] -= t * q_dot[0]
+            return reused
+
+        self.assert_matches_reference(SecondOrderSystem("reused", spring),
+                                      [1.0, 2.0], [0.5, -0.5], 0.0, 0.1, 0.01)
+
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_domain_error_in_a_later_stage_names_the_step_start(self, stage):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            if len(calls) == 4 * 3 + stage:  # stage `stage` of the step from times[3]
+                raise DomainError("outside")
+            return -y
+
+        with pytest.raises(IntegrationError, match="rhs left its domain: outside") as caught:
+            rk4_solve(f, np.array([1.0]), 0.0, 1.0, 0.125)
+        assert caught.value.time == 0.375
+
+    def test_nan_after_the_last_stage_names_the_step_end(self):
+        calls = []
+
+        def f(t, q, q_dot):
+            calls.append(t)
+            return -q if len(calls) < 4 * 5 + 4 else np.array([np.nan])
+
+        with pytest.raises(IntegrationError, match="no longer finite") as caught:
+            integrate_rk4(SecondOrderSystem("late-nan", f), [1.0], [0.0], 0.0, 1.0, 0.125)
+        assert caught.value.time == 0.75
+
     def test_non_finite_state_aborts_with_its_time(self):
         # the last stage of the step from t = 0.4 turns the state NaN at t = 0.5
         with pytest.raises(IntegrationError, match="no longer finite") as caught:
@@ -71,9 +179,13 @@ class TestRk4:
         assert caught.value.time == pytest.approx(0.5)
 
     def test_non_finite_initial_state_aborts_at_t0(self):
-        with pytest.raises(IntegrationError) as caught:
-            rk4_solve(lambda t, y: -y, np.array([np.inf]), 0.25, 1.0, 0.25)
-        assert caught.value.time == 0.25
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(IntegrationError, match="initial state") as caught:
+                rk4_solve(lambda t, y: -y, np.array([1.0, bad]), 0.25, 1.0, 0.25)
+            assert caught.value.time == 0.25
+            with pytest.raises(IntegrationError, match="initial state") as caught:
+                integrate_rk4(HARMONIC, [1.0], [bad], 0.25, 1.0, 0.25)
+            assert caught.value.time == 0.25
 
 
 class TestModifiedEquation:
@@ -184,25 +296,42 @@ class TestBregmanEuclidean:
     @settings(max_examples=300, deadline=None)
     @given(metric=strategies.sampled_from(sorted(METRICS)),
            loss=strategies.sampled_from(sorted(LOSSES)),
-           schedule=strategies.sampled_from(["zero-damping", "random-mass", "nesterov"]),
+           schedule=strategies.sampled_from(["zero-damping", "unit-mass", "random-mass",
+                                             "nesterov"]),
            m=strategies.floats(0.1, 1.0), mu=strategies.floats(-2.0, 2.0),
-           t=strategies.floats(0.05, 1.0),
+           t=strategies.floats(0.05, 1.0), other_t=strategies.floats(0.05, 1.0),
            q=strategies.lists(strategies.floats(0.2, 3.0), min_size=3, max_size=3),
            q_dot=strategies.lists(VELOCITY_ENTRY, min_size=3, max_size=3))
     @example(metric="quadratic-form", loss="flat", schedule="zero-damping", m=1.0, mu=1.0,
-             t=0.5, q=[1.0, 1.0, 1.0], q_dot=[0.0, -0.1, 0.0])
+             t=0.5, other_t=0.25, q=[1.0, 1.0, 1.0], q_dot=[0.0, -0.1, 0.0])
+    # a mass whose e^-alpha = e^(log m) is not 1 / e^alpha to the last bit, seen
+    # through u = qdot at q = 0
+    @example(metric="euclidean", loss="flat", schedule="random-mass", m=0.6732655185893088,
+             mu=0.3, t=0.5, other_t=0.25, q=[0.0, 0.0, 0.0], q_dot=[0.1, -0.13, 0.07])
     def test_rhs_matches_the_unskipped_products_bit_for_bit(self, metric, loss, schedule,
-                                                            m, mu, t, q, q_dot):
-        """eom_bregman skips each product by an exactly-1.0 coefficient, as
-        natural_schedule(1, mu) has; the oracle multiplies every one in.
+                                                            m, mu, t, other_t, q, q_dot):
+        """eom_bregman computes a stationary schedule's coefficients once and
+        skips each product by one that is exactly 1.0, as natural_schedule(1, mu)
+        has; the oracle evaluates them at t and multiplies every one in.
         e^-alpha <= 1 keeps u = q + e^-alpha qdot in the entropy domain."""
         sched = {"zero-damping": natural_schedule(1.0, 1.0),
+                 "unit-mass": natural_schedule(1.0, mu),
                  "random-mass": natural_schedule(m, mu),
                  "nesterov": nesterov_schedule(2.0, 0.25)}[schedule]
         metric, loss = self.METRICS[metric], self.LOSSES[loss]
         q, q_dot = np.array(q), np.array(q_dot)
-        assert_same_bits(eom_bregman(metric, sched, loss).rhs(t, q, q_dot),
-                         bregman_rhs(metric, sched, loss, t, q, q_dot))
+        rhs = eom_bregman(metric, sched, loss).rhs
+        assert_same_bits(rhs(t, q, q_dot), bregman_rhs(metric, sched, loss, t, q, q_dot))
+        if sched.stationary:
+            assert_same_bits(rhs(other_t, q, q_dot), rhs(t, q, q_dot))
+
+    def test_only_natural_schedules_are_stationary(self):
+        hand_built = BregmanSchedule("hand-built", alpha=math.sin, beta=math.cos,
+                                     gamma=math.exp, alpha_dot=math.cos,
+                                     gamma_dot=math.exp)
+        assert not hand_built.stationary
+        assert not nesterov_schedule(2.0, 0.25).stationary
+        assert natural_schedule(0.5, 0.7).stationary
 
     def test_energy_dissipates_with_friction(self):
         m, mu = 0.5, 1.0
