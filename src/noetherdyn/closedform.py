@@ -46,6 +46,11 @@ def exp_kernel_schedule(gsq: np.ndarray, dt: float, rate: float, prefactor: floa
     return np.sqrt(prefactor * conv + memory)
 
 
+def _norm_kernel(eta: float, beta: float, k: float):
+    """The norm schedule's kernel: rate 4k / (1-beta), prefactor 2 eta (1+beta) / (1-beta)^3."""
+    return 4.0 * k / (1.0 - beta), 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
+
+
 def r2_schedule(gsq: np.ndarray, dt: float, eta: float, beta: float, k: float,
                 r0: float) -> np.ndarray:
     """Squared-norm schedule induced by scale symmetry at finite step size:
@@ -59,8 +64,7 @@ def r2_schedule(gsq: np.ndarray, dt: float, eta: float, beta: float, k: float,
     Requires eta > 0, 0 <= beta < 1 and k >= 0, which the caller checks;
     r0 enters only as r0^4.
     """
-    rate = 4.0 * k / (1.0 - beta)
-    prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
+    rate, prefactor = _norm_kernel(eta, beta, k)
     return exp_kernel_schedule(gsq, dt, rate, prefactor, r0 ** 4)
 
 
@@ -118,8 +122,7 @@ def bn_rmsprop_map(eta: float, beta: float, k: float) -> KernelMap:
     g0 = r0^4).  Requires eta > 0, 0 <= beta < 1 and k >= 0, which the
     caller checks; a match that makes rho negative is rejected here.
     """
-    rate = 4.0 * k / (1.0 - beta)
-    prefactor = 2.0 * eta * (1.0 + beta) / (1.0 - beta) ** 3
+    rate, prefactor = _norm_kernel(eta, beta, k)
     rho = 1.0 - rate * eta
     if rho < 0.0:
         raise ValueError("decay-rate match needs a smaller eta: rho would be negative")

@@ -37,15 +37,18 @@ class SecondOrderSystem:
     parameters: dict = field(default_factory=dict)
 
 
-def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
+def grid_steps(t0: float, t1: float, dt: float) -> int:
+    """How many steps of size dt > 0 tile [t0, t1], ending within
+    1e-9 max(1, |t1|) of t1; ValueError if no count of at least 1 does."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    steps = int(round((t1 - t0) / dt))
+    ratio = (t1 - t0) / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
     if steps < 1 or abs(t0 + steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError(f"step {dt:g} does not tile the interval [{t0:g}, {t1:g}]")
-    return t0 + dt * np.arange(steps + 1)
+    return steps
 
 
 def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
@@ -67,7 +70,7 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
     with a constant vector operand.  Each value is the same expression as
     y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
     """
-    times = _grid(t0, t1, dt)
+    times = t0 + dt * np.arange(grid_steps(t0, t1, dt) + 1)
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
         raise IntegrationError("initial state is not finite", time=t0)

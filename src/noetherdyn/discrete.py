@@ -89,7 +89,6 @@ def centered_velocities(qs: np.ndarray, eta: float) -> np.ndarray:
     """Second-order velocity export (q[n+1] - q[n-1]) / (2 eta) for interior
     samples of a discrete run; matches the accuracy of the modified
     equation the velocities are compared against."""
-    qs = np.asarray(qs, dtype=float)
     if qs.shape[0] < 3:
         raise ValueError("need at least 3 samples for centered velocities")
     return (qs[2:] - qs[:-2]) / (2.0 * eta)

@@ -99,7 +99,7 @@ class QuadraticForm(Metric):
 
     def hessian_solve(self, x, v):
         c, lower = self._cho
-        u, info = self._potrs(c, np.asarray(v, dtype=float), lower=lower)
+        u, info = self._potrs(c, v, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return u
@@ -114,8 +114,7 @@ class NegativeEntropy(Metric):
         self.dim = int(dim)
 
     def check_domain(self, x):
-        """x as a float array; DomainError if it is outside the domain."""
-        x = np.asarray(x, dtype=float)
+        """DomainError if x is outside the domain."""
         # never clamp: silently projected points would corrupt positivity checks;
         # the negated comparison rejects a NaN coordinate too.  minimum.reduce
         # is x.min() without its Python-level wrapper (this runs every stage)
@@ -124,23 +123,22 @@ class NegativeEntropy(Metric):
             raise DomainError(
                 f"negative-entropy domain violation: min coordinate {lowest:.3e} <= {_ENTROPY_FLOOR:g}"
             )
-        return x
 
     def value(self, x):
-        x = self.check_domain(x)
+        self.check_domain(x)
         return float(np.sum(x * np.log(x)))
 
     def grad(self, x):
-        x = self.check_domain(x)
+        self.check_domain(x)
         return np.log(x) + 1.0
 
     def hessian(self, x):
-        x = self.check_domain(x)
+        self.check_domain(x)
         return (1.0 / x)[..., None] * np.eye(self.dim)
 
     def hessian_solve(self, x, v):
-        x = self.check_domain(x)
-        return np.asarray(v, dtype=float) * x
+        self.check_domain(x)
+        return v * x
 
 
 def bregman_divergence(metric: Metric, y, x) -> float:
@@ -149,8 +147,6 @@ def bregman_divergence(metric: Metric, y, x) -> float:
     Strictly positive for y != x; the generalized squared distance of the
     metric's geometry (exactly |x - y|^2 / 2 in the Euclidean case).
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
     return metric.value(y) - metric.value(x) - float(metric.grad(x) @ (y - x))
 
 
@@ -160,8 +156,6 @@ def kinetic_energy(metric: Metric, q, q_dot, alpha_t: float) -> float:
     Non-negative, and zero exactly when the velocity vanishes.  Under the
     Euclidean metric it reduces to e^-alpha |qdot|^2 / 2.
     """
-    q = np.asarray(q, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
     displaced = q + math.exp(-alpha_t) * q_dot
     return math.exp(alpha_t) * bregman_divergence(metric, displaced, q)
 

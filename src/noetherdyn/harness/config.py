@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import PurePath
 
+from ..continuous import grid_steps
+
 
 class UsageError(ValueError):
     """Invalid configuration or command line (CLI exit code 2)."""
@@ -79,13 +81,18 @@ def _check_values(kind: str, params: dict):
             raise UsageError(f"parameter {key} must {_RANGES[key][0]} (got {value!r})")
     longest = params.get("steps", 0)
     if kind == "noether-residual":
-        # the same tiling rule as the integrator's grid
+        # the integrator's own tiling rule, for the run at dt and at dt / 2
         dt, t1 = params["dt"], params["t1"]
-        steps = step_count(t1, dt)
-        if abs(steps * dt - t1) > 1e-9 * max(1.0, t1):
-            raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}")
+        try:
+            steps = grid_steps(0.0, t1, dt)
+        except ValueError:
+            raise UsageError(f"dt = {dt:g} does not tile t1 = {t1:g}") from None
         if steps < 4:
             raise UsageError("dt too coarse: the residual needs at least 5 samples")
+        try:
+            grid_steps(0.0, t1, dt / 2.0)
+        except ValueError:
+            raise UsageError(f"dt = {dt:g} has no half step that tiles t1 = {t1:g}") from None
         longest = 2 * steps  # the half-step run
     elif kind == "modified-eq":
         steps = step_count(params["t1"], params["eta"])

@@ -37,6 +37,11 @@ def _skew(dim: int, rng) -> np.ndarray:
     return a - a.T
 
 
+def _quotient(num: float, den: float) -> float:
+    """num / den for num >= 0, as numpy divides: inf at den = 0, nan at 0 / 0."""
+    return num / den if den else (math.inf if num else math.nan)
+
+
 def transient_end(beta: float, k: float, total_time: float) -> float:
     """Start of the comparison window: five kernel time constants, capped
     at a fifth of the run."""
@@ -220,25 +225,25 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 
     steps = step_count(t1, eta)
     times, qs = simulate(lambda state: step_gd_momentum_wd(state, loss, eta, beta=beta),
-                         OptimizerState.initial([1.0]), steps, lambda state: state.q[0], eta)
+                         OptimizerState.initial(np.ones(1)), steps, lambda state: state.q[0], eta)
 
     # anchor both continuous models at the first interior sample, with the
     # centered-difference velocity export for the second-order model
-    q1 = qs[1]
-    v1 = centered_velocities(qs, eta)[0]
+    q1 = qs[1:2]
+    v1 = centered_velocities(qs, eta)[:1]
     t_end = steps * eta  # last discrete sample; t1 need not be a multiple
-    ode = integrate_rk4(eom_modified(eta, beta, loss), [q1], [v1],
+    ode = integrate_rk4(eom_modified(eta, beta, loss), q1, v1,
                         eta, t_end, eta / MODIFIED_EQ_REFINE)
     ode_at = ode.q[::MODIFIED_EQ_REFINE, 0]
     _, flow = rk4_solve(lambda t, y: -loss.grad(y) / (1.0 - beta),
-                        np.array([q1]), eta, t_end, eta / MODIFIED_EQ_REFINE)
+                        q1, eta, t_end, eta / MODIFIED_EQ_REFINE)
     flow_at = flow[::MODIFIED_EQ_REFINE, 0]
 
     ode_dev = float(np.max(np.abs(ode_at - qs[1:])))
     flow_dev = float(np.max(np.abs(flow_at - qs[1:])))
     # a model that matches every iterate beats any flow that does not, and
     # 0/0 (neither deviates) shows nothing, so it fails
-    ratio = flow_dev / ode_dev if ode_dev else (math.inf if flow_dev else math.nan)
+    ratio = _quotient(flow_dev, ode_dev)
     verdicts = [Verdict("modified-eq.flow-deviation-ratio", ratio >= 5.0, ratio, 5.0)]
 
     write_csv(out / "modified_eq.csv", times[1:], {
@@ -255,13 +260,13 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     s = np.sqrt(eta_n)
     n_steps = int(round(1.0 / s))
     xt, xs = simulate(lambda state: step_nesterov(state, loss, eta_n),
-                      OptimizerState.initial([1.0]), n_steps, lambda state: state.q[0], s)
+                      OptimizerState.initial(np.ones(1)), n_steps, lambda state: state.q[0], s)
     k0 = int(round(0.2 / s))
-    v0 = centered_velocities(xs, s)[k0 - 1]
+    v0 = centered_velocities(xs, s)[k0 - 1:k0]
     system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
-    traj = integrate_rk4(system, [xs[k0]], [v0], k0 * s, 1.0, s / 10)
-    ode_f = np.array([loss.value([q]) for q in traj.q[::10, 0]])
-    disc_f = np.array([loss.value([x]) for x in xs[k0:]])
+    traj = integrate_rk4(system, xs[k0:k0 + 1], v0, k0 * s, 1.0, s / 10)
+    ode_f = np.array([loss.value(q) for q in traj.q[::10]])
+    disc_f = np.array([loss.value(x) for x in xs[k0:, None]])
     rel_err = abs(disc_f[-1] - ode_f[-1]) / abs(ode_f[-1])
     verdicts.append(Verdict("modified-eq.nesterov-f-error", rel_err <= 1e-2,
                             rel_err, 1e-2))
@@ -419,7 +424,8 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     """Measure the steady-state relations where the radial balance holds:
     at the crest of the norm trajectory, where rdot = 0.  A crest at the
     first or last sample is where the run starts or stops, not a balance
-    point, so both relations fail there (the measured values are kept)."""
+    point, so both relations fail there (the measured values are kept), as
+    they do at a prediction that underflows to 0 (inf, or nan at 0 / 0)."""
     eta, beta, k = cfg["eta"], cfg["beta"], cfg["wd"]
     times, norm_sq, gsq, ang = flagship_run(cfg)
 
@@ -429,12 +435,12 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     window = (times >= t_c - 2.0) & (times <= t_c + 2.0)
     ang_measured = float(np.mean(ang[1:][window[1:]]))
     ang_predicted = steady_angular_speed(eta, beta, k)
-    ang_rel = abs(ang_measured - ang_predicted) / ang_predicted
+    ang_rel = _quotient(abs(ang_measured - ang_predicted), ang_predicted)
 
     g_mean = float(np.mean(np.sqrt(gsq[window])))
     r_measured = float(np.mean(np.sqrt(norm_sq[window])))
     r_predicted = steady_radius(eta, beta, k, g_mean)
-    r_rel = abs(r_measured - r_predicted) / r_predicted
+    r_rel = _quotient(abs(r_measured - r_predicted), r_predicted)
 
     verdicts = [
         Verdict("steady-state.angular-displacement", interior and ang_rel <= 0.10,

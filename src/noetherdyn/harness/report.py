@@ -18,14 +18,10 @@ def format_float(x: float) -> str:
 
 def write_csv(path, times, channels: dict) -> Path:
     """Time-series CSV: first column t, one column per named channel."""
-    path = Path(path)
-    times = np.asarray(times, dtype=float)
-    names = list(channels)
-    columns = [np.asarray(channels[n], dtype=float) for n in names]
-    for name, col in zip(names, columns):
+    for name, col in channels.items():
         if col.shape != times.shape:
             raise ValueError(f"channel {name!r} does not align with the time grid")
-    return write_table_csv(path, ["t", *names], zip(times, *columns))
+    return write_table_csv(path, ["t", *channels], zip(times, *channels.values()))
 
 
 def write_table_csv(path, header, rows) -> Path:
@@ -76,9 +72,6 @@ def compare_channels(assertion_id: str, times, a, b, tolerance: float,
     is strictly below `tolerance`.  window is an optional (t_lo, t_hi)
     restriction; a window that holds no sample makes np.max raise ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if a.shape != times.shape or b.shape != times.shape:
         raise ValueError("series do not share the time grid")
     mask = np.ones(times.shape, dtype=bool)
@@ -104,7 +97,9 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
         return [0.0, 1.0]
     span = hi - lo
     raw = span / max(n, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if not mag > 0.0:  # a subnormal span: raw or its power of ten underflows to 0
+        return [lo, hi]
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
@@ -137,8 +132,8 @@ def _widen(lo: float, hi: float):
 def write_svg(path, title: str, series, ylabel: str = "") -> Path:
     """Polyline chart; series is a list of (name, x array, y array)."""
     path = Path(path)
-    xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
+    xs = np.concatenate([s[1] for s in series])
+    ys = np.concatenate([s[2] for s in series])
     finite = ys[np.isfinite(ys)]
     x_lo, x_hi = _widen(float(xs.min()), float(xs.max()))
     # a series with no finite value still gets a (unit) y-range and an empty polyline
@@ -185,8 +180,6 @@ def write_svg(path, title: str, series, ylabel: str = "") -> Path:
 
     for i, (name, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         step = max(1, x.size // 2000)  # cap polyline length
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[::step], y[::step])
                        if math.isfinite(b))

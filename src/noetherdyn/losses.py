@@ -25,7 +25,8 @@ def _symmetric_matrix(matrix) -> np.ndarray:
 
 
 class Loss:
-    """Objective f(q) with analytic gradient.  A loss with a singular point
+    """Objective f(q) with analytic gradient.  A point is a float array of
+    shape (dim,) that the caller builds.  A loss with a singular point
     (the Rayleigh quotient and the radial well, at the origin) checks for it
     itself, where it computes |q|, and raises SingularLossError there."""
 
@@ -56,19 +57,18 @@ class RayleighQuotient(Loss):
         self.dim = self.matrix.shape[0]
 
     @staticmethod
-    def _point(q):
-        q = np.asarray(q, dtype=float)
+    def _norm_sq(q):
         r2 = float(q @ q)
         if math.sqrt(r2) <= _ORIGIN_TOL:
             raise SingularLossError("origin is a singular point of the Rayleigh quotient")
-        return q, r2
+        return r2
 
     def value(self, q):
-        q, r2 = self._point(q)
+        r2 = self._norm_sq(q)
         return float(q @ self.matrix @ q) / r2
 
     def grad(self, q):
-        q, r2 = self._point(q)
+        r2 = self._norm_sq(q)
         aq = self.matrix @ q
         f = float(q @ aq) / r2
         return 2.0 * (aq - f * q) / r2
@@ -91,12 +91,12 @@ class TwoLayerChain(Loss):
             raise ValueError("inputs and targets must have matching shapes")
 
     def value(self, q):
-        q1, q2 = np.asarray(q, dtype=float)
+        q1, q2 = q
         resid = q2 * q1 * self.x - self.y
         return 0.5 * float(resid @ resid)
 
     def grad(self, q):
-        q1, q2 = np.asarray(q, dtype=float)
+        q1, q2 = q
         resid = q2 * q1 * self.x - self.y
         c = float(resid @ self.x)
         return np.array([c * q2, c * q1])
@@ -114,11 +114,10 @@ class RadialWell(Loss):
         self.dim = int(dim)
 
     def value(self, q):
-        r = np.linalg.norm(np.asarray(q, dtype=float))
+        r = np.linalg.norm(q)
         return float(0.5 * self.stiffness * (r - self.radius) ** 2)
 
     def grad(self, q):
-        q = np.asarray(q, dtype=float)
         r = math.sqrt(q @ q)  # np.linalg.norm(q) bit for bit, without its wrapper
         if r <= _ORIGIN_TOL:
             raise SingularLossError("radial gradient is undefined at the origin")
@@ -140,9 +139,7 @@ class Quadratic(Loss):
         self.dim = self.matrix.shape[0]
 
     def value(self, q):
-        q = np.asarray(q, dtype=float)
         return 0.5 * float(q @ self.matrix @ q)
 
     def grad(self, q):
-        q = np.asarray(q, dtype=float)
         return self.matrix @ q

@@ -27,7 +27,8 @@ SYMMETRIC_TOL = 1e-8
 
 
 class SymmetryTransform:
-    """Differentiable family Q(q, s), identity at s = 0.
+    """Differentiable family Q(q, s), identity at s = 0.  A point is a float
+    array of shape (dim,) that the caller builds.
 
     generator and velocity_generator also take a stack of points, shape
     (..., dim), and give each point the bits it gets alone."""
@@ -74,7 +75,7 @@ class Translation(SymmetryTransform):
         self.direction = d / norm
 
     def apply(self, q, s):
-        return np.asarray(q, dtype=float) + s * self.direction
+        return q + s * self.direction
 
     def generator(self, q):
         return np.broadcast_to(self.direction, np.shape(q)).copy()
@@ -83,7 +84,7 @@ class Translation(SymmetryTransform):
         return np.zeros(np.shape(q_dot))
 
     def velocity_apply(self, q_dot, s):
-        return np.asarray(q_dot, dtype=float).copy()
+        return q_dot.copy()
 
 
 class Rotation(SymmetryTransform):
@@ -102,10 +103,10 @@ class Rotation(SymmetryTransform):
     def apply(self, q, s):
         # scaling-and-squaring matrix exponential; generators alone would do
         # for the balance law, apply() only feeds finite-s differences
-        return expm(s * self.matrix) @ np.asarray(q, dtype=float)
+        return expm(s * self.matrix) @ q
 
     def generator(self, q):
-        return (self.matrix @ np.asarray(q, dtype=float)[..., None])[..., 0]
+        return (self.matrix @ q[..., None])[..., 0]
 
 
 class Scale(SymmetryTransform):
@@ -114,10 +115,10 @@ class Scale(SymmetryTransform):
     name = "scale"
 
     def apply(self, q, s):
-        return (1.0 + s) * np.asarray(q, dtype=float)
+        return (1.0 + s) * q
 
     def generator(self, q):
-        return np.asarray(q, dtype=float).copy()
+        return q.copy()
 
 
 class Rescale(SymmetryTransform):
@@ -135,7 +136,6 @@ class Rescale(SymmetryTransform):
         self.split = int(split)
 
     def _blocks(self, q):
-        q = np.asarray(q, dtype=float)
         return q[..., :self.split], q[..., self.split:]
 
     def apply(self, q, s):
@@ -161,7 +161,6 @@ def time_derivative(values, dt):
     order keeps differentiation error at the order of the RK4 trajectories
     the derivative is taken along.
     """
-    values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 5:
         raise ValueError("time derivative needs at least 5 samples")
@@ -184,9 +183,6 @@ def kinetic_asymmetry(metric: Metric, transform: SymmetryTransform, q, q_dot,
     point and the velocity.  Zero means the learning rule's kinetic energy
     shares the symmetry; nonzero values drive charge motion.
     """
-    q = np.asarray(q, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
-
     def energy(s):
         return kinetic_energy(metric, transform.apply(q, s),
                               transform.velocity_apply(q_dot, s), alpha_t)
@@ -249,7 +245,7 @@ def noether_residual(metric: Metric, schedule, transform: SymmetryTransform,
     of the integrated dynamics.  Needs at least 5 samples on a uniform grid,
     as integrate_rk4 builds; time_derivative rejects fewer.
     """
-    times = np.asarray(trajectory.times, dtype=float)
+    times, q, q_dot = trajectory.times, trajectory.q, trajectory.q_dot
     n = times.shape[0]
     dt = times[1] - times[0]
 
@@ -261,8 +257,6 @@ def noether_residual(metric: Metric, schedule, transform: SymmetryTransform,
     alphas = [schedule.alpha(t) for t in times]
     e_minus = np.fromiter((math.exp(-a) for a in alphas), float, n)[:, None]
     e_plus = np.fromiter(map(math.exp, alphas), float, n)
-    q = np.asarray(trajectory.q, dtype=float)
-    q_dot = np.asarray(trajectory.q_dot, dtype=float)
     # the generalized momentum Delta_h = grad h(q + e^-alpha qdot) - grad h(q)
     delta = metric.grad(q + e_minus * q_dot) - metric.grad(q)
     gen = transform.generator(q)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from noetherdyn import IntegrationError, r2_schedule
-from noetherdyn.continuous import _grid
+from noetherdyn.continuous import grid_steps
 from noetherdyn.errors import DomainError
 from noetherdyn.geometry import BregmanSchedule, bregman_divergence
 from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
@@ -65,7 +65,7 @@ def rk4_reference(f, y0, t0: float, t1: float, dt: float, split: int = 0):
             dy[split:] = rest(t, y[:n - split], y[n - split:])
             return dy
 
-    times = _grid(t0, t1, dt)
+    times = t0 + dt * np.arange(grid_steps(t0, t1, dt) + 1)
     if not np.isfinite(y).all():
         raise IntegrationError("initial state is not finite", time=t0)
     out = np.empty((times.size, y.size))

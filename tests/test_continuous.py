@@ -26,6 +26,7 @@ from noetherdyn import (
     r2_schedule,
     rk4_solve,
 )
+from noetherdyn.continuous import grid_steps
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import time_derivative
 from oracles import (assert_same_bits, bregman_rhs, constant_history, lagrangian,
@@ -58,6 +59,13 @@ class TestRk4:
     def test_grid_must_tile_interval(self):
         with pytest.raises(ValueError):
             integrate_rk4(HARMONIC, [1.0], [0.0], 0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("dt", [0.3, 0.0, 5e-324 / 2.0, 5e-309],
+                             ids=["no-tiling", "zero", "underflowed", "uncountable"])
+    def test_grid_steps_rejects_a_step_that_does_not_tile(self, dt):
+        assert grid_steps(0.0, 1.0, 0.25) == 4
+        with pytest.raises(ValueError):  # 1 / 5e-309 overflows to inf: not an OverflowError
+            grid_steps(0.0, 1.0, dt)
 
     def test_uniform_grid(self):
         traj = integrate_rk4(HARMONIC, [1.0], [0.0], 0.5, 1.5, 0.01)

@@ -355,6 +355,21 @@ class TestCli:
         # an empty path is the working directory: it names no output directory
         "empty-out-flag": (["table2", "--out", ""], None, 2, "out must name a directory"),
         "empty-out-line": (["table2"], "out =\n", 2, "out must name a directory"),
+        # a subnormal axis span: the SVG tick step underflows, the axis keeps its ends
+        "subnormal-span": (["conservation", "--eta", "5e-324", "--steps", "2"], None, 1,
+                           "1 assertion(s) failed"),
+        "subnormal-tick": (["noether-residual", "--dt", "1e-323", "--t1", "5e-323"], None, 1,
+                           "13 assertion(s) failed"),
+        # a steady-state prediction that underflows to 0 fails its relation
+        "zero-angular-prediction": (["steady-state", "--eta", "1e-200", "--beta", "0",
+                                     "--wd", "1e-200", "--steps", "3"], None, 1,
+                                    "2 assertion(s) failed"),
+        "zero-radius-prediction": (["steady-state", "--eta", "5e-324", "--beta", "0",
+                                    "--wd", "1e300", "--steps", "3"], None, 1,
+                                   "2 assertion(s) failed"),
+        # the half-step run's dt / 2 underflows to 0
+        "no-half-step": (["noether-residual", "--dt", "5e-324", "--t1", "2.5e-323"], None, 2,
+                         "dt = 4.94066e-324 has no half step"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))
@@ -373,8 +388,9 @@ class TestCli:
         assert "Traceback" not in stderr
         if code == 0:
             assert stderr == ""
-        if code in (2, 3):  # one line, and no directory left, in x or in the working directory
+        else:
             assert stderr.count("\n") == 1  # numpy's overflow warnings stay silent
+        if code in (2, 3):  # no directory left, in x or in the working directory
             assert sorted(os.listdir()) == (["c.cfg"] if config is not None else [])
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
@@ -485,6 +501,17 @@ class TestCli:
     def test_inapplicable_flag_exits_2(self, tmp_path):
         assert main(["table2", "--eta", "0.1", "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("eta, wd, relation, measured", [
+        ("1e-200", "1e-200", "angular-displacement", "nan"),  # 0 / 0
+        ("5e-324", "1e300", "radius", "inf"),
+    ])
+    def test_zero_prediction_keeps_its_measured_value(self, tmp_path, eta, wd, relation,
+                                                      measured):
+        assert main(["steady-state", "--eta", eta, "--beta", "0", "--wd", wd, "--steps", "3",
+                     "--out", str(tmp_path)]) == 1
+        rows = [line.split("\t") for line in (tmp_path / "verdict.tsv").read_text().splitlines()]
+        assert [f"steady-state.{relation}", "fail", measured] in [row[:3] for row in rows]
 
     def test_steady_state_without_weight_decay_exits_2(self, tmp_path, monkeypatch):
         import noetherdyn.harness.experiments as experiments

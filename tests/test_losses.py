@@ -42,8 +42,8 @@ def sample_point(loss, rng):
 class TestValues:
     def test_rayleigh_eigenvector_and_scale(self):
         r = RayleighQuotient(np.diag([1.0, 2.0]))
-        assert r.value([1.0, 0.0]) == pytest.approx(1.0)
-        assert r.value([2.0, 0.0]) == pytest.approx(1.0)
+        assert r.value(np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert r.value(np.array([2.0, 0.0])) == pytest.approx(1.0)
 
     def test_two_layer_chain_hand_value(self):
         tl = TwoLayerChain([1.0], [1.0])
@@ -52,13 +52,13 @@ class TestValues:
     def test_origin_singularity(self):
         r = RayleighQuotient(np.eye(2))
         with pytest.raises(SingularLossError):
-            r.value([0.0, 0.0])
+            r.value(np.array([0.0, 0.0]))
         with pytest.raises(SingularLossError):
-            r.grad([0.0, 1e-13])
+            r.grad(np.array([0.0, 1e-13]))
         for method in (r.value, r.grad):  # singular up to |q| = 1e-12, inclusive
             with pytest.raises(SingularLossError):
-                method([1e-12, 0.0])
-            method([2e-12, 0.0])
+                method(np.array([1e-12, 0.0]))
+            method(np.array([2e-12, 0.0]))
 
 
 class TestGradients:
@@ -75,7 +75,7 @@ class TestGradients:
 
     def test_rayleigh_stationary_at_eigenvector(self):
         r = RayleighQuotient(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(r.grad([1.0, 0.0]), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(r.grad(np.array([1.0, 0.0])), [0.0, 0.0], atol=1e-15)
 
     def test_quadratic_identity_gradient(self):
         q = Quadratic(np.eye(2))

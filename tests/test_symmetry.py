@@ -26,20 +26,15 @@ from noetherdyn import (
 )
 from noetherdyn.continuous import Trajectory
 from noetherdyn.harness.config import build_config
-from noetherdyn.harness.experiments import _residual_cases, run_table2
+from noetherdyn.harness.experiments import _residual_cases, _skew, run_table2
 from noetherdyn.symmetry import SYMMETRIC_TOL
 from oracles import (assert_same_bits, delta_h, kinetic_asymmetry_euclidean, noether_charge,
                      noether_residual_per_sample)
 
 
-def skew(dim, rng):
-    a = rng.standard_normal((dim, dim))
-    return a - a.T
-
-
 def all_transforms(dim, rng):
     n = rng.standard_normal(dim)
-    return [Translation(n), Rotation(skew(dim, rng)), Scale(), Rescale(dim // 2)]
+    return [Translation(n), Rotation(_skew(dim, rng)), Scale(), Rescale(dim // 2)]
 
 
 class TestTransforms:
@@ -89,7 +84,7 @@ class TestTransforms:
 
     def test_rotation_generator_skew_product(self):
         rng = np.random.default_rng(3)
-        a = skew(5, rng)
+        a = _skew(5, rng)
         rot = Rotation(a)
         for _ in range(20):
             v = rng.standard_normal(5)
@@ -206,7 +201,7 @@ class TestTable2:
 
     def transforms(self):
         rng = np.random.default_rng(7)
-        return [Translation(np.eye(4)[0]), Rotation(skew(4, rng)), Scale(), Rescale(2)]
+        return [Translation(np.eye(4)[0]), Rotation(_skew(4, rng)), Scale(), Rescale(2)]
 
     def test_pattern_matches_kinetic_symmetry_table(self):
         max_abs = table2_report(self.metrics(), self.transforms(), samples=16, seed=0)
