@@ -93,9 +93,12 @@ def steady_radius(eta: float, beta: float, k: float, gnorm: float) -> float:
     """Steady norm (eta(1+beta) / (2k(1-beta)^2))^(1/4) sqrt(|ghat|).
 
     Requires eta > 0, 0 <= beta < 1 and k > 0 (no steady norm without weight
-    decay), which the caller checks; math.sqrt rejects a negative gnorm.
+    decay), which the caller checks; math.sqrt rejects a negative gnorm.  A
+    denominator 2k(1-beta)^2 that underflows to 0 gives inf, as numpy divides.
     """
-    return (eta * (1.0 + beta) / (2.0 * k * (1.0 - beta) ** 2)) ** 0.25 * math.sqrt(gnorm)
+    den = 2.0 * k * (1.0 - beta) ** 2
+    ratio = eta * (1.0 + beta) / den if den else math.inf
+    return ratio ** 0.25 * math.sqrt(gnorm)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ none of the systems is stiff at the parameters we test.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,12 +164,6 @@ def _coefficients(schedule: BregmanSchedule, t: float):
             ea - schedule.alpha_dot(t))
 
 
-def _keep(c, v):
-    """The product c * v for a stationary c of exactly 1.0: v itself, as v * 1.0
-    is v bit for bit."""
-    return v
-
-
 def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderSystem:
     """Euler-Lagrange system of the full Lagrangian for any metric.
 
@@ -185,11 +178,14 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
     that is exactly 1.0 is skipped; natural_schedule(1, mu) has every one
     but e^alpha - gamma_dot = 1 - mu.  There is no such skip at 0: 0 * v
     carries the signs and NaNs of v, so the damping is always multiplied in.
+    Delta_h = grad h(u) - grad h(q) is one metric call on the stack [u, q],
+    which the system keeps; a flat metric's is u - q, and its Hessian solve
+    is skipped, as both calls only copy.
     """
     if schedule.stationary:
         scalars = _coefficients(schedule, 0.0)
-        by_inverse, by_force, by_scale, by_drag = (
-            _keep if c == 1.0 else operator.mul for c in scalars[:1] + scalars[2:])
+        unit_inverse, unit_force, unit_scale, unit_drag = (
+            c == 1.0 for c in scalars[:1] + scalars[2:])
         # as vectors: an array operand costs less than a float, for the same bits
         fixed = tuple(np.full(metric.dim, c) for c in scalars)
 
@@ -198,14 +194,24 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
 
     else:
         coefficients = functools.partial(_coefficients, schedule)
-        by_inverse = by_force = by_scale = by_drag = operator.mul
+        unit_inverse = unit_force = unit_scale = unit_drag = False
+    flat = metric.flat
+    pair = np.empty((2, metric.dim))
+    u, at_q = pair
 
     def rhs(t, q, q_dot):
         inverse, damping, force, scale, drag = coefficients(t)
-        u = q + by_inverse(inverse, q_dot)
-        delta = metric.grad(u) - metric.grad(q)
-        drive = damping * delta - by_force(force, loss.grad(q))
-        return by_scale(scale, metric.hessian_solve(u, drive)) - by_drag(drag, q_dot)
+        np.add(q, q_dot if unit_inverse else inverse * q_dot, out=u)
+        if flat:
+            delta = u - q
+        else:
+            at_q[...] = q
+            grad_u, grad_q = metric.grad(pair)
+            delta = grad_u - grad_q
+        gradient = loss.grad(q)
+        drive = damping * delta - (gradient if unit_force else force * gradient)
+        solved = drive if flat else metric.hessian_solve(u, drive)
+        return (solved if unit_scale else scale * solved) - (q_dot if unit_drag else drag * q_dot)
 
     return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
                              parameters={"metric": metric.name})

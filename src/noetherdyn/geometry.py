@@ -23,10 +23,13 @@ class Metric:
     A point is a float array of shape (dim,) that the caller builds.  A metric
     with a bounded domain checks it in each of its methods (DomainError).
     grad and hessian also take a stack of points, shape (..., dim), and give
-    each point the bits it gets alone."""
+    each point the bits it gets alone.  A flat metric is one whose grad and
+    hessian_solve copy their input (the Hessian is the identity), so a
+    caller may take x for grad(x) and v for hessian_solve(x, v)."""
 
     dim: int
     name: str
+    flat = False
 
     def value(self, x):
         raise NotImplementedError
@@ -49,6 +52,7 @@ class Euclidean(Metric):
     """h(x) = |x|^2 / 2; the geometry of plain gradient descent."""
 
     name = "euclidean"
+    flat = True
 
     def __init__(self, dim):
         self.dim = int(dim)

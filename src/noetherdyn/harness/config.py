@@ -98,6 +98,13 @@ def _check_values(kind: str, params: dict):
         steps = step_count(params["t1"], params["eta"])
         if steps < 3:
             raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
+        # the continuous models' RK4 grid from the first iterate to the last
+        eta = params["eta"]
+        try:
+            grid_steps(eta, steps * eta, eta / MODIFIED_EQ_REFINE)
+        except ValueError:
+            raise UsageError(f"eta = {eta:g} has no RK4 step eta / {MODIFIED_EQ_REFINE} that "
+                             f"tiles its {steps} steps") from None
         longest = MODIFIED_EQ_REFINE * steps  # a continuous model's RK4 run
     elif kind == "rmsprop-equiv":
         longest = step_count(params["t1"], params["eta"])

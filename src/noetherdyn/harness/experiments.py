@@ -425,7 +425,8 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     at the crest of the norm trajectory, where rdot = 0.  A crest at the
     first or last sample is where the run starts or stops, not a balance
     point, so both relations fail there (the measured values are kept), as
-    they do at a prediction that underflows to 0 (inf, or nan at 0 / 0)."""
+    they do at a prediction that underflows to 0 (inf, or nan at 0 / 0) and
+    at a radius prediction that overflows to inf (nan)."""
     eta, beta, k = cfg["eta"], cfg["beta"], cfg["wd"]
     times, norm_sq, gsq, ang = flagship_run(cfg)
 
@@ -433,7 +434,10 @@ def run_steady_state(cfg: ExperimentConfig, out: Path):
     interior = 0 < crest < norm_sq.size - 1
     t_c = times[crest]
     window = (times >= t_c - 2.0) & (times <= t_c + 2.0)
-    ang_measured = float(np.mean(ang[1:][window[1:]]))
+    # no step lies in a window that holds only a crest at sample 0: nothing
+    # to average, and the relation fails there anyway
+    steps_in_window = ang[1:][window[1:]]
+    ang_measured = float(np.mean(steps_in_window)) if steps_in_window.size else math.nan
     ang_predicted = steady_angular_speed(eta, beta, k)
     ang_rel = _quotient(abs(ang_measured - ang_predicted), ang_predicted)
 

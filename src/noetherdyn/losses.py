@@ -58,20 +58,27 @@ class RayleighQuotient(Loss):
 
     @staticmethod
     def _norm_sq(q):
-        r2 = float(q @ q)
+        r2 = q.dot(q)
         if math.sqrt(r2) <= _ORIGIN_TOL:
             raise SingularLossError("origin is a singular point of the Rayleigh quotient")
         return r2
 
     def value(self, q):
         r2 = self._norm_sq(q)
-        return float(q @ self.matrix @ q) / r2
+        return float(q @ self.matrix @ q / r2)
 
     def grad(self, q):
+        """2 t / |q|^2 for t = A q - f q, computed as t / (|q|^2 / 2): the same
+        rounding, since |q|^2 >= 1e-24 halves exactly and 2t is finite while
+        |q|^2 is (|t| <= 2 |A| |q|, barring an |A| near 1e154).  Past
+        |q| = 1.3e154, |q|^2 is inf and 2t may overflow where t does not, so
+        2t / |q|^2 is kept there: NaN, where t / inf would be 0."""
         r2 = self._norm_sq(q)
         aq = self.matrix @ q
-        f = float(q @ aq) / r2
-        return 2.0 * (aq - f * q) / r2
+        t = aq - (q.dot(aq) / r2) * q
+        if r2 == math.inf:
+            return 2.0 * t / r2
+        return np.divide(t, r2 * 0.5, t)
 
 
 class TwoLayerChain(Loss):
@@ -96,9 +103,11 @@ class TwoLayerChain(Loss):
         return 0.5 * float(resid @ resid)
 
     def grad(self, q):
-        q1, q2 = q
+        q1, q2 = q.tolist()
         resid = q2 * q1 * self.x - self.y
-        c = float(resid @ self.x)
+        # not resid.dot(x): where every product is a zero of sign -, dot sums
+        # them to -0.0, the matmul sum (from +0.0) to +0.0
+        c = resid @ self.x
         return np.array([c * q2, c * q1])
 
 

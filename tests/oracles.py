@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 None of these is used by an experiment, so they live with the tests rather
-than in the package: the Lagrangian the Euler-Lagrange systems derive from,
+than in the package: the Rayleigh-quotient and two-layer-chain gradients as
+first written, the Lagrangian the Euler-Lagrange systems derive from,
 eom_bregman's right-hand side with every product written out, an RK4
 loop that allocates every stage, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
@@ -21,6 +22,27 @@ from noetherdyn.continuous import grid_steps
 from noetherdyn.errors import DomainError
 from noetherdyn.geometry import BregmanSchedule, bregman_divergence
 from noetherdyn.symmetry import _FD_STEP, NoetherObservables, time_derivative
+
+
+# ---------------------------------------------------------------------------
+# losses
+
+def rayleigh_grad(matrix, q):
+    """RayleighQuotient.grad as first written: 2 (A q - f q) / |q|^2, with
+    f and |q|^2 as Python floats (the origin check left out)."""
+    r2 = float(q @ q)
+    aq = matrix @ q
+    f = float(q @ aq) / r2
+    return 2.0 * (aq - f * q) / r2
+
+
+def chain_grad(x, y, q):
+    """TwoLayerChain.grad as first written: q unpacked into numpy scalars, and
+    the inner product with the inputs a Python float."""
+    q1, q2 = q
+    resid = q2 * q1 * x - y
+    c = float(resid @ x)
+    return np.array([c * q2, c * q1])
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,10 @@ class TestSteadyFormulas:
     def test_steady_radius_reference_value(self):
         assert steady_radius(0.01, 0.0, 1e-4, 1.0) == pytest.approx(50.0 ** 0.25)
 
+    def test_steady_radius_is_infinite_where_its_denominator_underflows(self):
+        # 2 k (1-beta)^2 = 2 * 5e-324 * 0.01 rounds to 0
+        assert steady_radius(0.3, 0.9, 5e-324, 1.0) == math.inf
+
 
 class TestKernelMap:
     def test_rate_identity(self):

@@ -16,6 +16,7 @@ from noetherdyn import (
     Quadratic,
     QuadraticForm,
     SecondOrderSystem,
+    TwoLayerChain,
     eom_bregman,
     eom_bregman_euclidean,
     eom_modified,
@@ -290,18 +291,20 @@ class TestBregmanEuclidean:
         residual = np.abs(rate - force) / np.maximum(1.0, np.abs(force))
         assert residual.max() <= 1e-5
 
-    METRICS = {"euclidean": Euclidean(3),
-               "quadratic-form": QuadraticForm(np.array([[2.0, 0.3, 0.0], [0.3, 1.2, 0.1],
-                                                         [0.0, 0.1, 1.5]])),
-               "negative-entropy": NegativeEntropy(3)}
+    METRICS = {"euclidean": Euclidean, "negative-entropy": NegativeEntropy,
+               "quadratic-form": lambda dim: QuadraticForm(
+                   np.array([[2.0, 0.3, 0.0], [0.3, 1.2, 0.1], [0.0, 0.1, 1.5]])[:dim, :dim])}
     # flat: a zero gradient everywhere, so at zero damping every drive entry
-    # is 0 * Delta_h, a zero that carries the sign of Delta_h
+    # is 0 * Delta_h, a zero that carries the sign of Delta_h; the 2-D losses
+    # are the charge-balance cases', and a chain fitted to several samples
     LOSSES = {"quadratic": Quadratic(np.diag([1.0, 2.0, 0.5])),
-              "flat": Quadratic(np.zeros((3, 3)))}
+              "flat": Quadratic(np.zeros((3, 3))),
+              **{loss.name: loss for _, _, loss, _, _ in _residual_cases() if loss.dim == 2},
+              "chain-samples": TwoLayerChain([0.5, 1.0, 2.0], [1.0, -0.5, 0.3])}
     VELOCITY_ENTRY = strategies.one_of(strategies.sampled_from([0.0, -0.0]),
                                        strategies.floats(-0.15, 0.15))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(metric=strategies.sampled_from(sorted(METRICS)),
            loss=strategies.sampled_from(sorted(LOSSES)),
            schedule=strategies.sampled_from(["zero-damping", "unit-mass", "random-mass",
@@ -318,20 +321,52 @@ class TestBregmanEuclidean:
              mu=0.3, t=0.5, other_t=0.25, q=[0.0, 0.0, 0.0], q_dot=[0.1, -0.13, 0.07])
     def test_rhs_matches_the_unskipped_products_bit_for_bit(self, metric, loss, schedule,
                                                             m, mu, t, other_t, q, q_dot):
-        """eom_bregman computes a stationary schedule's coefficients once and
+        """eom_bregman computes a stationary schedule's coefficients once,
         skips each product by one that is exactly 1.0, as natural_schedule(1, mu)
-        has; the oracle evaluates them at t and multiplies every one in.
-        e^-alpha <= 1 keeps u = q + e^-alpha qdot in the entropy domain."""
+        has, takes Delta_h from one metric call on the stack [u, q], and a flat
+        metric's as u - q with no Hessian solve; the oracle evaluates the
+        coefficients at t, multiplies every one in and calls the metric on
+        each point.  e^-alpha <= 1 keeps u = q + e^-alpha qdot in the entropy
+        domain."""
         sched = {"zero-damping": natural_schedule(1.0, 1.0),
                  "unit-mass": natural_schedule(1.0, mu),
                  "random-mass": natural_schedule(m, mu),
                  "nesterov": nesterov_schedule(2.0, 0.25)}[schedule]
-        metric, loss = self.METRICS[metric], self.LOSSES[loss]
-        q, q_dot = np.array(q), np.array(q_dot)
+        loss = self.LOSSES[loss]
+        metric = self.METRICS[metric](loss.dim)
+        q, q_dot = np.array(q[:loss.dim]), np.array(q_dot[:loss.dim])
         rhs = eom_bregman(metric, sched, loss).rhs
         assert_same_bits(rhs(t, q, q_dot), bregman_rhs(metric, sched, loss, t, q, q_dot))
         if sched.stationary:
             assert_same_bits(rhs(other_t, q, q_dot), rhs(t, q, q_dot))
+
+    @pytest.mark.parametrize("mu", [-6.0, -200.0])
+    @pytest.mark.parametrize("case", [case for case, (metric, *_) in enumerate(_residual_cases())
+                                      if metric.name == "negative-entropy"])
+    def test_entropy_trajectory_aborts_where_one_point_at_a_time_does(self, case, mu):
+        """One domain check on the stack [u, q] raises exactly where the
+        oracle's checks of u, then q, do: an anti-damped entropy trajectory
+        aborts at the same step, for the same reason, as the allocating loop
+        on the oracle's rhs.  At mu = -6 the scale case stays in its domain
+        until t = 1; at mu = -200 it overflows first."""
+        metric, _, loss, q0, qd0 = _residual_cases()[case]
+        sched = natural_schedule(1.0, mu)
+
+        def abort(solve):
+            try:
+                with np.errstate(all="ignore"):  # as the CLI runs it
+                    solve()
+            except IntegrationError as exc:
+                return exc.time, str(exc).split(":")[0]
+            return None
+
+        ours = abort(lambda: integrate_rk4(eom_bregman(metric, sched, loss), q0, qd0,
+                                           0.0, 1.0, 1e-3))
+        oracle = abort(lambda: rk4_reference(
+            lambda t, q, q_dot: bregman_rhs(metric, sched, loss, t, q, q_dot),
+            np.concatenate((q0, qd0)), 0.0, 1.0, 1e-3, split=q0.size))
+        assert ours == oracle
+        assert ours is not None or (mu == -6.0 and loss.name == "rayleigh")
 
     def test_only_natural_schedules_are_stationary(self):
         hand_built = BregmanSchedule("hand-built", alpha=math.sin, beta=math.cos,

@@ -370,6 +370,17 @@ class TestCli:
         # the half-step run's dt / 2 underflows to 0
         "no-half-step": (["noether-residual", "--dt", "5e-324", "--t1", "2.5e-323"], None, 2,
                          "dt = 4.94066e-324 has no half step"),
+        # the continuous models' RK4 step eta / 100 underflows to 0
+        "no-rk4-step": (["modified-eq", "--eta", "5e-324", "--t1", "2e-323"], None, 2,
+                        "eta = 4.94066e-324 has no RK4 step eta / 100"),
+        # the radius prediction's 2 k (1-beta)^2 underflows to 0: an infinite radius
+        "infinite-radius-prediction": (["steady-state", "--eta", "0.3", "--beta", "0.9",
+                                        "--wd", "5e-324", "--steps", "3"], None, 1,
+                                       "2 assertion(s) failed"),
+        # the crest at sample 0 is alone in its window: no step to average
+        "empty-crest-window": (["steady-state", "--eta", "50", "--beta", "5e-324",
+                                "--wd", "0.01", "--steps", "2"], None, 1,
+                               "2 assertion(s) failed"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CODES))

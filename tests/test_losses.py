@@ -1,9 +1,12 @@
 """Loss values, analytic gradients, and exact symmetries."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies
+from hypothesis.extra.numpy import arrays
 
 from noetherdyn import (
     Quadratic,
@@ -17,7 +20,8 @@ from noetherdyn import (
     TwoLayerChain,
 )
 from noetherdyn.harness.experiments import _residual_cases
-from oracles import fd_gradient
+from noetherdyn.losses import _ORIGIN_TOL
+from oracles import assert_same_bits, chain_grad, fd_gradient, rayleigh_grad
 
 
 def all_losses():
@@ -90,6 +94,53 @@ class TestGradients:
                 g_fd = fd_gradient(loss.value, q)
                 np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-7,
                                            err_msg=loss.name)
+
+
+class TestGradientBits:
+    """The gradients keep the bits of their first form (tests/oracles.py)."""
+
+    ENTRY = strategies.floats(-10.0, 10.0)
+    EXAMPLE = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, -2.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=arrays(np.float64, (4, 4), elements=ENTRY),
+           direction=arrays(np.float64, 4, elements=ENTRY), dim=strategies.integers(1, 4),
+           log_norm=strategies.floats(math.log10(_ORIGIN_TOL) + 1e-9, 308.0))
+    @example(a=EXAMPLE, direction=np.array([0.6, 0.8, 0.0, 0.0]), dim=2,
+             log_norm=-12.0 + 1e-9)  # just off the origin
+    @example(a=EXAMPLE, direction=np.array([0.6, 0.8, 0.0, 0.0]), dim=2,
+             log_norm=154.13)  # |q|^2 has just overflowed
+    # |q|^2 and q.Aq overflow, f is NaN
+    @example(a=EXAMPLE, direction=np.array([0.6, 0.8, 0.0, 0.0]), dim=2, log_norm=300.0)
+    # q.Aq is finite, f is 0, and 2t overflows where t does not
+    @example(a=np.array([[0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]),
+             direction=np.array([10.0, 1e-309, 0.0, 0.0]), dim=2, log_norm=308.0)
+    def test_rayleigh_gradient_keeps_its_bits(self, a, direction, dim, log_norm):
+        """The gradient against 2 (A q - f q) / |q|^2 with Python floats, for
+        |q| from just above the origin tolerance to 1e308, past 1.3e154 where
+        |q|^2 overflows to inf and f is NaN or 0."""
+        a = a[:dim, :dim] + a[:dim, :dim].T  # exactly symmetric
+        direction = direction[:dim]
+        length = math.sqrt(direction @ direction)
+        assume(length > 0.1)
+        q = direction * (10.0 ** log_norm / length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(math.sqrt(q @ q) > _ORIGIN_TOL)
+            assert_same_bits(RayleighQuotient(a).grad(q), rayleigh_grad(a, q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=strategies.lists(strategies.tuples(strategies.floats(-1e3, 1e3),
+                                                      strategies.floats(-1e3, 1e3)),
+                                    min_size=1, max_size=8),
+           q=strategies.tuples(strategies.floats(-1e3, 1e3), strategies.floats(-1e3, 1e3)))
+    def test_chain_gradient_keeps_its_bits(self, samples, q):
+        """Several samples, zeros among them: a zero input or target makes
+        every product resid_j x_j a signed zero, where dot and matmul sum
+        to zeros of different signs."""
+        x, y = (np.array(column) for column in zip(*samples))
+        q = np.array(q)
+        assert_same_bits(TwoLayerChain(x, y).grad(q), chain_grad(x, y, q))
 
 
 class TestScaleInvarianceLaws:
