@@ -123,44 +123,21 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
-def eom_modified(eta: float, beta: float, loss) -> SecondOrderSystem:
-    """Second-order model of heavy-ball descent at finite learning rate:
-
-        (eta (1+beta) / 2) qddot + (1-beta) qdot + grad f(q) = 0.
-
-    The learning rate plays the role of a small mass; the model collapses
-    to rescaled gradient flow (1-beta) qdot = -grad f as eta -> 0.
-    Requires eta > 0 and 0 <= beta < 1; the caller checks them.
-    """
-    mass = eta * (1.0 + beta) / 2.0
-    friction = 1.0 - beta
-
-    def rhs(t, q, q_dot):
-        return -(friction * q_dot + loss.grad(q)) / mass
-
-    return SecondOrderSystem(name="modified-heavy-ball", rhs=rhs)
-
-
-def eom_bregman_euclidean(schedule: BregmanSchedule, loss) -> SecondOrderSystem:
-    """Euclidean Euler-Lagrange system of the schedule:
-
-        qddot + (gamma_dot - alpha_dot) qdot + e^(2 alpha + beta) grad f(q) = 0.
-    """
-
-    def rhs(t, q, q_dot):
-        damping = schedule.gamma_dot(t) - schedule.alpha_dot(t)
-        force = math.exp(2.0 * schedule.alpha(t) + schedule.beta(t))
-        return -damping * q_dot - force * loss.grad(q)
-
-    return SecondOrderSystem(name=f"bregman-euclidean[{schedule.name}]", rhs=rhs)
+def _exp(x: float) -> float:
+    """math.exp, but inf where it overflows: natural_schedule(m) has
+    e^alpha = 1/m, past float range at a mass under about 5.6e-309."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _coefficients(schedule: BregmanSchedule, t: float):
     """eom_bregman's coefficients at t: e^-alpha, e^alpha - gamma_dot,
     e^(alpha+beta), e^alpha and e^alpha - alpha_dot."""
     a = schedule.alpha(t)
-    ea = math.exp(a)
-    return (math.exp(-a), ea - schedule.gamma_dot(t), math.exp(a + schedule.beta(t)), ea,
+    ea = _exp(a)
+    return (_exp(-a), ea - schedule.gamma_dot(t), _exp(a + schedule.beta(t)), ea,
             ea - schedule.alpha_dot(t))
 
 
@@ -173,7 +150,11 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
                                   - e^(alpha+beta) grad f(q) ]
                 - (e^alpha - alpha_dot) qdot
 
-    which reduces to the Euclidean form above when H = I.  A stationary
+    With H = I, Delta_h = u - q = e^-alpha qdot, and this is
+
+        qddot + (gamma_dot - alpha_dot) qdot + e^(2 alpha + beta) grad f(q) = 0,
+
+    which natural_schedule(m, mu) makes m qddot + mu qdot + grad f(q) = 0.  A stationary
     schedule's coefficients are computed once, here, and a product by one
     that is exactly 1.0 is skipped; natural_schedule(1, mu) has every one
     but e^alpha - gamma_dot = 1 - mu.  There is no such skip at 0: 0 * v

@@ -41,10 +41,11 @@ def step_gd_momentum_wd(state: OptimizerState, loss, eta: float, beta: float = 0
         buffer <- beta * buffer - eta * (grad f(q) + weight_decay * q)
         q      <- q + buffer
 
-    With beta = 0 and no decay this is plain gradient descent.  This
-    parameterization has effective mass eta (1 + beta) / 2 and friction
-    1 - beta in its second-order continuous model.  Requires eta > 0,
-    0 <= beta < 1 and weight_decay >= 0; the caller checks them.
+    With beta = 0 and no decay this is plain gradient descent.  Its
+    second-order continuous model is eom_bregman with the Euclidean metric
+    under natural_schedule(eta (1+beta)/2, 1-beta): mass eta (1+beta)/2 and
+    friction 1-beta.  Requires eta > 0, 0 <= beta < 1 and weight_decay >= 0;
+    the caller checks them.
     """
     g = loss.grad(state.q)
     if weight_decay != 0.0:

@@ -21,7 +21,7 @@ from ..closedform import (
     steady_angular_speed,
     steady_radius,
 )
-from ..continuous import eom_bregman, eom_bregman_euclidean, eom_modified, integrate_rk4, rk4_solve
+from ..continuous import eom_bregman, integrate_rk4, rk4_solve
 from ..discrete import (OptimizerState, centered_velocities, raise_if_diverged, simulate,
                         step_gd_momentum_wd, step_nesterov, step_rmsprop)
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
@@ -232,7 +232,10 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     q1 = qs[1:2]
     v1 = centered_velocities(qs, eta)[:1]
     t_end = steps * eta  # last discrete sample; t1 need not be a multiple
-    ode = integrate_rk4(eom_modified(eta, beta, loss), q1, v1,
+    # mass eta (1+beta) / 2 and friction 1-beta: the learning rate is a small
+    # mass, and the model collapses to (1-beta) qdot = -grad f as eta -> 0
+    heavy_ball = natural_schedule(eta * (1.0 + beta) / 2.0, 1.0 - beta)
+    ode = integrate_rk4(eom_bregman(Euclidean(1), heavy_ball, loss), q1, v1,
                         eta, t_end, eta / MODIFIED_EQ_REFINE)
     ode_at = ode.q[::MODIFIED_EQ_REFINE, 0]
     _, flow = rk4_solve(lambda t, y: -loss.grad(y) / (1.0 - beta),
@@ -263,7 +266,7 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
                       OptimizerState.initial(np.ones(1)), n_steps, lambda state: state.q[0], s)
     k0 = int(round(0.2 / s))
     v0 = centered_velocities(xs, s)[k0 - 1:k0]
-    system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
+    system = eom_bregman(Euclidean(1), nesterov_schedule(2.0, 0.25), loss)
     traj = integrate_rk4(system, xs[k0:k0 + 1], v0, k0 * s, 1.0, s / 10)
     ode_f = np.array([loss.value(q) for q in traj.q[::10]])
     disc_f = np.array([loss.value(x) for x in xs[k0:, None]])

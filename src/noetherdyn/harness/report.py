@@ -109,6 +109,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
     value = start
     while value <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
+        if value + step == value:  # a span under the values' resolution: step adds nothing
+            return [lo, hi]
         value += step
     return ticks or [lo, hi]
 

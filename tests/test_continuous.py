@@ -18,8 +18,6 @@ from noetherdyn import (
     SecondOrderSystem,
     TwoLayerChain,
     eom_bregman,
-    eom_bregman_euclidean,
-    eom_modified,
     eom_noether_radial,
     integrate_rk4,
     natural_schedule,
@@ -198,10 +196,14 @@ class TestRk4:
 
 
 class TestModifiedEquation:
+    """Heavy ball's finite-step model as modified-eq builds it: mass
+    eta (1+beta) / 2 and friction 1-beta, natural_schedule's m and mu."""
+
     def test_velocity_decay_without_force(self):
         eta, beta = 0.1, 0.5
         loss = Quadratic(np.zeros((1, 1)))
-        system = eom_modified(eta, beta, loss)
+        system = eom_bregman(Euclidean(1), natural_schedule(eta * (1.0 + beta) / 2.0, 1.0 - beta),
+                             loss)
         rate = 2.0 * (1.0 - beta) / (eta * (1.0 + beta))
         traj = integrate_rk4(system, [0.0], [1.0], 0.0, 0.5, 1e-3)
         np.testing.assert_allclose(traj.q_dot[-1, 0], np.exp(-rate * 0.5), rtol=1e-8)
@@ -209,7 +211,7 @@ class TestModifiedEquation:
     def test_small_step_form_without_momentum(self):
         # beta = 0 recovers (eta/2) qddot + qdot = -g
         loss = Quadratic(np.eye(2))
-        system = eom_modified(0.1, 0.0, loss)
+        system = eom_bregman(Euclidean(2), natural_schedule(0.1 / 2.0, 1.0), loss)
         q = np.array([1.0, -2.0])
         qd = np.array([0.3, 0.0])
         expected = (-qd - loss.grad(q)) * (2.0 / 0.1)
@@ -220,7 +222,7 @@ class TestBregmanEuclidean:
     def test_natural_preset_is_newtonian(self):
         m, mu = 0.5, 0.7
         loss = Quadratic(np.diag([2.0, 1.0]))
-        system = eom_bregman_euclidean(natural_schedule(m, mu), loss)
+        system = eom_bregman(Euclidean(2), natural_schedule(m, mu), loss)
         rng = np.random.default_rng(0)
         for _ in range(10):
             q, qd = rng.standard_normal(2), rng.standard_normal(2)
@@ -229,32 +231,10 @@ class TestBregmanEuclidean:
 
     def test_nesterov_damping_coefficient(self):
         loss = Quadratic(np.zeros((1, 1)))
-        system = eom_bregman_euclidean(nesterov_schedule(2.0, 0.25), loss)
+        system = eom_bregman(Euclidean(1), nesterov_schedule(2.0, 0.25), loss)
         # damping (n+1)/t = 3/2 at t = 2
         np.testing.assert_allclose(system.rhs(2.0, np.array([1.0]), np.array([1.0])),
                                    [-1.5], rtol=1e-14)
-
-    def test_sgdm_preset_equals_modified_equation(self):
-        eta, beta = 0.05, 0.3
-        loss = Quadratic(np.diag([1.0, 3.0]))
-        bregman = eom_bregman_euclidean(natural_schedule(eta * (1 + beta) / 2, 1 - beta), loss)
-        modified = eom_modified(eta, beta, loss)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            q, qd = rng.standard_normal(2), rng.standard_normal(2)
-            np.testing.assert_allclose(bregman.rhs(0.7, q, qd),
-                                       modified.rhs(0.7, q, qd), rtol=1e-12)
-
-    def test_general_form_reduces_to_euclidean(self):
-        loss = Quadratic(np.diag([1.0, 2.0]))
-        sched = natural_schedule(0.8, 1.1)
-        general = eom_bregman(Euclidean(2), sched, loss)
-        special = eom_bregman_euclidean(sched, loss)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q, qd = rng.standard_normal(2), rng.standard_normal(2)
-            np.testing.assert_allclose(general.rhs(0.4, q, qd), special.rhs(0.4, q, qd),
-                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("metric_name", ["euclidean", "quadratic-form", "negative-entropy"])
     def test_trajectories_satisfy_the_variational_condition(self, metric_name):
@@ -319,6 +299,12 @@ class TestBregmanEuclidean:
     # through u = qdot at q = 0
     @example(metric="euclidean", loss="flat", schedule="random-mass", m=0.6732655185893088,
              mu=0.3, t=0.5, other_t=0.25, q=[0.0, 0.0, 0.0], q_dot=[0.1, -0.13, 0.07])
+    # modified-eq's two models: heavy ball at eta 0.1, beta 0.5 (mass eta (1+beta) / 2
+    # = 0.075, friction 0.5), and accelerated gradient from its anchor time 0.2
+    @example(metric="euclidean", loss="quadratic", schedule="random-mass", m=0.075, mu=0.5,
+             t=0.5, other_t=0.25, q=[1.0, 0.6, 0.3], q_dot=[-0.1, 0.05, 0.0])
+    @example(metric="euclidean", loss="quadratic", schedule="nesterov", m=1.0, mu=1.0,
+             t=0.2, other_t=0.25, q=[1.0, 0.6, 0.3], q_dot=[-0.1, 0.05, 0.0])
     def test_rhs_matches_the_unskipped_products_bit_for_bit(self, metric, loss, schedule,
                                                             m, mu, t, other_t, q, q_dot):
         """eom_bregman computes a stationary schedule's coefficients once,
@@ -376,10 +362,17 @@ class TestBregmanEuclidean:
         assert not nesterov_schedule(2.0, 0.25).stationary
         assert natural_schedule(0.5, 0.7).stationary
 
+    def test_subnormal_mass_aborts_as_non_finite(self):
+        # e^alpha = 1/m is past float range: an inf coefficient, which RK4's
+        # finiteness check aborts on, not an OverflowError from building
+        system = eom_bregman(Euclidean(1), natural_schedule(5e-311, 0.5), Quadratic(np.eye(1)))
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="no longer finite"):
+            integrate_rk4(system, [1.0], [0.0], 0.0, 4e-310, 1e-310)
+
     def test_energy_dissipates_with_friction(self):
         m, mu = 0.5, 1.0
         loss = Quadratic(np.diag([2.0, 1.0]))
-        traj = integrate_rk4(eom_bregman_euclidean(natural_schedule(m, mu), loss),
+        traj = integrate_rk4(eom_bregman(Euclidean(2), natural_schedule(m, mu), loss),
                              [1.0, -0.7], [0.3, 0.1], 0.0, 4.0, 1e-3)
         energy = 0.5 * m * np.sum(traj.q_dot ** 2, axis=1) \
             + np.array([loss.value(q) for q in traj.q])

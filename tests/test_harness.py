@@ -1,17 +1,21 @@
 """Configuration, emission formats, channel comparison, and the CLI."""
 
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
@@ -258,6 +262,13 @@ class TestEmission:
         assert root.tag.endswith("svg")
         assert [el for el in root.iter() if el.tag.endswith("polyline")]
 
+    def test_svg_of_a_span_under_the_values_resolution_is_wellformed(self, tmp_path):
+        # 1 plus the tick step is 1: the axis keeps its ends, as a subnormal span does
+        t = np.linspace(0, 1, 3)
+        path = write_svg(tmp_path / "ulp.svg", "one ulp apart",
+                         [("a", t, np.array([1.0, 1.0, np.nextafter(1.0, 2.0)]))], ylabel="y")
+        assert ET.parse(path).getroot().tag.endswith("svg")
+
     def test_verdict_file_format(self, tmp_path):
         verdicts = [Verdict("a.b", True, 0.5, 1.0), Verdict("c.d", False, 2.0, 1.0)]
         path = write_verdicts(tmp_path / "verdict.tsv", verdicts)
@@ -310,6 +321,72 @@ def test_diverging_flagship_run_aborts_with_its_time():
         flagship_run(cfg)
     step = int(re.search(r"after step (\d+)", str(caught.value)).group(1))
     assert caught.value.time == 50.0 * step
+
+
+# The exit-code property's inputs: each key's tiny values (subnormal and
+# near it), its other edge values (huge, one ulp under 1, mu down to -1e300,
+# a few out of range) and an ordinary range, each a third of the draws
+_TINY = strategies.sampled_from([5e-324, 1e-310, 1e-200])
+_HUGE = [1e10, 1e300]
+_UNDER_ONE = math.nextafter(1.0, 0.0)
+_CLI_VALUES = {
+    "eta": _TINY | strategies.sampled_from([1e-4, 0.01, 0.1, 0.5, 5.0, 50.0, *_HUGE, -1.0])
+    | strategies.floats(1e-3, 1.0),
+    "dt": _TINY | strategies.sampled_from([1e-3, 0.01, 0.1, 0.5, *_HUGE, 0.0])
+    | strategies.floats(1e-3, 0.5),
+    "beta": _TINY | strategies.sampled_from([0.0, 0.5, 0.9, _UNDER_ONE, 1.0])
+    | strategies.floats(0.0, 1.0, exclude_max=True),
+    "rho": _TINY | strategies.sampled_from([0.5, 0.9, 0.99, _UNDER_ONE, 1.0])
+    | strategies.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "wd": _TINY | strategies.sampled_from([0.0, 1e-4, 0.01, 1.0, *_HUGE, -1e-4])
+    | strategies.floats(0.0, 1.0),
+    "mu": _TINY | strategies.sampled_from([-1e300, -1e10, -200.0, -6.0, -1.0, 0.0, 0.5, 1.0,
+                                           *_HUGE]) | strategies.floats(-10.0, 10.0),
+    "seed": strategies.sampled_from([0, 1, 7, 2 ** 32, 10 ** 30]),
+}
+# The work bound: a step count n is drawn, never filtered, up to a bound per
+# kind, and t1 follows from it as eta * n (dt * n for noether-residual).  The
+# region left out is every longer run, up to config.MAX_STEPS.  Each bound
+# keeps one run near 0.1 s on a 2-vCPU host: noether-residual costs about
+# 2.4 ms per step of dt (24 solves), and modified-eq 0.1 s for its
+# accelerated-gradient model plus 2 x 100 RK4 steps per optimizer step, so
+# 2e4 steps would take a minute or more a run.  The flagship bound spans
+# two 1,024-step blocks.
+_CLI_STEP_BOUND = {"noether-residual": 20, "conservation": 500, "modified-eq": 10,
+                   "bn-effective-lr": 2 * BLOCK, "steady-state": 2 * BLOCK, "rmsprop-equiv": 500}
+# what a config file may hold besides its key lines: any text UTF-8 can
+# hold (text()'s own alphabet, which it finds by scanning the codec, about
+# 3 s on a fresh hypothesis store), a key set twice, a line with no '='
+_CONFIG_EXTRA = strategies.one_of(
+    strategies.none(), strategies.text(strategies.characters(exclude_categories=("Cs",))),
+    strategies.sampled_from(["seed = 1\nseed = 1\n", "eta 0.1\n", "steps\n"]))
+
+
+@strategies.composite
+def _cli_runs(draw):
+    """(argv, config file text or None) for one experiment: every key it takes
+    is set, each as a flag or a config line, t1 derived from a drawn step count."""
+    kind = draw(strategies.sampled_from(list(PARAMETERS)))
+    steps = draw(strategies.integers(1, 8) | strategies.integers(1, _CLI_STEP_BOUND.get(kind, 1)))
+    values = {key: draw(_CLI_VALUES[key]) for key in PARAMETERS[kind]
+              if key not in ("steps", "t1")}
+    values["seed"] = draw(_CLI_VALUES["seed"])
+    if "steps" in PARAMETERS[kind]:
+        values["steps"] = steps
+    if "t1" in PARAMETERS[kind]:  # t1 = eta * n, or dt * n: a product may round
+        values["t1"] = values.get("dt", values.get("eta")) * steps
+    argv, lines = [kind], []
+    for key, value in values.items():
+        where = draw(strategies.sampled_from(["flag", "flag=", "line"]))
+        if where == "flag":
+            argv += [f"--{key}", repr(value)]
+        elif where == "flag=":
+            argv += [f"--{key}={value!r}"]
+        else:
+            lines.append(f"{key} = {value!r}\n")
+    extra = draw(_CONFIG_EXTRA) if draw(strategies.booleans()) else None
+    text = "".join(lines) + (extra or "")
+    return argv, (text if lines or extra is not None else None)
 
 
 class TestCli:
@@ -373,6 +450,14 @@ class TestCli:
         # the continuous models' RK4 step eta / 100 underflows to 0
         "no-rk4-step": (["modified-eq", "--eta", "5e-324", "--t1", "2e-323"], None, 2,
                         "eta = 4.94066e-324 has no RK4 step eta / 100"),
+        # the squared norm settles within an ulp: the SVG tick step is under the
+        # values' resolution and adds nothing, and the axis keeps its ends
+        "tick-under-resolution": (["bn-effective-lr", "--eta", "0.19943604076634364", "--beta",
+                                   "0", "--wd", "0.7852654335579514", "--steps", "5",
+                                   "--seed", "4294967296"], None, 1, "1 assertion(s) failed"),
+        # the heavy-ball model's mass eta (1+beta) / 2 has an inverse past float range
+        "subnormal-mass": (["modified-eq", "--eta", "1e-310", "--t1", "3e-310"], None, 3,
+                           "state is no longer finite (t=1.01e-310)"),
         # the radius prediction's 2 k (1-beta)^2 underflows to 0: an infinite radius
         "infinite-radius-prediction": (["steady-state", "--eta", "0.3", "--beta", "0.9",
                                         "--wd", "5e-324", "--steps", "3"], None, 1,
@@ -405,6 +490,35 @@ class TestCli:
             assert sorted(os.listdir()) == (["c.cfg"] if config is not None else [])
         if code == 3:  # the abort names when: a time, or a discrete run's step
             assert re.search(r"\(t=[0-9.e+-]+\)|after step \d+", stderr)
+
+    @settings(max_examples=75, deadline=None)
+    @given(run=_cli_runs())
+    # eta / 100 underflows to 0: modified-eq's RK4 step must be refused as usage
+    @example(run=(["modified-eq", "--eta", "5e-324", "--beta", "0.5", "--t1", "2e-323"], None))
+    def test_every_command_line_keeps_the_exit_code_contract(self, run):
+        """Any command line of any experiment, with any config file text, exits
+        0, 1, 2 or 3 with no escaping exception; a nonzero exit prints one
+        stderr line, and a usage error or numerical abort leaves no directory
+        it created.  A warning would be a stderr line of its own."""
+        argv, config = run
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if config is not None:
+                (tmp / "c.cfg").write_text(config, encoding="utf-8")
+                argv = argv + ["--config", str(tmp / "c.cfg")]
+            out = tmp / "out" / "run"
+            stderr = io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+                warnings.simplefilter("always")
+                code = main(argv + ["--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            lines = stderr.getvalue().count("\n") + len(caught)
+            assert lines == (0 if code == 0 else 1), stderr.getvalue()
+            if code in (2, 3):
+                assert os.listdir(tmp) == ([] if config is None else ["c.cfg"])
+            else:
+                assert (out / "verdict.tsv").is_file()
 
     @pytest.mark.parametrize("out, existing", [("a/b", False), ("a/../b/c", False), ("a/b", True)],
                              ids=["created", "created-through-parent", "existing"])

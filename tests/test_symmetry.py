@@ -16,7 +16,6 @@ from noetherdyn import (
     Scale,
     Translation,
     eom_bregman,
-    eom_bregman_euclidean,
     integrate_rk4,
     kinetic_asymmetry,
     natural_schedule,
@@ -286,7 +285,7 @@ class TestNoetherResidual:
         nhat = np.ones(3) / np.sqrt(3)
         loss = Quadratic(4.0 * (np.eye(3) - np.outer(nhat, nhat)))
         tf = Translation(nhat)
-        traj = integrate_rk4(eom_bregman_euclidean(sched, loss),
+        traj = integrate_rk4(eom_bregman(e, sched, loss),
                              np.array([1.0, -0.4, 0.2]), np.array([0.5, 0.1, -0.3]),
                              0.0, 1.0, 1e-3)
         obs = noether_residual(e, sched, tf, traj)
@@ -298,7 +297,7 @@ class TestNoetherResidual:
     def test_noneuclid_term_vanishes_for_euclidean(self):
         sched = natural_schedule(1.0, 1.0)
         e, tf, loss, q0, qd0 = _residual_case("euclidean", "rescale")
-        traj = integrate_rk4(eom_bregman_euclidean(sched, loss), q0, qd0, 0.0, 1.0, 1e-3)
+        traj = integrate_rk4(eom_bregman(e, sched, loss), q0, qd0, 0.0, 1.0, 1e-3)
         obs = noether_residual(e, sched, tf, traj)
         assert np.max(np.abs(obs.noneuclid_term)) <= 1e-10
 
@@ -361,7 +360,7 @@ class TestGradientFlowLimit:
         averages = []
         for m in masses:
             sched = natural_schedule(m, 1.0)
-            traj = integrate_rk4(eom_bregman_euclidean(sched, loss),
+            traj = integrate_rk4(eom_bregman(e, sched, loss),
                                  [1.0, 0.5], [0.0, 0.0], 0.0, 2.0, 1e-3)
             charges = [noether_charge(e, tf, traj.q[i], traj.q_dot[i], sched.alpha(0.0))
                        for i in range(0, traj.times.size, 10)]
