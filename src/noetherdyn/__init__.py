@@ -25,7 +25,6 @@ from .continuous import (
     SecondOrderSystem,
     Trajectory,
     eom_bregman,
-    eom_noether_radial,
     integrate_rk4,
     rk4_solve,
 )

@@ -197,22 +197,3 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
     return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
                              parameters={"metric": metric.name})
 
-
-def eom_noether_radial(m: float, mu: float, k: float, gsq, dt: float) -> SecondOrderSystem:
-    """Scalar dynamics of the squared norm u = r^2 driven by a recorded
-    gradient-norm channel, gsq[i] at time i * dt:
-
-        m u'' + mu u' = -2 k u + (2 m / (mu^2 u)) gsq(t)
-
-    gsq(t) interpolates the recorded |ghat|^2 samples piecewise-linearly,
-    matching the trapezoid convention of the closed forms.
-    """
-    times = dt * np.arange(gsq.size)
-
-    def rhs(t, u, u_dot):
-        if u[0] <= 0.0:
-            raise IntegrationError(f"squared norm hit {u[0]:.3e}", time=t)
-        drive = float(np.interp(t, times, gsq))
-        return (-mu * u_dot - 2.0 * k * u + (2.0 * m / (mu ** 2 * u)) * drive) / m
-
-    return SecondOrderSystem(name="noether-radial", rhs=rhs)

@@ -115,6 +115,16 @@ def _check_values(kind: str, params: dict):
                          "without weight decay the norm has no radial balance point")
     if longest > MAX_STEPS:
         raise UsageError(f"longest run would make {longest} steps, more than {MAX_STEPS:.0e}")
+    if kind == "conservation":
+        # the drift-slope sweep's 100 * eta run covers steps * eta, a float under the ceiling
+        eta, steps = params["eta"], params["steps"]
+        try:
+            sweep = step_count(steps * eta, 100.0 * eta)
+        except UsageError:  # past float range, (steps * eta) / (100 * eta) is no count
+            sweep = 0
+        if sweep < 1:
+            raise UsageError(f"steps = {steps} at eta = {eta:g} give the drift-slope sweep's "
+                             "100 * eta run no step: it makes round(steps * eta / (100 * eta))")
 
 
 @dataclass

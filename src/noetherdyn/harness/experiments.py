@@ -200,7 +200,7 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     total_time = steps * eta
     drifts = [drift]
     for lr in etas[1:]:
-        _, series = gd_norms(lr, int(round(total_time / lr)))
+        _, series = gd_norms(lr, step_count(total_time, lr))
         drifts.append(abs(series[-1] - series[0]) / series[0])
     slope = float(np.polyfit(np.log(etas), np.log(drifts), 1)[0])
     verdicts.append(Verdict("conservation.drift-slope", abs(slope - 1.0) <= 0.2,

@@ -18,18 +18,15 @@ from noetherdyn import (
     SecondOrderSystem,
     TwoLayerChain,
     eom_bregman,
-    eom_noether_radial,
     integrate_rk4,
     natural_schedule,
     nesterov_schedule,
-    r2_schedule,
     rk4_solve,
 )
 from noetherdyn.continuous import grid_steps
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import time_derivative
-from oracles import (assert_same_bits, bregman_rhs, constant_history, lagrangian,
-                     rk4_reference)
+from oracles import assert_same_bits, bregman_rhs, lagrangian, rk4_reference
 
 HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
 
@@ -377,31 +374,3 @@ class TestBregmanEuclidean:
         energy = 0.5 * m * np.sum(traj.q_dot ** 2, axis=1) \
             + np.array([loss.value(q) for q in traj.q])
         assert np.max(np.diff(energy)) <= 1e-9
-
-
-class TestNoetherRadial:
-    def test_constant_drive_reaches_steady_radius(self):
-        # dt stays below the RK4 stability bound for the fast rate mu/m = 200
-        m, mu, k, c = 0.005, 1.0, 0.01, 1.0
-        gsq = constant_history(c, 400.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(m, mu, k, gsq, 0.01), [4.0], [0.0],
-                             0.0, 400.0, 0.01)
-        steady = np.sqrt(m * c ** 2 / (k * mu ** 2))
-        assert traj.q[-1, 0] == pytest.approx(steady, rel=1e-4)
-
-    def test_no_drive_no_decay_keeps_norm(self):
-        gsq = constant_history(0.0, 5.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(0.01, 1.0, 0.0, gsq, 0.01), [2.0], [0.0],
-                             0.0, 5.0, 0.01)
-        np.testing.assert_allclose(traj.q[:, 0], 2.0, rtol=1e-12)
-
-    def test_matches_closed_form_schedule(self):
-        m, mu, k = 0.005, 1.0, 1e-4
-        gsq = constant_history(1.0, 100.0, 0.01)
-        traj = integrate_rk4(eom_noether_radial(m, mu, k, gsq, 0.01), [4.0], [0.0],
-                             0.0, 100.0, 0.01)
-        sched = r2_schedule(gsq, 0.01, 2.0 * m, 0.0, k, 2.0)
-        window = traj.times >= 20.0
-        rel = np.abs(traj.q[window, 0] - sched[window]) / sched[window]
-        assert np.max(rel) <= 1e-3
-

@@ -1,5 +1,7 @@
-"""Configuration, emission formats, channel comparison, and the CLI."""
+"""Configuration, emission formats, channel comparison, the CLI, and the
+package's exports."""
 
+import ast
 import contextlib
 import io
 import math
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies
 
+import noetherdyn
 from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
                         step_gd_momentum_wd)
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, experiments
@@ -429,12 +432,15 @@ class TestCli:
                                 "not finite after step 6 (t=30)"),
         "simulate-non-finite": (["modified-eq", "--eta", "5", "--beta", "0.5", "--t1", "4000"],
                                 None, 3, "not finite after step 587 (t=2935)"),
+        # the drift-slope sweep's 100 * eta run would round steps / 100 = 0.5 to no step
+        "no-sweep-step": (["conservation", "--eta", "1e-4", "--steps", "50"], None, 2,
+                          "give the drift-slope sweep's 100 * eta run no step"),
         # an empty path is the working directory: it names no output directory
         "empty-out-flag": (["table2", "--out", ""], None, 2, "out must name a directory"),
         "empty-out-line": (["table2"], "out =\n", 2, "out must name a directory"),
         # a subnormal axis span: the SVG tick step underflows, the axis keeps its ends
-        "subnormal-span": (["conservation", "--eta", "5e-324", "--steps", "2"], None, 1,
-                           "1 assertion(s) failed"),
+        "subnormal-span": (["rmsprop-equiv", "--eta", "5e-324", "--rho", "0.5", "--t1", "1e-323"],
+                           None, 1, "1 assertion(s) failed"),
         "subnormal-tick": (["noether-residual", "--dt", "1e-323", "--t1", "5e-323"], None, 1,
                            "13 assertion(s) failed"),
         # a steady-state prediction that underflows to 0 fails its relation
@@ -674,6 +680,8 @@ class TestCli:
         ["modified-eq", "--eta", "1", "--t1", "1e13"],
         ["noether-residual", "--dt", "1", "--t1", "1e13"],
         ["conservation", "--eta", "1e-4", "--config", "steps.cfg"],
+        # the drift-slope sweep's step 100 * eta past float range: no step count
+        ["conservation", "--eta", "1e307"],
         ["bn-effective-lr", "--eta", "0.01", "--beta", "0.9", "--wd", "1e-4",
          "--config", "steps.cfg"],
         # text no value is read from, and command lines outside the grammar
@@ -771,3 +779,27 @@ class TestCli:
                          "--seed", "5", "--out", str(out)]) == 0
         for csv in sorted(p.name for p in a.glob("*.csv")):
             assert (a / csv).read_bytes() == (b / csv).read_bytes()
+
+
+def test_every_export_is_used_inside_the_package():
+    """Each name noetherdyn/__init__.py imports from its modules is read by
+    some other module of the package: a public symbol that no experiment
+    runs is deleted, not kept.  A def or class line binds its name and does
+    not read it, and a mention in a docstring or comment is not a read.
+    Not caught: a symbol read only inside another symbol that nothing runs,
+    since the scan sees that a name is read, not that its reader runs."""
+    package = Path(noetherdyn.__file__).parent
+    init = package / "__init__.py"
+    exports = {alias.asname or alias.name for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    read = set()
+    for path in package.rglob("*.py"):
+        if path != init:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert exports  # the scan found the exports
+    assert sorted(exports - read) == []
