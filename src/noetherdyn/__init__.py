@@ -26,6 +26,7 @@ from .continuous import (
     Trajectory,
     eom_bregman,
     integrate_rk4,
+    integrate_rk4_lockstep,
     rk4_solve,
 )
 from .discrete import (

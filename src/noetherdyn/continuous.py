@@ -6,6 +6,7 @@ none of the systems is stiff at the parameters we test.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -121,6 +122,57 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     d = q0.size
     times, ys = rk4_solve(system.rhs, np.concatenate((q0, qdot0)), t0, t1, dt, split=d)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
+
+
+def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> list:
+    """integrate_rk4 for several independent systems on one grid, in one
+    rk4_solve pass over the flat state [q_1 ... q_m, qdot_1 ... qdot_m].
+
+    `problems` holds (system, q0, qdot0) triples.  Returns one outcome per
+    problem: the Trajectory that integrate_rk4 gives that system alone, or
+    the exception it raises for it.  Each RK4 combination is elementwise and
+    each rhs sees views of its own system's entries, so a pass that ends
+    gives every system the bits of its solo run; the trajectories share one
+    times array.  A pass that raises instead integrates each system alone,
+    so each failure keeps the message and time of its solo run, and the
+    systems that do not fail keep their trajectories.
+    """
+    try:
+        starts = [(np.asarray(q0, dtype=float), np.asarray(qdot0, dtype=float))
+                  for _, q0, qdot0 in problems]
+        if any(q0.ndim != 1 or q0.shape != qdot0.shape for q0, qdot0 in starts):
+            raise ValueError("lockstep takes flat q0 and qdot0 of one shape per system")
+        offsets = list(itertools.accumulate((q0.size for q0, _ in starts), initial=0))
+        spans = list(zip(offsets, offsets[1:]))
+        rhs = [system.rhs for system, _, _ in problems]
+        # id(q) -> (q, result, per-system views of q, q_dot and result): rk4_solve
+        # hands each stage the same q, and holding q keeps its id unique
+        stages = {}
+
+        def f(t, q, q_dot):
+            stage = stages.get(id(q))
+            if stage is None:
+                result = np.empty(q.size)
+                stage = stages[id(q)] = (q, result, [
+                    (r, q[a:b], q_dot[a:b], result[a:b]) for r, (a, b) in zip(rhs, spans)])
+            _, result, views = stage
+            for r, q_i, q_dot_i, result_i in views:
+                result_i[...] = r(t, q_i, q_dot_i)
+            return result
+
+        y0 = np.concatenate([q0 for q0, _ in starts] + [qdot0 for _, qdot0 in starts])
+        times, ys = rk4_solve(f, y0, t0, t1, dt, split=offsets[-1])
+    except Exception:
+        outcomes = []
+        for system, q0, qdot0 in problems:
+            try:
+                outcomes.append(integrate_rk4(system, q0, qdot0, t0, t1, dt))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+    split = offsets[-1]
+    return [Trajectory(times=times, q=ys[:, a:b], q_dot=ys[:, split + a:split + b])
+            for a, b in spans]
 
 
 def _exp(x: float) -> float:

@@ -7,7 +7,7 @@ learning rate is the continuous time of the matching trajectory sample.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def step_gd_momentum_wd(state: OptimizerState, loss, eta: float, beta: float = 0
     if weight_decay != 0.0:
         g = g + weight_decay * state.q
     buffer = beta * state.momentum_buffer - eta * g
-    return replace(state, q=state.q + buffer, momentum_buffer=buffer,
-                   step_index=state.step_index + 1)
+    return OptimizerState(state.q + buffer, buffer, state.accumulator, state.step_index + 1)
 
 
 def step_nesterov(state: OptimizerState, loss, eta: float) -> OptimizerState:
@@ -66,8 +65,7 @@ def step_nesterov(state: OptimizerState, loss, eta: float) -> OptimizerState:
     factor = (k - 1.0) / (k + 2.0) if k >= 1 else 0.0
     y = state.q + factor * state.momentum_buffer
     q_new = y - eta * loss.grad(y)
-    return replace(state, q=q_new, momentum_buffer=q_new - state.q,
-                   step_index=state.step_index + 1)
+    return OptimizerState(q_new, q_new - state.q, state.accumulator, k + 1)
 
 
 def step_rmsprop(state: OptimizerState, loss, eta: float, rho: float) -> OptimizerState:
@@ -83,7 +81,7 @@ def step_rmsprop(state: OptimizerState, loss, eta: float, rho: float) -> Optimiz
     g = loss.grad(state.q)
     q_new = state.q - (eta / math.sqrt(state.accumulator)) * g
     g_new = rho * state.accumulator + (1.0 - rho) * float(g @ g)
-    return replace(state, q=q_new, accumulator=g_new, step_index=state.step_index + 1)
+    return OptimizerState(q_new, state.momentum_buffer, g_new, state.step_index + 1)
 
 
 def centered_velocities(qs: np.ndarray, eta: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from ..closedform import (
     steady_angular_speed,
     steady_radius,
 )
-from ..continuous import eom_bregman, integrate_rk4, rk4_solve
+from ..continuous import eom_bregman, integrate_rk4, integrate_rk4_lockstep, rk4_solve
 from ..discrete import (OptimizerState, centered_velocities, raise_if_diverged, simulate,
                         step_gd_momentum_wd, step_nesterov, step_rmsprop)
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
@@ -127,21 +127,35 @@ def _residual_cases():
     return cases
 
 
+def _trajectory(outcome):
+    """An integrate_rk4_lockstep outcome's trajectory; raises its exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def run_noether_residual(cfg: ExperimentConfig, out: Path):
+    """Both grids integrate the 12 cases in lockstep, but a case's failure is
+    raised where a case-by-case loop would meet it: coarse integration, coarse
+    residual, fine integration, then fine residual, case by case, so the
+    first failing case is named and the CSVs of the cases before it are
+    written."""
     dt = cfg["dt"]
     t1 = cfg["t1"]
     schedule = natural_schedule(1.0, cfg["mu"])  # unit mass
+    cases = _residual_cases()
+    problems = [(eom_bregman(metric, schedule, loss), q0, qd0)
+                for metric, _, loss, q0, qd0 in cases]
+    coarse = integrate_rk4_lockstep(problems, 0.0, t1, dt)
+    fine = integrate_rk4_lockstep(problems, 0.0, t1, dt / 2.0)
     verdicts = []
     coarse_max = 0.0
     fine_max = 0.0
     series = []
-    for metric, transform, loss, q0, qd0 in _residual_cases():
+    for (metric, transform, *_), traj, fine_traj in zip(cases, coarse, fine):
         tag = f"{metric.name}-{transform.name}"
-        system = eom_bregman(metric, schedule, loss)
-        traj = integrate_rk4(system, q0, qd0, 0.0, t1, dt)
-        obs = noether_residual(metric, schedule, transform, traj)
-        fine = integrate_rk4(system, q0, qd0, 0.0, t1, dt / 2.0)
-        obs_fine = noether_residual(metric, schedule, transform, fine)
+        obs = noether_residual(metric, schedule, transform, _trajectory(traj))
+        obs_fine = noether_residual(metric, schedule, transform, _trajectory(fine_traj))
 
         worst = float(np.max(np.abs(obs.residual)))
         coarse_max = max(coarse_max, worst)
@@ -316,11 +330,14 @@ def flagship_run(cfg: ExperimentConfig):
     step writes its gradient and its next point into rows of (BLOCK, dim)
     arrays, and at the end of each block the whole block is recorded at
     once: the norm, |ghat|^2 = rr |g|^2, the normalised points and the
-    angular steps |qhat_n - qhat_(n-1)|.  Every elementwise op has the same
-    operands, in the same order, as the library step, and a block's dot
-    products are `np.vecdot`, which makes the same per-row BLAS call as
-    `x.dot(x)`, so tests/test_harness.py checks all four channels bit for
-    bit against the library step.
+    angular steps |qhat_n - qhat_(n-1)|.  The spectrum is held doubled, so
+    aq = 2 A q, q.dot(aq) / rr and aq - f q are twice the library's values,
+    exactly while they stay normal and finite, and the gradient is one
+    division by rr, the library's 2 (A q - f q) / rr bit for bit.  Every
+    other elementwise op has the same operands, in the same order, as the
+    library step, and a block's dot products are `np.vecdot`, which makes
+    the same per-row BLAS call as `x.dot(x)`, so tests/test_harness.py
+    checks all four channels bit for bit against the library step.
 
     Like `simulate`, it aborts at the first step whose record is not finite:
     the norm and the gradient norm suffice, since a finite positive norm
@@ -334,12 +351,12 @@ def flagship_run(cfg: ExperimentConfig):
     k = cfg["wd"]
     steps = cfg["steps"]
     dim = FLAGSHIP_DIM
-    lam = FLAGSHIP_SPECTRUM
+    lam2 = 2.0 * FLAGSHIP_SPECTRUM
 
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     # a constant operand as a vector: a ufunc call converts a Python float
     # on every call, which costs more than the op on ten entries
-    k_vec, eta_vec, beta_vec, two_vec = (np.full(dim, c) for c in (k, eta, beta, 2.0))
+    k_vec, eta_vec, beta_vec = (np.full(dim, c) for c in (k, eta, beta))
     aq, t = np.empty(dim), np.empty(dim)
     buffer = np.zeros(dim)
     # row i holds step lo + i of the current block; the point after its last
@@ -363,11 +380,10 @@ def flagship_run(cfg: ExperimentConfig):
         rows = min(BLOCK, steps + 1 - lo)
         last = steps - lo  # the row of the final step, if it is in this block
         for i in range(rows):
-            multiply(lam, q, aq)  # the diagonal matrix product, bit for bit
-            f = q.dot(aq) / rr
-            multiply(f, q, t)  # g = 2 (aq - f q) / rr
+            multiply(lam2, q, aq)  # aq = 2 A q, the diagonal matrix product
+            f = q.dot(aq) / rr  # twice the Rayleigh quotient
+            multiply(f, q, t)  # g = (aq - f q) / rr, the library's 2 (A q - f q) / rr
             subtract(aq, t, t)
-            multiply(two_vec, t, t)
             g = grad_rows[i]
             divide(t, rr, g)
             if i == last:

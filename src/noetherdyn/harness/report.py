@@ -26,12 +26,17 @@ def write_csv(path, times, channels: dict) -> Path:
 
 def write_table_csv(path, header, rows) -> Path:
     """Tabular CSV: one line per row; float cells (numpy's included) carry 17
-    significant digits, other cells their str()."""
+    significant digits, other cells their str().  A column keeps the kind of
+    cell its first row holds: each row is one `%` with a pattern built from
+    the first row, `%.17g` (format_float's digits) for a float, else `%s`."""
     path = Path(path)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(c) if isinstance(c, float) else str(c)
-                              for c in row))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        pattern = ",".join("%.17g" if isinstance(c, float) else "%s" for c in first)
+        lines.append(pattern % tuple(first))
+        lines.extend(pattern % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 

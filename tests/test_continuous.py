@@ -16,9 +16,11 @@ from noetherdyn import (
     Quadratic,
     QuadraticForm,
     SecondOrderSystem,
+    Trajectory,
     TwoLayerChain,
     eom_bregman,
     integrate_rk4,
+    integrate_rk4_lockstep,
     natural_schedule,
     nesterov_schedule,
     rk4_solve,
@@ -190,6 +192,45 @@ class TestRk4:
             with pytest.raises(IntegrationError, match="initial state") as caught:
                 integrate_rk4(HARMONIC, [1.0], [bad], 0.25, 1.0, 0.25)
             assert caught.value.time == 0.25
+
+
+class TestLockstep:
+    @settings(max_examples=40, deadline=None)
+    @given(order=strategies.permutations(range(12)), count=strategies.integers(1, 12),
+           mu=strategies.one_of(strategies.floats(-10.0, 2.0),
+                                strategies.sampled_from([-200.0, -1000.0, -1e4, -1e5, 1e4])),
+           dt=strategies.sampled_from([1e-3, 0.01]), steps=strategies.integers(1, 40))
+    @example(order=list(range(12)), count=12, mu=-1000.0, dt=0.01, steps=40)
+    def test_each_outcome_is_the_systems_solo_run(self, order, count, mu, dt, steps):
+        """Any subset of the residual cases, in any order: each system gets
+        the bits integrate_rk4 gives it alone, and a system that leaves its
+        domain or stops being finite gets the exception its solo run raises,
+        at the same time, while the others keep their trajectories."""
+        cases = _residual_cases()
+        schedule = natural_schedule(1.0, mu)
+        problems = [(eom_bregman(metric, schedule, loss), q0, qd0)
+                    for metric, _, loss, q0, qd0 in (cases[i] for i in order[:count])]
+        t1 = steps * dt
+        with np.errstate(all="ignore"):  # as the CLI runs it
+            outcomes = integrate_rk4_lockstep(problems, 0.0, t1, dt)
+            assert len(outcomes) == count
+            for (system, q0, qd0), outcome in zip(problems, outcomes):
+                try:
+                    alone = integrate_rk4(system, q0, qd0, 0.0, t1, dt)
+                except Exception as exc:
+                    assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                    continue
+                assert isinstance(outcome, Trajectory)
+                assert_same_bits(outcome.times, alone.times)
+                assert_same_bits(outcome.q, alone.q)
+                assert_same_bits(outcome.q_dot, alone.q_dot)
+
+    def test_a_grid_that_does_not_tile_fails_every_system_as_alone(self):
+        problems = [(HARMONIC, [1.0], [0.0]), (HARMONIC, [0.5, 2.0], [1.0, 0.0])]
+        outcomes = integrate_rk4_lockstep(problems, 0.0, 1.0, 0.3)
+        with pytest.raises(ValueError) as caught:
+            integrate_rk4(HARMONIC, [1.0], [0.0], 0.0, 1.0, 0.3)
+        assert [(type(o), str(o)) for o in outcomes] == [(ValueError, str(caught.value))] * 2
 
 
 class TestModifiedEquation:

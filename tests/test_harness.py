@@ -29,7 +29,8 @@ from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PA
                                        build_config, parse_config_file, read_command_line)
 from noetherdyn.harness.experiments import (BLOCK, FLAGSHIP_SPECTRUM, flagship_run,
                                             flagship_start)
-from noetherdyn.harness.report import Verdict, write_csv, write_svg, write_verdicts
+from noetherdyn.harness.report import (Verdict, format_float, write_csv, write_svg,
+                                       write_table_csv, write_verdicts)
 from oracles import assert_same_bits
 
 
@@ -241,6 +242,19 @@ class TestEmission:
         parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         assert parsed[:, 0].tobytes() == t.tobytes()
         assert parsed[:, 1].tobytes() == values.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=strategies.lists(strategies.floats(), min_size=1, max_size=20))
+    def test_table_cells_keep_their_text(self, values):
+        """A row is one `%` on a pattern from the first row: a float cell,
+        numpy's or Python's, gets format_float's text (signed zeros, inf,
+        nan and subnormals included), any other cell its str()."""
+        rows = [(f"r{i}", i, x, np.float64(x)) for i, x in enumerate(values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_table_csv(Path(tmp) / "x.csv", ["name", "i", "x", "y"], rows)
+            lines = path.read_text().splitlines()
+        assert lines == ["name,i,x,y"] + [f"r{i},{i},{format_float(x)},{format_float(x)}"
+                                          for i, x in enumerate(values)]
 
     def test_csv_rejects_misaligned_channel(self, tmp_path):
         with pytest.raises(ValueError):
