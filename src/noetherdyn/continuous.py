@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .geometry import BregmanSchedule, Metric
+from .losses import Loss
 
 
 @dataclass
@@ -32,9 +33,20 @@ class SecondOrderSystem:
 
     name: str
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    # labels for outside tools: eom_bregman records {"metric": name}, which
-    # the benchmark tracer uses to time the rhs per metric
+    # labels for outside tools: eom_bregman records {"metric": name}, by which
+    # a tracer that wraps rhs can time it per metric; integrate_rk4_lockstep
+    # never calls a system's rhs, so such timings leave its passes out
     parameters: dict = field(default_factory=dict)
+
+
+@dataclass
+class BregmanSystem(SecondOrderSystem):
+    """eom_bregman's system, with the metric, schedule and loss it was built
+    from, by which integrate_rk4_lockstep stacks it with others."""
+
+    metric: Metric = field(kw_only=True)
+    schedule: BregmanSchedule = field(kw_only=True)
+    loss: Loss = field(kw_only=True)
 
 
 def grid_steps(t0: float, t1: float, dt: float) -> int:
@@ -125,43 +137,51 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
 
 
 def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> list:
-    """integrate_rk4 for several independent systems on one grid, in one
-    rk4_solve pass over the flat state [q_1 ... q_m, qdot_1 ... qdot_m].
+    """integrate_rk4 for several independent eom_bregman systems on one grid,
+    in one rk4_solve pass with one stacked rhs (_bregman_rhs).
 
     `problems` holds (system, q0, qdot0) triples.  Returns one outcome per
     problem: the Trajectory that integrate_rk4 gives that system alone, or
-    the exception it raises for it.  Each RK4 combination is elementwise and
-    each rhs sees views of its own system's entries, so a pass that ends
-    gives every system the bits of its solo run; the trajectories share one
-    times array.  A pass that raises instead integrates each system alone,
-    so each failure keeps the message and time of its solo run, and the
-    systems that do not fail keep their trajectories.
+    the exception it raises for it.  The flat state is [q_1 ... q_m,
+    qdot_1 ... qdot_m] with the systems grouped by metric object and, within
+    a metric, by loss object, so that each metric's rows are one slice and
+    each loss's rows one view at a constant step; every trajectory is a view
+    of the one result, and they share one times array.  Each RK4
+    combination and each step of the rhs is elementwise or row by row, so a
+    pass that ends gives every system the bits of its solo run.  A pass that
+    raises, and a set of systems the rhs cannot stack (one not built by
+    eom_bregman, two schedule objects, or a start that is not one flat point
+    of the system's dim), instead integrates each system alone, so each
+    failure keeps the message and time of its solo run, and the systems that
+    do not fail keep their trajectories.
     """
     try:
+        systems = [system for system, _, _ in problems]
+        if not all(isinstance(system, BregmanSystem) for system in systems):
+            raise TypeError("lockstep stacks only eom_bregman systems")
+        if len({id(system.schedule) for system in systems}) > 1:
+            raise ValueError("lockstep stacks systems of one schedule object")
         starts = [(np.asarray(q0, dtype=float), np.asarray(qdot0, dtype=float))
                   for _, q0, qdot0 in problems]
-        if any(q0.ndim != 1 or q0.shape != qdot0.shape for q0, qdot0 in starts):
-            raise ValueError("lockstep takes flat q0 and qdot0 of one shape per system")
-        offsets = list(itertools.accumulate((q0.size for q0, _ in starts), initial=0))
-        spans = list(zip(offsets, offsets[1:]))
-        rhs = [system.rhs for system, _, _ in problems]
-        # id(q) -> (q, result, per-system views of q, q_dot and result): rk4_solve
-        # hands each stage the same q, and holding q keeps its id unique
-        stages = {}
-
-        def f(t, q, q_dot):
-            stage = stages.get(id(q))
-            if stage is None:
-                result = np.empty(q.size)
-                stage = stages[id(q)] = (q, result, [
-                    (r, q[a:b], q_dot[a:b], result[a:b]) for r, (a, b) in zip(rhs, spans)])
-            _, result, views = stage
-            for r, q_i, q_dot_i, result_i in views:
-                result_i[...] = r(t, q_i, q_dot_i)
-            return result
-
-        y0 = np.concatenate([q0 for q0, _ in starts] + [qdot0 for _, qdot0 in starts])
-        times, ys = rk4_solve(f, y0, t0, t1, dt, split=offsets[-1])
+        if any(q0.shape != (system.metric.dim,) or qdot0.shape != q0.shape
+               for system, (q0, qdot0) in zip(systems, starts)):
+            raise ValueError("lockstep takes flat q0 and qdot0 of the system's dim")
+        # index of each metric's and each loss's first system
+        first = {}
+        for i, system in enumerate(systems):
+            first.setdefault(id(system.metric), i)
+            first.setdefault(id(system.loss), i)
+        order = sorted(range(len(systems)), key=lambda i: (first[id(systems[i].metric)],
+                                                           first[id(systems[i].loss)]))
+        offsets = [0] * len(systems)
+        split = 0
+        for i in order:
+            offsets[i] = split
+            split += systems[i].metric.dim
+        rhs = _bregman_rhs(systems[0].schedule,
+                           [(systems[i].metric, systems[i].loss) for i in order])
+        y0 = np.concatenate([starts[i][0] for i in order] + [starts[i][1] for i in order])
+        times, ys = rk4_solve(rhs, y0, t0, t1, dt, split=split)
     except Exception:
         outcomes = []
         for system, q0, qdot0 in problems:
@@ -170,9 +190,9 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> list:
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
-    split = offsets[-1]
-    return [Trajectory(times=times, q=ys[:, a:b], q_dot=ys[:, split + a:split + b])
-            for a, b in spans]
+    return [Trajectory(times=times, q=ys[:, a:a + system.metric.dim],
+                       q_dot=ys[:, split + a:split + a + system.metric.dim])
+            for a, system in zip(offsets, systems)]
 
 
 def _exp(x: float) -> float:
@@ -193,7 +213,100 @@ def _coefficients(schedule: BregmanSchedule, t: float):
             ea - schedule.alpha_dot(t))
 
 
-def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderSystem:
+def _rows(x, run, dim: int):
+    """x[..., o:o + dim] for the offsets o of a run, which follow one another
+    at one step, as one view of x: shape (..., dim) for one offset,
+    (..., len(run), dim) for more."""
+    start = run[0]
+    if len(run) == 1:
+        return x[..., start:start + dim]
+    return np.lib.stride_tricks.as_strided(
+        x[..., start:], x.shape[:-1] + (len(run), dim),
+        x.strides[:-1] + ((run[1] - start) * x.itemsize, x.itemsize))
+
+
+def _runs(owners, offsets):
+    """(owner, run) for each owner object, in order of first appearance, and
+    each run of its offsets at one step: the offsets are cut where the step
+    between them changes."""
+    by_owner = {}
+    for owner, offset in zip(owners, offsets):
+        by_owner.setdefault(id(owner), (owner, []))[1].append(offset)
+    runs = []
+    for owner, owned in by_owner.values():
+        run = [owned[0]]
+        for offset in owned[1:]:
+            if len(run) > 1 and offset - run[-1] != run[1] - run[0]:
+                runs.append((owner, run))
+                run = []
+            run.append(offset)
+        runs.append((owner, run))
+    return runs
+
+
+def _bregman_rhs(schedule: BregmanSchedule, members):
+    """eom_bregman's qddot for several systems under one schedule, on one
+    flat state: q and qdot hold each system's entries in turn, members[i] =
+    (metric, loss) is the i-th system's.
+
+    The elementwise steps run once over the whole state.  Each non-flat
+    metric makes one grad call on the stack [u; q] of its systems' rows and
+    one hessian_solve (a flat one makes none: Delta_h is u - q), and each
+    loss one grad call, per run of its systems' rows at a constant step:
+    one run each when the systems are grouped by metric and, within one,
+    ordered by loss.  By the metric and loss contracts each row of a stack
+    gets the bits it gets alone.
+    """
+    if any(loss.dim != metric.dim for metric, loss in members):
+        raise ValueError("a Bregman system's loss and metric must share one dim")
+    metrics = [metric for metric, _ in members]
+    offsets = list(itertools.accumulate((metric.dim for metric in metrics), initial=0))
+    n = offsets.pop()
+    if schedule.stationary:
+        scalars = _coefficients(schedule, 0.0)
+        unit_inverse, unit_force, unit_scale, unit_drag = (
+            c == 1.0 for c in scalars[:1] + scalars[2:])
+        # as vectors: an array operand costs less than a float, for the same bits
+        fixed = tuple(np.full(n, c) for c in scalars)
+
+        def coefficients(t):
+            return fixed
+
+    else:
+        coefficients = functools.partial(_coefficients, schedule)
+        unit_inverse = unit_force = unit_scale = unit_drag = False
+    # u and q stacked for the metrics' grad calls; q is copied in so that
+    # every view below is made once
+    pair = np.empty((2, n))
+    u, at_q = pair
+    delta, gradient, drive = np.empty((3, n))
+    any_flat = any(metric.flat for metric in metrics)
+    solves = [(metric, *(_rows(x, run, metric.dim) for x in (pair, u, delta, drive)))
+              for metric, run in _runs(metrics, offsets) if not metric.flat]
+    losses = [(loss, *(_rows(x, run, loss.dim) for x in (at_q, gradient)))
+              for loss, run in _runs([loss for _, loss in members], offsets)]
+
+    def rhs(t, q, q_dot):
+        inverse, damping, force, scale, drag = coefficients(t)
+        np.add(q, q_dot if unit_inverse else inverse * q_dot, out=u)
+        at_q[...] = q
+        if any_flat:
+            np.subtract(u, at_q, out=delta)
+        for metric, stack, _, delta_rows, _ in solves:
+            grad_u, grad_q = metric.grad(stack)
+            np.subtract(grad_u, grad_q, out=delta_rows)
+        for loss, rows, gradient_rows in losses:
+            gradient_rows[...] = loss.grad(rows)
+        # not in place: out= an operand costs twice as much at dim 1
+        np.subtract(damping * delta, gradient if unit_force else force * gradient, out=drive)
+        for metric, _, u_rows, _, drive_rows in solves:
+            drive_rows[...] = metric.hessian_solve(u_rows, drive_rows)
+        return (drive if unit_scale else scale * drive) - (q_dot if unit_drag else drag * q_dot)
+
+    return rhs
+
+
+def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> BregmanSystem:
     """Euler-Lagrange system of the full Lagrangian for any metric.
 
     With u = q + e^-alpha qdot and H the metric Hessian:
@@ -207,45 +320,17 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> SecondOrderS
         qddot + (gamma_dot - alpha_dot) qdot + e^(2 alpha + beta) grad f(q) = 0,
 
     which natural_schedule(m, mu) makes m qddot + mu qdot + grad f(q) = 0.  A stationary
-    schedule's coefficients are computed once, here, and a product by one
-    that is exactly 1.0 is skipped; natural_schedule(1, mu) has every one
-    but e^alpha - gamma_dot = 1 - mu.  There is no such skip at 0: 0 * v
-    carries the signs and NaNs of v, so the damping is always multiplied in.
-    Delta_h = grad h(u) - grad h(q) is one metric call on the stack [u, q],
-    which the system keeps; a flat metric's is u - q, and its Hessian solve
-    is skipped, as both calls only copy.
+    schedule's coefficients are computed once, when the rhs is built, and a
+    product by one that is exactly 1.0 is skipped; natural_schedule(1, mu)
+    has every one but e^alpha - gamma_dot = 1 - mu.  There is no such skip
+    at 0: 0 * v carries the signs and NaNs of v, so the damping is always
+    multiplied in.  Delta_h = grad h(u) - grad h(q) is one metric call on
+    the stack [u, q], which the rhs keeps; a flat metric's is u - q, and its
+    Hessian solve is skipped, as both calls only copy.  The rhs is
+    _bregman_rhs over this one system, which integrate_rk4_lockstep runs
+    over several.
     """
-    if schedule.stationary:
-        scalars = _coefficients(schedule, 0.0)
-        unit_inverse, unit_force, unit_scale, unit_drag = (
-            c == 1.0 for c in scalars[:1] + scalars[2:])
-        # as vectors: an array operand costs less than a float, for the same bits
-        fixed = tuple(np.full(metric.dim, c) for c in scalars)
-
-        def coefficients(t):
-            return fixed
-
-    else:
-        coefficients = functools.partial(_coefficients, schedule)
-        unit_inverse = unit_force = unit_scale = unit_drag = False
-    flat = metric.flat
-    pair = np.empty((2, metric.dim))
-    u, at_q = pair
-
-    def rhs(t, q, q_dot):
-        inverse, damping, force, scale, drag = coefficients(t)
-        np.add(q, q_dot if unit_inverse else inverse * q_dot, out=u)
-        if flat:
-            delta = u - q
-        else:
-            at_q[...] = q
-            grad_u, grad_q = metric.grad(pair)
-            delta = grad_u - grad_q
-        gradient = loss.grad(q)
-        drive = damping * delta - (gradient if unit_force else force * gradient)
-        solved = drive if flat else metric.hessian_solve(u, drive)
-        return (solved if unit_scale else scale * solved) - (q_dot if unit_drag else drag * q_dot)
-
-    return SecondOrderSystem(name=f"bregman[{metric.name},{schedule.name}]", rhs=rhs,
-                             parameters={"metric": metric.name})
-
+    return BregmanSystem(name=f"bregman[{metric.name},{schedule.name}]",
+                         rhs=_bregman_rhs(schedule, [(metric, loss)]),
+                         parameters={"metric": metric.name},
+                         metric=metric, schedule=schedule, loss=loss)

@@ -22,10 +22,11 @@ class Metric:
 
     A point is a float array of shape (dim,) that the caller builds.  A metric
     with a bounded domain checks it in each of its methods (DomainError).
-    grad and hessian also take a stack of points, shape (..., dim), and give
-    each point the bits it gets alone.  A flat metric is one whose grad and
-    hessian_solve copy their input (the Hessian is the identity), so a
-    caller may take x for grad(x) and v for hessian_solve(x, v)."""
+    grad, hessian and hessian_solve also take a stack of points, shape
+    (..., dim), and give each point the bits it gets alone.  A flat metric
+    is one whose grad and hessian_solve copy their input (the Hessian is the
+    identity), so a caller may take x for grad(x) and v for
+    hessian_solve(x, v)."""
 
     dim: int
     name: str
@@ -102,11 +103,13 @@ class QuadraticForm(Metric):
         return np.broadcast_to(self.matrix, np.shape(x) + (self.dim,))
 
     def hessian_solve(self, x, v):
+        # one potrs call with a right-hand side per point: each column gets
+        # the bits of its own solve
         c, lower = self._cho
-        u, info = self._potrs(c, v, lower=lower)
+        u, info = self._potrs(c, v.reshape(-1, self.dim).T, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return u
+        return u.T.reshape(v.shape)
 
 
 class NegativeEntropy(Metric):

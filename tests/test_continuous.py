@@ -201,6 +201,8 @@ class TestLockstep:
                                 strategies.sampled_from([-200.0, -1000.0, -1e4, -1e5, 1e4])),
            dt=strategies.sampled_from([1e-3, 0.01]), steps=strategies.integers(1, 40))
     @example(order=list(range(12)), count=12, mu=-1000.0, dt=0.01, steps=40)
+    # no shared metric or loss object next to another: the kernel regroups them
+    @example(order=list(range(11, -1, -1)), count=12, mu=0.5, dt=0.01, steps=40)
     def test_each_outcome_is_the_systems_solo_run(self, order, count, mu, dt, steps):
         """Any subset of the residual cases, in any order: each system gets
         the bits integrate_rk4 gives it alone, and a system that leaves its
@@ -231,6 +233,69 @@ class TestLockstep:
         with pytest.raises(ValueError) as caught:
             integrate_rk4(HARMONIC, [1.0], [0.0], 0.0, 1.0, 0.3)
         assert [(type(o), str(o)) for o in outcomes] == [(ValueError, str(caught.value))] * 2
+
+
+def lockstep_outcomes(problems, t1, dt):
+    """integrate_rk4_lockstep's outcomes, each checked against the system's
+    solo integrate_rk4 run: the same bits, or the same exception type and
+    text."""
+    outcomes = integrate_rk4_lockstep(problems, 0.0, t1, dt)
+    assert len(outcomes) == len(problems)
+    for (system, q0, qd0), outcome in zip(problems, outcomes):
+        try:
+            alone = integrate_rk4(system, q0, qd0, 0.0, t1, dt)
+        except Exception as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            continue
+        assert isinstance(outcome, Trajectory)
+        assert_same_bits(outcome.times, alone.times)
+        assert_same_bits(outcome.q, alone.q)
+        assert_same_bits(outcome.q_dot, alone.q_dot)
+    return outcomes
+
+
+def stacked(outcomes):
+    """Whether the outcomes are views of one lockstep result, not solo runs."""
+    return all(outcome.q.base is outcomes[0].q.base for outcome in outcomes)
+
+
+class TestLockstepGrouping:
+    """Problems the stacked rhs merges, and problems it leaves to solo runs."""
+
+    SCHEDULE = natural_schedule(1.0, 0.5)
+
+    def residual_problems(self):
+        return [(eom_bregman(metric, self.SCHEDULE, loss), q0, qd0)
+                for metric, _, loss, q0, qd0 in _residual_cases()]
+
+    def test_one_system_twice_with_different_starts(self):
+        problems = []
+        for system, q0, qd0 in self.residual_problems():
+            problems += [(system, q0, qd0), (system, 1.1 * q0, -qd0)]
+        assert stacked(lockstep_outcomes(problems, 0.2, 0.01))
+
+    def test_a_second_schedule_object_runs_every_system_alone(self):
+        problems = self.residual_problems()
+        system, q0, qd0 = problems[7]
+        problems[7] = (eom_bregman(system.metric, natural_schedule(1.0, 0.25), system.loss),
+                       q0, qd0)
+        assert not stacked(lockstep_outcomes(problems, 0.2, 0.01))
+
+    def test_a_system_not_built_by_eom_bregman_runs_every_system_alone(self):
+        problems = self.residual_problems()
+        problems.insert(5, (HARMONIC, [1.0, -0.5], [0.0, 0.25]))
+        assert not stacked(lockstep_outcomes(problems, 0.2, 0.01))
+
+    def test_starts_of_other_dims_run_every_system_alone(self):
+        """One start too long and one too short: the state has the length
+        the systems' dims add up to, yet both fail as they do alone."""
+        problems = self.residual_problems()
+        for i, cut in ((4, slice(None)), (5, slice(1))):
+            system, q0, qd0 = problems[i]
+            problems[i] = (system, np.append(q0, 1.0)[cut], np.append(qd0, 0.0)[cut])
+        outcomes = lockstep_outcomes(problems, 0.2, 0.01)
+        assert all(isinstance(outcome, ValueError) for outcome in outcomes[4:6])
+        assert not stacked(outcomes[:4] + outcomes[6:])
 
 
 class TestModifiedEquation:
@@ -399,6 +464,10 @@ class TestBregmanEuclidean:
         assert not hand_built.stationary
         assert not nesterov_schedule(2.0, 0.25).stationary
         assert natural_schedule(0.5, 0.7).stationary
+
+    def test_a_loss_of_another_dim_is_refused(self):
+        with pytest.raises(ValueError, match="share one dim"):
+            eom_bregman(Euclidean(3), natural_schedule(1.0, 0.5), TwoLayerChain([1.0], [1.0]))
 
     def test_subnormal_mass_aborts_as_non_finite(self):
         # e^alpha = 1/m is past float range: an inf coefficient, which RK4's

@@ -147,9 +147,9 @@ class TestMetricDerivatives:
     @given(data=strategies.data(), n=strategies.integers(1, 6), d=strategies.sampled_from([2, 3]),
            family=strategies.sampled_from(["euclidean", "quadratic-form", "negative-entropy"]))
     def test_stack_gives_each_point_its_own_bits(self, data, n, d, family):
-        """grad and hessian of an (n, d) stack equal the n one-point calls bit
-        for bit, on a column slice (the layout of a trajectory) and on a
-        contiguous stack."""
+        """grad, hessian and hessian_solve of an (n, d) stack equal the n
+        one-point calls bit for bit, on a column slice (the layout of a
+        trajectory) and on a contiguous stack."""
         if family == "euclidean":
             metric = Euclidean(d)
         elif family == "quadratic-form":
@@ -160,7 +160,7 @@ class TestMetricDerivatives:
         low = 1e-3 if family == "negative-entropy" else -1e3
         rows = data.draw(arrays(np.float64, (n, 2 * d), elements=strategies.floats(low, 1e3)))
         for x in (rows[:, :d], np.ascontiguousarray(rows[:, d:])):
-            for method in (metric.grad, metric.hessian):
+            for method in (metric.grad, metric.hessian, lambda p: metric.hessian_solve(p, p)):
                 assert_same_bits(method(x), np.array([method(point) for point in x]))
 
     def test_quadratic_form_must_be_spd(self):

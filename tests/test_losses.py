@@ -143,6 +143,74 @@ class TestGradientBits:
         assert_same_bits(TwoLayerChain(x, y).grad(q), chain_grad(x, y, q))
 
 
+class TestStacks:
+    """grad of a (B, dim) stack gives each row the bits of its one-point call,
+    on a column slice (integrate_rk4_lockstep passes rows at a step past
+    dim) and on a contiguous stack."""
+
+    FAMILIES = ["rayleigh", "two-layer-chain", "radial-well", "quadratic"]
+    ENTRY = strategies.floats(-10.0, 10.0)
+
+    def draw_loss(self, data, family):
+        if family == "two-layer-chain":
+            samples = data.draw(arrays(np.float64, (data.draw(strategies.integers(1, 4)), 2),
+                                       elements=strategies.one_of(strategies.just(0.0),
+                                                                  self.ENTRY)))
+            return TwoLayerChain(samples[:, 0], samples[:, 1])
+        dim = data.draw(strategies.integers(1, 4))
+        if family == "radial-well":
+            return RadialWell(data.draw(self.ENTRY), data.draw(self.ENTRY), dim)
+        a = data.draw(arrays(np.float64, (dim, dim), elements=self.ENTRY))
+        return (RayleighQuotient if family == "rayleigh" else Quadratic)(a + a.T)
+
+    def draw_rows(self, data, count, dim):
+        """(count, 2 dim) rows, each of norm 1e-11 to past float range."""
+        rows = data.draw(arrays(np.float64, (count, 2 * dim), elements=self.ENTRY))
+        assume((np.abs(rows.reshape(count, 2, dim)) > 0.1).any(axis=2).all())
+        log_norms = data.draw(arrays(np.float64, (count, 1),
+                                     elements=strategies.floats(-11.0, 308.0)))
+        with np.errstate(over="ignore"):
+            return rows * 10.0 ** log_norms
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=strategies.data(), family=strategies.sampled_from(FAMILIES),
+           count=strategies.integers(1, 8))
+    def test_stack_gives_each_row_its_own_bits(self, data, family, count):
+        loss = self.draw_loss(data, family)
+        rows = self.draw_rows(data, count, loss.dim)
+        with np.errstate(all="ignore"):
+            for q in (rows[:, :loss.dim], np.ascontiguousarray(rows[:, loss.dim:])):
+                assert_same_bits(loss.grad(q), np.array([loss.grad(point) for point in q]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), family=strategies.sampled_from(["rayleigh", "radial-well"]),
+           count=strategies.integers(2, 8), nan_row=strategies.booleans())
+    def test_a_stack_with_one_singular_row_raises(self, data, family, count, nan_row):
+        """One row of norm under 1e-12 raises, also past a NaN row."""
+        loss = self.draw_loss(data, family)
+        rows = self.draw_rows(data, count, loss.dim)
+        singular, other = data.draw(strategies.permutations(range(count)))[:2]
+        rows[singular] = data.draw(arrays(np.float64, 2 * loss.dim, elements=strategies.floats(
+            -1.0, 1.0))) * (0.5 * _ORIGIN_TOL / math.sqrt(loss.dim))
+        if nan_row:
+            rows[other] = math.nan
+        with np.errstate(all="ignore"):
+            for q in (rows[:, :loss.dim], np.ascontiguousarray(rows[:, loss.dim:])):
+                with pytest.raises(SingularLossError):
+                    loss.grad(q)
+
+    def test_chain_stack_keeps_the_positive_zero_of_its_matmul_sum(self):
+        """Where every product resid_j x_j is -0.0 (here resid_j = +0.0 and
+        x_j < 0), the inner product is +0.0, as the matmul sum from +0.0
+        gives it; a dot product gives -0.0."""
+        chain = TwoLayerChain([-2.0, -0.5], [-2.0, -0.5])
+        q = np.array([[1.0, 1.0, 7.0], [-1.0, -1.0, 7.0], [4.0, 0.25, 7.0]])
+        for rows in (q[:, :2], np.ascontiguousarray(q[:, :2])):
+            gradient = chain.grad(rows)
+            assert_same_bits(gradient, 0.0 * rows[:, ::-1])
+            assert_same_bits(gradient, np.array([chain_grad(chain.x, chain.y, p) for p in rows]))
+
+
 class TestScaleInvarianceLaws:
     def scale_invariant_losses(self):
         return [loss for loss in all_losses() if isinstance(loss, RayleighQuotient)]
