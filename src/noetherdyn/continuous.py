@@ -34,8 +34,9 @@ class SecondOrderSystem:
     name: str
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     # labels for outside tools: eom_bregman records {"metric": name}, by which
-    # a tracer that wraps rhs can time it per metric; integrate_rk4_lockstep
-    # never calls a system's rhs, so such timings leave its passes out
+    # a tracer that wraps rhs can time it per metric; integrate_rk4_lockstep's
+    # two-grid pass never calls a system's rhs (only its solo runs after a
+    # failed pass do), so such timings leave the pass out
     parameters: dict = field(default_factory=dict)
 
 
@@ -51,16 +52,68 @@ class BregmanSystem(SecondOrderSystem):
 
 def grid_steps(t0: float, t1: float, dt: float) -> int:
     """How many steps of size dt > 0 tile [t0, t1], ending within
-    1e-9 max(1, |t1|) of t1; ValueError if no count of at least 1 does."""
+    1e-9 (t1 - t0) of t1; ValueError if no count of at least 1 does."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     ratio = (t1 - t0) / dt
     steps = round(ratio) if math.isfinite(ratio) else 0
-    if steps < 1 or abs(t0 + steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+    if steps < 1 or abs(t0 + steps * dt - t1) > 1e-9 * (t1 - t0):
         raise ValueError(f"step {dt:g} does not tile the interval [{t0:g}, {t1:g}]")
     return steps
+
+
+def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The times of the RK4 grid of step dt on [t0, t1]."""
+    return t0 + dt * np.arange(grid_steps(t0, t1, dt) + 1)
+
+
+def _rk4_step(f, y0, split: int, dt, grids: int = 1):
+    """rk4_solve's step, in place: returns (state, advance), with state the
+    flat state vector, loaded with y0, and advance(t, t_mid, t_end) the RK4
+    step that overwrites it with the state one step of dt on, calling f at
+    t, t_mid (twice) and t_end.  dt is one step for every entry, or a vector
+    of one per entry.
+
+    Each stage lives in one buffer [y_j, f_j] of 2n - split entries, made
+    once, so its derivative is the view buffer[n - split:]; f's result is
+    copied into f_j, and every combination writes into a buffer with a
+    constant vector operand.  Each value is the same expression as
+    y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
+    With grids > 1, each part of y that f gets, and f's result, has shape
+    (grids, -1).
+    """
+    n = y0.size
+    buffers = np.empty((4, 2 * n - split))
+    y1, y2, y3, y4 = buffers[:, :n]
+    k1, k2, k3, k4 = buffers[:, n - split:]
+    shape = (grids, -1) if grids > 1 else (-1,)
+    f1, f2, f3, f4 = (x.reshape(shape) for x in buffers[:, n:])
+    args1, args2, args3, args4 = [
+        (y.reshape(shape),) if split == 0
+        else (y[:n - split].reshape(shape), y[n - split:].reshape(shape))
+        for y in (y1, y2, y3, y4)]
+    whole = np.full(n, dt, dtype=float)
+    half, sixth, two = 0.5 * whole, whole / 6.0, np.full(n, 2.0)
+    product = np.empty(n)
+    total = np.empty(n)
+    y1[...] = y0
+
+    def advance(t, t_mid, t_end):
+        f1[...] = f(t, *args1)
+        np.add(y1, np.multiply(half, k1, out=product), out=y2)
+        f2[...] = f(t_mid, *args2)
+        np.add(y1, np.multiply(half, k2, out=product), out=y3)
+        f3[...] = f(t_mid, *args3)
+        np.add(y1, np.multiply(whole, k3, out=product), out=y4)
+        f4[...] = f(t_end, *args4)
+        np.add(k1, np.multiply(two, k2, out=product), out=total)
+        np.add(total, np.multiply(two, k3, out=product), out=total)
+        np.add(total, k4, out=total)
+        np.add(y1, np.multiply(sixth, total, out=total), out=y1)
+
+    return y1, advance
 
 
 def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
@@ -75,52 +128,26 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
     Returns (times, states) with states[i] the solution at times[i].
     Domain violations raised by f abort with the offending time attached,
     and so does the first state that is not finite (checked once per step).
-
-    Each stage lives in one buffer [y_j, f_j] of 2n - split entries, made
-    once per solve, so its derivative is the view buffer[n - split:]; f's
-    result is copied into f_j, and every combination writes into a buffer
-    with a constant vector operand.  Each value is the same expression as
-    y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
+    Each step is _rk4_step's, copied into its row of the result.
     """
-    times = t0 + dt * np.arange(grid_steps(t0, t1, dt) + 1)
+    times = _grid(t0, t1, dt)
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
         raise IntegrationError("initial state is not finite", time=t0)
-    n = y0.size
-    out = np.empty((times.size, n))
+    out = np.empty((times.size, y0.size))
     out[0] = y0
-    buffers = np.empty((4, 2 * n - split))
-    y1, y2, y3, y4 = buffers[:, :n]
-    k1, k2, k3, k4 = buffers[:, n - split:]
-    f1, f2, f3, f4 = buffers[:, n:]
-    args1, args2, args3, args4 = [(y,) if split == 0 else (y[:n - split], y[n - split:])
-                                  for y in (y1, y2, y3, y4)]
-    half, whole, sixth, two = (np.full(n, c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
-    zero = np.zeros(n)
-    product = np.empty(n)
-    total = np.empty(n)
+    state, advance = _rk4_step(f, y0, split, dt)
+    zero = np.zeros(y0.size)
     mid = 0.5 * dt
-    y1[...] = y0
     for i in range(times.size - 1):
         t = times[i]
         try:
-            f1[...] = f(t, *args1)
-            np.add(y1, np.multiply(half, k1, out=product), out=y2)
-            f2[...] = f(t + mid, *args2)
-            np.add(y1, np.multiply(half, k2, out=product), out=y3)
-            f3[...] = f(t + mid, *args3)
-            np.add(y1, np.multiply(whole, k3, out=product), out=y4)
-            f4[...] = f(t + dt, *args4)
+            advance(t, t + mid, t + dt)
         except DomainError as exc:
             raise IntegrationError(f"rhs left its domain: {exc}", time=t) from exc
-        np.add(k1, np.multiply(two, k2, out=product), out=total)
-        np.add(total, np.multiply(two, k3, out=product), out=total)
-        np.add(total, k4, out=total)
-        y = out[i + 1]
-        np.add(y1, np.multiply(sixth, total, out=total), out=y)
-        if not math.isfinite(np.dot(zero, y)):  # 0 * y sums to NaN iff y has inf or NaN
+        if not math.isfinite(np.dot(zero, state)):  # 0 * y sums to NaN iff y has inf or NaN
             raise IntegrationError("state is no longer finite", time=times[i + 1])
-        y1[...] = y
+        out[i + 1] = state
     return times, out
 
 
@@ -136,24 +163,35 @@ def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
-def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> list:
-    """integrate_rk4 for several independent eom_bregman systems on one grid,
-    in one rk4_solve pass with one stacked rhs (_bregman_rhs).
+def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
+    """integrate_rk4 for several independent eom_bregman systems on two
+    grids, of step dt and dt / 2, in one pass with one stacked rhs
+    (_bregman_rhs).
 
-    `problems` holds (system, q0, qdot0) triples.  Returns one outcome per
-    problem: the Trajectory that integrate_rk4 gives that system alone, or
-    the exception it raises for it.  The flat state is [q_1 ... q_m,
-    qdot_1 ... qdot_m] with the systems grouped by metric object and, within
-    a metric, by loss object, so that each metric's rows are one slice and
-    each loss's rows one view at a constant step; every trajectory is a view
-    of the one result, and they share one times array.  Each RK4
-    combination and each step of the rhs is elementwise or row by row, so a
-    pass that ends gives every system the bits of its solo run.  A pass that
-    raises, and a set of systems the rhs cannot stack (one not built by
-    eom_bregman, two schedule objects, or a start that is not one flat point
-    of the system's dim), instead integrates each system alone, so each
-    failure keeps the message and time of its solo run, and the systems that
-    do not fail keep their trajectories.
+    `problems` holds (system, q0, qdot0) triples.  Returns (coarse, fine):
+    per grid, one outcome per problem, the Trajectory that integrate_rk4
+    gives that system alone on that grid, or the exception it raises for it.
+
+    Layout.  One grid's flat state is [q_1 ... q_m, qdot_1 ... qdot_m] with
+    the systems grouped by metric object and, within a metric, by loss
+    object, so that each metric's rows are one slice and each loss's rows
+    one view at a constant step.  The pass steps both grids at once on
+    [q_coarse, q_fine, qdot_coarse, qdot_fine], where the kernel sees a
+    leading grid axis: coarse step k, on [t_k, t_k + dt], runs with fine step
+    2k, one kernel call per RK4 stage for both grids' rows, each grid at its
+    own stage times and with its own step in every combination.  Fine step
+    2k + 1 then runs alone, on a one-grid kernel, from the fine state copied
+    out of the pass and back.  Every trajectory is a view of its grid's one
+    result, and a grid's trajectories share one times array.
+
+    What runs alone.  Each RK4 combination and each step of the rhs is
+    elementwise or row by row, so a pass that ends gives every system the
+    bits of its solo runs.  A pass that raises, and a set of problems it
+    cannot take (one not built by eom_bregman, two schedule objects, a start
+    that is not one flat point of the system's dim, or a grid of dt / 2 that
+    does not make twice the steps of dt's), instead integrates each system
+    alone on each grid, so each failure keeps the message and time of its
+    solo run, and the runs that do not fail keep their trajectories.
     """
     try:
         systems = [system for system, _, _ in problems]
@@ -178,21 +216,54 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> list:
         for i in order:
             offsets[i] = split
             split += systems[i].metric.dim
-        rhs = _bregman_rhs(systems[0].schedule,
-                           [(systems[i].metric, systems[i].loss) for i in order])
+        times = _grid(t0, t1, dt)
+        fine_dt = dt / 2.0
+        fine_times = _grid(t0, t1, fine_dt)
+        steps = times.size - 1
+        if fine_times.size - 1 != 2 * steps:
+            raise ValueError("the grid of dt / 2 does not make twice the steps of dt's")
         y0 = np.concatenate([starts[i][0] for i in order] + [starts[i][1] for i in order])
-        times, ys = rk4_solve(rhs, y0, t0, t1, dt, split=split)
+        if not np.isfinite(y0).all():
+            raise ValueError("initial state is not finite")
+        ys = np.empty((times.size, 2, split))
+        fine_ys = np.empty((fine_times.size, 2, split))
+        ys[0] = fine_ys[0] = y0.reshape(2, split)
+        schedule = systems[0].schedule
+        members = [(systems[i].metric, systems[i].loss) for i in order]
+        pair, advance_pair = _rk4_step(
+            _bregman_rhs(schedule, members, grids=2), np.repeat(ys[0], 2, axis=0).ravel(),
+            2 * split, np.repeat([dt, fine_dt, dt, fine_dt], split), grids=2)
+        fine, advance_fine = _rk4_step(_bregman_rhs(schedule, members), y0, split, fine_dt)
+        both = pair.reshape(2, 2, split)  # [q, qdot] x [coarse, fine]
+        fine_rows = fine.reshape(2, split)
+        zero = np.zeros(pair.size)
+        mid, fine_mid = 0.5 * dt, 0.5 * fine_dt
+        for k in range(steps):
+            t, s = times[k], fine_times[2 * k]
+            advance_pair((t, s), (t + mid, s + fine_mid), (t + dt, s + fine_dt))
+            ys[k + 1] = both[:, 0]
+            fine_ys[2 * k + 1] = both[:, 1]
+            fine_rows[...] = both[:, 1]
+            s = fine_times[2 * k + 1]
+            advance_fine(s, s + fine_mid, s + fine_dt)
+            fine_ys[2 * k + 2] = fine_rows
+            both[:, 1] = fine_rows
+            # a state that is not finite stays so, so this covers fine step 2k + 1 too
+            if not math.isfinite(np.dot(zero, pair)):
+                raise IntegrationError("state is no longer finite")
     except Exception:
-        outcomes = []
-        for system, q0, qdot0 in problems:
-            try:
-                outcomes.append(integrate_rk4(system, q0, qdot0, t0, t1, dt))
-            except Exception as exc:
-                outcomes.append(exc)
+        outcomes = ([], [])
+        for grid, step in zip(outcomes, (dt, dt / 2.0)):
+            for system, q0, qdot0 in problems:
+                try:
+                    grid.append(integrate_rk4(system, q0, qdot0, t0, t1, step))
+                except Exception as exc:
+                    grid.append(exc)
         return outcomes
-    return [Trajectory(times=times, q=ys[:, a:a + system.metric.dim],
-                       q_dot=ys[:, split + a:split + a + system.metric.dim])
-            for a, system in zip(offsets, systems)]
+    return tuple([Trajectory(times=grid_times, q=grid_ys[:, 0, a:a + system.metric.dim],
+                             q_dot=grid_ys[:, 1, a:a + system.metric.dim])
+                  for a, system in zip(offsets, systems)]
+                 for grid_times, grid_ys in ((times, ys), (fine_times, fine_ys)))
 
 
 def _exp(x: float) -> float:
@@ -244,7 +315,7 @@ def _runs(owners, offsets):
     return runs
 
 
-def _bregman_rhs(schedule: BregmanSchedule, members):
+def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     """eom_bregman's qddot for several systems under one schedule, on one
     flat state: q and qdot hold each system's entries in turn, members[i] =
     (metric, loss) is the i-th system's.
@@ -256,30 +327,42 @@ def _bregman_rhs(schedule: BregmanSchedule, members):
     one run each when the systems are grouped by metric and, within one,
     ordered by loss.  By the metric and loss contracts each row of a stack
     gets the bits it gets alone.
+
+    With grids > 1 the rhs takes that many copies of the systems at once, one
+    per grid: q, qdot and the result have shape (grids, n), t holds one time
+    per grid, and each call still makes one grad (and hessian_solve) per
+    metric and loss, on the rows of every grid.  A stationary schedule's
+    coefficients serve every time; another's are evaluated at each grid's.
     """
     if any(loss.dim != metric.dim for metric, loss in members):
         raise ValueError("a Bregman system's loss and metric must share one dim")
     metrics = [metric for metric, _ in members]
     offsets = list(itertools.accumulate((metric.dim for metric in metrics), initial=0))
     n = offsets.pop()
+    shape = (grids, n) if grids > 1 else (n,)
+    unit_inverse = unit_force = unit_scale = unit_drag = False
     if schedule.stationary:
         scalars = _coefficients(schedule, 0.0)
         unit_inverse, unit_force, unit_scale, unit_drag = (
             c == 1.0 for c in scalars[:1] + scalars[2:])
         # as vectors: an array operand costs less than a float, for the same bits
-        fixed = tuple(np.full(n, c) for c in scalars)
+        fixed = tuple(np.full(shape, c) for c in scalars)
 
         def coefficients(t):
             return fixed
 
+    elif grids > 1:
+        def coefficients(t):
+            # one column per grid, each at its own time: shape (5, grids, 1)
+            return np.array([_coefficients(schedule, s) for s in t]).T[..., None]
+
     else:
         coefficients = functools.partial(_coefficients, schedule)
-        unit_inverse = unit_force = unit_scale = unit_drag = False
     # u and q stacked for the metrics' grad calls; q is copied in so that
     # every view below is made once
-    pair = np.empty((2, n))
+    pair = np.empty((2, *shape))
     u, at_q = pair
-    delta, gradient, drive = np.empty((3, n))
+    delta, gradient, drive = np.empty((3, *shape))
     any_flat = any(metric.flat for metric in metrics)
     solves = [(metric, *(_rows(x, run, metric.dim) for x in (pair, u, delta, drive)))
               for metric, run in _runs(metrics, offsets) if not metric.flat]

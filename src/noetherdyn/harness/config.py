@@ -90,9 +90,12 @@ def _check_values(kind: str, params: dict):
         if steps < 4:
             raise UsageError("dt too coarse: the residual needs at least 5 samples")
         try:
-            grid_steps(0.0, t1, dt / 2.0)
+            half_steps = grid_steps(0.0, t1, dt / 2.0)
         except ValueError:
             raise UsageError(f"dt = {dt:g} has no half step that tiles t1 = {t1:g}") from None
+        if half_steps != 2 * steps:  # dt / 2 of a subnormal dt rounds
+            raise UsageError(f"dt = {dt:g} has a half step that tiles t1 = {t1:g} in "
+                             f"{half_steps} steps, not {2 * steps}")
         longest = 2 * steps  # the half-step run
     elif kind == "modified-eq":
         steps = step_count(params["t1"], params["eta"])

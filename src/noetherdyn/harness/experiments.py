@@ -135,19 +135,18 @@ def _trajectory(outcome):
 
 
 def run_noether_residual(cfg: ExperimentConfig, out: Path):
-    """Both grids integrate the 12 cases in lockstep, but a case's failure is
-    raised where a case-by-case loop would meet it: coarse integration, coarse
-    residual, fine integration, then fine residual, case by case, so the
-    first failing case is named and the CSVs of the cases before it are
-    written."""
+    """The 12 cases are integrated at dt and at dt / 2 in one two-grid
+    lockstep pass, but a case's failure is raised where a case-by-case loop
+    would meet it: coarse integration, coarse residual, fine integration,
+    then fine residual, case by case, so the first failing case is named and
+    the CSVs of the cases before it are written."""
     dt = cfg["dt"]
     t1 = cfg["t1"]
     schedule = natural_schedule(1.0, cfg["mu"])  # unit mass
     cases = _residual_cases()
     problems = [(eom_bregman(metric, schedule, loss), q0, qd0)
                 for metric, _, loss, q0, qd0 in cases]
-    coarse = integrate_rk4_lockstep(problems, 0.0, t1, dt)
-    fine = integrate_rk4_lockstep(problems, 0.0, t1, dt / 2.0)
+    coarse, fine = integrate_rk4_lockstep(problems, 0.0, t1, dt)
     verdicts = []
     coarse_max = 0.0
     fine_max = 0.0

@@ -203,55 +203,65 @@ class TestLockstep:
     @example(order=list(range(12)), count=12, mu=-1000.0, dt=0.01, steps=40)
     # no shared metric or loss object next to another: the kernel regroups them
     @example(order=list(range(11, -1, -1)), count=12, mu=0.5, dt=0.01, steps=40)
+    # the pass first fails in a fine-only step: its state turns non-finite
+    @example(order=[10] + list(range(10)) + [11], count=1, mu=-1000.0, dt=1e-3, steps=40)
+    @example(order=[3, 6, 10, 7] + [0, 1, 2, 4, 5, 8, 9, 11], count=4, mu=1e4, dt=0.01,
+             steps=24)
     def test_each_outcome_is_the_systems_solo_run(self, order, count, mu, dt, steps):
-        """Any subset of the residual cases, in any order: each system gets
-        the bits integrate_rk4 gives it alone, and a system that leaves its
-        domain or stops being finite gets the exception its solo run raises,
-        at the same time, while the others keep their trajectories."""
+        """Any subset of the residual cases, in any order: on each grid, each
+        system gets the bits integrate_rk4 gives it alone, and a system that
+        leaves its domain or stops being finite gets the exception its solo
+        run raises, at the same time, while the others keep their
+        trajectories."""
         cases = _residual_cases()
         schedule = natural_schedule(1.0, mu)
         problems = [(eom_bregman(metric, schedule, loss), q0, qd0)
                     for metric, _, loss, q0, qd0 in (cases[i] for i in order[:count])]
-        t1 = steps * dt
         with np.errstate(all="ignore"):  # as the CLI runs it
-            outcomes = integrate_rk4_lockstep(problems, 0.0, t1, dt)
-            assert len(outcomes) == count
-            for (system, q0, qd0), outcome in zip(problems, outcomes):
-                try:
-                    alone = integrate_rk4(system, q0, qd0, 0.0, t1, dt)
-                except Exception as exc:
-                    assert type(outcome) is type(exc) and str(outcome) == str(exc)
-                    continue
-                assert isinstance(outcome, Trajectory)
-                assert_same_bits(outcome.times, alone.times)
-                assert_same_bits(outcome.q, alone.q)
-                assert_same_bits(outcome.q_dot, alone.q_dot)
+            lockstep_outcomes(problems, steps * dt, dt)
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=strategies.permutations(range(12)), count=strategies.integers(1, 12),
+           n=strategies.floats(1.0, 4.0), c=strategies.floats(0.05, 1.0),
+           dt=strategies.sampled_from([1e-3, 0.01]), steps=strategies.integers(1, 40))
+    def test_each_grid_takes_its_own_stage_times(self, order, count, n, c, dt, steps):
+        """Under nesterov_schedule, on [0.5, 0.5 + t1], the coefficients
+        change with t, so each grid's rows must see its own stage times."""
+        cases = _residual_cases()
+        schedule = nesterov_schedule(n, c)
+        problems = [(eom_bregman(metric, schedule, loss), q0, qd0)
+                    for metric, _, loss, q0, qd0 in (cases[i] for i in order[:count])]
+        with np.errstate(all="ignore"):
+            lockstep_outcomes(problems, 0.5 + steps * dt, dt, t0=0.5)
 
     def test_a_grid_that_does_not_tile_fails_every_system_as_alone(self):
         problems = [(HARMONIC, [1.0], [0.0]), (HARMONIC, [0.5, 2.0], [1.0, 0.0])]
-        outcomes = integrate_rk4_lockstep(problems, 0.0, 1.0, 0.3)
-        with pytest.raises(ValueError) as caught:
-            integrate_rk4(HARMONIC, [1.0], [0.0], 0.0, 1.0, 0.3)
-        assert [(type(o), str(o)) for o in outcomes] == [(ValueError, str(caught.value))] * 2
+        grids = integrate_rk4_lockstep(problems, 0.0, 1.0, 0.3)
+        for outcomes, dt in zip(grids, (0.3, 0.15)):
+            with pytest.raises(ValueError) as caught:
+                integrate_rk4(HARMONIC, [1.0], [0.0], 0.0, 1.0, dt)
+            assert [(type(o), str(o)) for o in outcomes] == [(ValueError, str(caught.value))] * 2
 
 
-def lockstep_outcomes(problems, t1, dt):
-    """integrate_rk4_lockstep's outcomes, each checked against the system's
-    solo integrate_rk4 run: the same bits, or the same exception type and
-    text."""
-    outcomes = integrate_rk4_lockstep(problems, 0.0, t1, dt)
-    assert len(outcomes) == len(problems)
-    for (system, q0, qd0), outcome in zip(problems, outcomes):
-        try:
-            alone = integrate_rk4(system, q0, qd0, 0.0, t1, dt)
-        except Exception as exc:
-            assert type(outcome) is type(exc) and str(outcome) == str(exc)
-            continue
-        assert isinstance(outcome, Trajectory)
-        assert_same_bits(outcome.times, alone.times)
-        assert_same_bits(outcome.q, alone.q)
-        assert_same_bits(outcome.q_dot, alone.q_dot)
-    return outcomes
+def lockstep_outcomes(problems, t1, dt, t0=0.0):
+    """integrate_rk4_lockstep's outcomes on both grids, each checked against
+    the system's solo integrate_rk4 run at dt and at dt / 2: the same bits,
+    or the same exception type and text."""
+    grids = integrate_rk4_lockstep(problems, t0, t1, dt)
+    assert len(grids) == 2
+    for outcomes, step in zip(grids, (dt, dt / 2.0)):
+        assert len(outcomes) == len(problems)
+        for (system, q0, qd0), outcome in zip(problems, outcomes):
+            try:
+                alone = integrate_rk4(system, q0, qd0, t0, t1, step)
+            except Exception as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                continue
+            assert isinstance(outcome, Trajectory)
+            assert_same_bits(outcome.times, alone.times)
+            assert_same_bits(outcome.q, alone.q)
+            assert_same_bits(outcome.q_dot, alone.q_dot)
+    return grids
 
 
 def stacked(outcomes):
@@ -272,19 +282,19 @@ class TestLockstepGrouping:
         problems = []
         for system, q0, qd0 in self.residual_problems():
             problems += [(system, q0, qd0), (system, 1.1 * q0, -qd0)]
-        assert stacked(lockstep_outcomes(problems, 0.2, 0.01))
+        assert all(stacked(outcomes) for outcomes in lockstep_outcomes(problems, 0.2, 0.01))
 
     def test_a_second_schedule_object_runs_every_system_alone(self):
         problems = self.residual_problems()
         system, q0, qd0 = problems[7]
         problems[7] = (eom_bregman(system.metric, natural_schedule(1.0, 0.25), system.loss),
                        q0, qd0)
-        assert not stacked(lockstep_outcomes(problems, 0.2, 0.01))
+        assert not any(stacked(outcomes) for outcomes in lockstep_outcomes(problems, 0.2, 0.01))
 
     def test_a_system_not_built_by_eom_bregman_runs_every_system_alone(self):
         problems = self.residual_problems()
         problems.insert(5, (HARMONIC, [1.0, -0.5], [0.0, 0.25]))
-        assert not stacked(lockstep_outcomes(problems, 0.2, 0.01))
+        assert not any(stacked(outcomes) for outcomes in lockstep_outcomes(problems, 0.2, 0.01))
 
     def test_starts_of_other_dims_run_every_system_alone(self):
         """One start too long and one too short: the state has the length
@@ -293,9 +303,19 @@ class TestLockstepGrouping:
         for i, cut in ((4, slice(None)), (5, slice(1))):
             system, q0, qd0 = problems[i]
             problems[i] = (system, np.append(q0, 1.0)[cut], np.append(qd0, 0.0)[cut])
-        outcomes = lockstep_outcomes(problems, 0.2, 0.01)
-        assert all(isinstance(outcome, ValueError) for outcome in outcomes[4:6])
-        assert not stacked(outcomes[:4] + outcomes[6:])
+        for outcomes in lockstep_outcomes(problems, 0.2, 0.01):
+            assert all(isinstance(outcome, ValueError) for outcome in outcomes[4:6])
+            assert not stacked(outcomes[:4] + outcomes[6:])
+
+    def test_a_half_step_that_does_not_make_twice_the_steps_runs_every_system_alone(self):
+        """dt of 5 subnormal ulps halves to 2 (2.5 rounds to even), so both
+        grids tile 20 ulps exactly, in 4 steps and in 10, not 8."""
+        ulp = 5e-324
+        assert grid_steps(0.0, 20 * ulp, 5 * ulp) == 4
+        assert grid_steps(0.0, 20 * ulp, 5 * ulp / 2.0) == 10
+        grids = lockstep_outcomes(self.residual_problems(), 20 * ulp, 5 * ulp)
+        assert [len(outcome.times) for outcome in grids[1]] == [11] * 12
+        assert not any(stacked(outcomes) for outcomes in grids)
 
 
 class TestModifiedEquation:

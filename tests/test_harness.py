@@ -23,6 +23,7 @@ from hypothesis import strategies
 import noetherdyn
 from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
                         step_gd_momentum_wd)
+from noetherdyn.continuous import grid_steps
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, experiments
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
@@ -70,6 +71,17 @@ def _value_text(key):
         number = strategies.floats(-0.1, 1.0) | strategies.sampled_from(
             [1e-3, 1e-4, 0.5, 1.0, math.nan, math.inf, -math.inf])
     return number.map(repr)
+
+
+# (dt, t1) for noether-residual, normal and subnormal: t1 a whole number of
+# steps, moved by a few ulps or many, or drawn freely
+_RESIDUAL_DT = strategies.floats(5e-324, 1e-300) | strategies.floats(1e-300, 100.0)
+_RESIDUAL_GRIDS = strategies.one_of(
+    strategies.builds(lambda dt, steps, ulps: (dt, steps * dt + ulps * math.ulp(steps * dt)),
+                      _RESIDUAL_DT, strategies.integers(1, 6 * 10 ** 6),
+                      strategies.sampled_from([0, 1, -1, 2, -3]) | strategies.integers(-10 ** 9,
+                                                                                      10 ** 9)),
+    strategies.tuples(_RESIDUAL_DT, strategies.floats(5e-324, 1e9)))
 
 
 class TestConfig:
@@ -126,6 +138,28 @@ class TestConfig:
     def test_out_of_range_value_is_usage_error(self, kind, params):
         with pytest.raises(UsageError):
             build_config(kind, params)
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid=_RESIDUAL_GRIDS)
+    # a step past t1 / 5: t1 is 4.55 steps, and 1.1e-10 - 1e-10 is under 1e-9
+    @example(grid=(2.2e-11, 1e-10))
+    # subnormal: 274 steps of 24 ulps miss t1 by 12 ulps; 549 of 12 ulps tile it
+    @example(grid=(1.2e-322, 3.255e-320))
+    # 5 ulps halve to 2 (2.5 rounds to even): 20 ulps in 4 steps, and in 10, not 8
+    @example(grid=(5 * 5e-324, 20 * 5e-324))
+    def test_an_accepted_residual_grid_ends_at_t1_and_halves_exactly(self, grid):
+        """noether-residual compares a run at dt with one at dt / 2 over the
+        same interval: an accepted (dt, t1) ends both runs within 1e-9 t1 of
+        t1, the half-step run in exactly twice the steps."""
+        dt, t1 = grid
+        try:
+            build_config("noether-residual", {"dt": dt, "t1": t1})
+        except UsageError:
+            return
+        steps = grid_steps(0.0, t1, dt)
+        assert grid_steps(0.0, t1, dt / 2.0) == 2 * steps
+        assert abs(steps * dt - t1) <= 1e-9 * t1
+        assert abs(2 * steps * (dt / 2.0) - t1) <= 1e-9 * t1
 
     @pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.cfg")),
                              ids=lambda path: path.name)
