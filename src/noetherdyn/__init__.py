@@ -22,7 +22,6 @@ from .closedform import (
     steady_radius,
 )
 from .continuous import (
-    SecondOrderSystem,
     Trajectory,
     eom_bregman,
     integrate_rk4,

@@ -8,7 +8,7 @@ none of the systems is stiff at the parameters we test.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,26 +28,21 @@ class Trajectory:
 
 
 @dataclass
-class SecondOrderSystem:
-    """Deterministic second-order dynamics qddot = rhs(t, q, qdot)."""
+class BregmanSystem:
+    """eom_bregman's system qddot = rhs(t, q, qdot), with the metric,
+    schedule and loss it was built from, by which integrate_rk4_lockstep
+    stacks it with others."""
 
-    name: str
+    metric: Metric
+    schedule: BregmanSchedule
+    loss: Loss
     rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    # labels for outside tools: eom_bregman records {"metric": name}, by which
-    # a tracer that wraps rhs can time it per metric; integrate_rk4_lockstep's
-    # two-grid pass never calls a system's rhs (only its solo runs after a
-    # failed pass do), so such timings leave the pass out
-    parameters: dict = field(default_factory=dict)
 
-
-@dataclass
-class BregmanSystem(SecondOrderSystem):
-    """eom_bregman's system, with the metric, schedule and loss it was built
-    from, by which integrate_rk4_lockstep stacks it with others."""
-
-    metric: Metric = field(kw_only=True)
-    schedule: BregmanSchedule = field(kw_only=True)
-    loss: Loss = field(kw_only=True)
+    @property
+    def parameters(self) -> dict:
+        """{"metric": metric.name}, by which a tracer that wraps rhs times it
+        per metric; a lockstep pass never calls rhs (its solo runs do)."""
+        return {"metric": self.metric.name}
 
 
 def grid_steps(t0: float, t1: float, dt: float) -> int:
@@ -151,13 +146,22 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
     return times, out
 
 
-def integrate_rk4(system: SecondOrderSystem, q0, qdot0, t0: float, t1: float,
+def _start(system: BregmanSystem, q0, qdot0) -> list:
+    """[q0, qdot0] as float arrays; ValueError unless both are one point of
+    the system's dim."""
+    start = [np.asarray(q0, dtype=float), np.asarray(qdot0, dtype=float)]
+    dim = system.metric.dim
+    if any(x.shape != (dim,) for x in start):
+        raise ValueError(f"q0 and qdot0 must be points of dim {dim}, not of shapes "
+                         f"{start[0].shape} and {start[1].shape}")
+    return start
+
+
+def integrate_rk4(system: BregmanSystem, q0, qdot0, t0: float, t1: float,
                   dt: float) -> Trajectory:
-    """Integrate a second-order system on the first-order reduction (q, qdot)."""
-    q0 = np.asarray(q0, dtype=float)
-    qdot0 = np.asarray(qdot0, dtype=float)
-    if q0.shape != qdot0.shape:
-        raise ValueError("q0 and qdot0 must share a shape")
+    """Integrate an eom_bregman system on the first-order reduction
+    (q, qdot), from q0 and qdot0, each one point of the system's dim."""
+    q0, qdot0 = _start(system, q0, qdot0)
     d = q0.size
     times, ys = rk4_solve(system.rhs, np.concatenate((q0, qdot0)), t0, t1, dt, split=d)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
@@ -187,23 +191,17 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
     What runs alone.  Each RK4 combination and each step of the rhs is
     elementwise or row by row, so a pass that ends gives every system the
     bits of its solo runs.  A pass that raises, and a set of problems it
-    cannot take (one not built by eom_bregman, two schedule objects, a start
-    that is not one flat point of the system's dim, or a grid of dt / 2 that
-    does not make twice the steps of dt's), instead integrates each system
-    alone on each grid, so each failure keeps the message and time of its
-    solo run, and the runs that do not fail keep their trajectories.
+    cannot take (two schedule objects, a start that _start refuses, or a
+    grid of dt / 2 that does not make twice the steps of dt's), instead
+    integrates each system alone on each grid, so each failure keeps the
+    message and time of its solo run, and the runs that do not fail keep
+    their trajectories.
     """
     try:
         systems = [system for system, _, _ in problems]
-        if not all(isinstance(system, BregmanSystem) for system in systems):
-            raise TypeError("lockstep stacks only eom_bregman systems")
         if len({id(system.schedule) for system in systems}) > 1:
             raise ValueError("lockstep stacks systems of one schedule object")
-        starts = [(np.asarray(q0, dtype=float), np.asarray(qdot0, dtype=float))
-                  for _, q0, qdot0 in problems]
-        if any(q0.shape != (system.metric.dim,) or qdot0.shape != q0.shape
-               for system, (q0, qdot0) in zip(systems, starts)):
-            raise ValueError("lockstep takes flat q0 and qdot0 of the system's dim")
+        starts = [_start(*problem) for problem in problems]
         # index of each metric's and each loss's first system
         first = {}
         for i, system in enumerate(systems):
@@ -390,7 +388,8 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
 
 
 def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> BregmanSystem:
-    """Euler-Lagrange system of the full Lagrangian for any metric.
+    """Euler-Lagrange system of the full Lagrangian for any metric, as the
+    one system type that both integrators take.
 
     With u = q + e^-alpha qdot and H the metric Hessian:
 
@@ -413,7 +412,4 @@ def eom_bregman(metric: Metric, schedule: BregmanSchedule, loss) -> BregmanSyste
     _bregman_rhs over this one system, which integrate_rk4_lockstep runs
     over several.
     """
-    return BregmanSystem(name=f"bregman[{metric.name},{schedule.name}]",
-                         rhs=_bregman_rhs(schedule, [(metric, loss)]),
-                         parameters={"metric": metric.name},
-                         metric=metric, schedule=schedule, loss=loss)
+    return BregmanSystem(metric, schedule, loss, _bregman_rhs(schedule, [(metric, loss)]))

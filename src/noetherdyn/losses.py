@@ -176,7 +176,6 @@ class Quadratic(Loss):
         return 0.5 * float(q @ self.matrix @ q)
 
     def grad(self, q):
-        q = np.asarray(q)
         if q.ndim == 1:  # a point: the stack path's two index ops cost a third more
             return self.matrix @ q
         return (self.matrix @ q[..., None])[..., 0]

@@ -15,7 +15,6 @@ from noetherdyn import (
     NegativeEntropy,
     Quadratic,
     QuadraticForm,
-    SecondOrderSystem,
     Trajectory,
     TwoLayerChain,
     eom_bregman,
@@ -30,14 +29,15 @@ from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import time_derivative
 from oracles import assert_same_bits, bregman_rhs, lagrangian, rk4_reference
 
-HARMONIC = SecondOrderSystem("harmonic", lambda t, q, qd: -q)
+# qddot = -q, as u - q - q - qdot: its bits need not be -q's
+HARMONIC = eom_bregman(Euclidean(1), natural_schedule(1.0, 0.0), Quadratic(np.eye(1)))
 
 
 class TestRk4:
     def test_free_particle_is_exact(self):
-        traj = integrate_rk4(SecondOrderSystem("free", lambda t, q, qd: np.zeros_like(q)),
-                             [0.0], [1.0], 0.0, 1.0, 0.01)
-        assert traj.q[-1, 0] == pytest.approx(1.0, abs=1e-13)
+        _, states = rk4_solve(lambda t, q, qd: np.zeros_like(q), [0.0, 1.0], 0.0, 1.0, 0.01,
+                              split=1)
+        assert states[-1, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_harmonic_full_period(self):
         period = 2.0 * np.pi
@@ -101,11 +101,6 @@ class TestRk4:
         ref_times, ref_states = rk4_reference(f, y0, t0, t1, dt, split=split)
         assert_same_bits(times, ref_times)
         assert_same_bits(states, ref_states)
-        if 2 * split == n:
-            traj = integrate_rk4(SecondOrderSystem("linear", f), y0[:split], y0[split:],
-                                 t0, t1, dt)
-            assert_same_bits(traj.q, ref_states[:, :split])
-            assert_same_bits(traj.q_dot, ref_states[:, split:])
 
     @staticmethod
     def assert_matches_reference(system, q0, qd0, t0, t1, dt):
@@ -140,8 +135,6 @@ class TestRk4:
         assert_same_bits(states, expected)
         assert_same_bits(constant, np.array([0.5, -1.0, 2.0]))
 
-        self.assert_matches_reference(SecondOrderSystem("drift", lambda t, q, qd: qd),
-                                      [1.0, 2.0], [0.5, -0.5], 0.0, 0.1, 0.01)
         reused = np.empty(2)
 
         def spring(t, q, q_dot):
@@ -149,8 +142,11 @@ class TestRk4:
             reused[1] -= t * q_dot[0]
             return reused
 
-        self.assert_matches_reference(SecondOrderSystem("reused", spring),
-                                      [1.0, 2.0], [0.5, -0.5], 0.0, 0.1, 0.01)
+        y0 = np.array([1.0, 2.0, 0.5, -0.5])
+        for drift_or_spring in (lambda t, q, qd: qd, spring):
+            _, states = rk4_solve(drift_or_spring, y0, 0.0, 0.1, 0.01, split=2)
+            _, expected = rk4_reference(drift_or_spring, y0, 0.0, 0.1, 0.01, split=2)
+            assert_same_bits(states, expected)
 
     @pytest.mark.parametrize("stage", [2, 3, 4])
     def test_domain_error_in_a_later_stage_names_the_step_start(self, stage):
@@ -174,7 +170,7 @@ class TestRk4:
             return -q if len(calls) < 4 * 5 + 4 else np.array([np.nan])
 
         with pytest.raises(IntegrationError, match="no longer finite") as caught:
-            integrate_rk4(SecondOrderSystem("late-nan", f), [1.0], [0.0], 0.0, 1.0, 0.125)
+            rk4_solve(f, [1.0, 0.0], 0.0, 1.0, 0.125, split=1)
         assert caught.value.time == 0.75
 
     def test_non_finite_state_aborts_with_its_time(self):
@@ -192,6 +188,31 @@ class TestRk4:
             with pytest.raises(IntegrationError, match="initial state") as caught:
                 integrate_rk4(HARMONIC, [1.0], [bad], 0.25, 1.0, 0.25)
             assert caught.value.time == 0.25
+
+    SHAPES = strategies.lists(strategies.integers(0, 4), max_size=3).map(tuple)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=strategies.integers(0, 11), q_shape=SHAPES, qdot_shape=SHAPES)
+    @example(case=0, q_shape=(3,), qdot_shape=(3,))
+    @example(case=3, q_shape=(2,), qdot_shape=(3,))
+    @example(case=3, q_shape=(1,), qdot_shape=(1,))
+    @example(case=0, q_shape=(4,), qdot_shape=(4,))
+    @example(case=3, q_shape=(1, 2), qdot_shape=(1, 2))
+    @example(case=5, q_shape=(2, 1), qdot_shape=(2, 1))
+    @example(case=8, q_shape=(2,), qdot_shape=(2, 1))
+    def test_a_start_is_two_points_of_the_systems_dim(self, case, q_shape, qdot_shape):
+        """q0 and qdot0 of any shapes: two points of the system's dim
+        integrate, and anything else, (1,), (dim + 1,), (1, dim) and (dim, 1)
+        among them, is a ValueError that names the dim and both shapes."""
+        metric, _, loss, q0, qd0 = _residual_cases()[case]
+        system = eom_bregman(metric, natural_schedule(1.0, 0.5), loss)
+        q0, qd0 = np.resize(q0, q_shape), np.resize(qd0, qdot_shape)
+        if q_shape == qdot_shape == (metric.dim,):
+            assert integrate_rk4(system, q0, qd0, 0.0, 0.01, 1e-3).q.shape == (11, metric.dim)
+            return
+        with pytest.raises(ValueError, match=f"dim {metric.dim}") as caught:
+            integrate_rk4(system, q0, qd0, 0.0, 0.01, 1e-3)
+        assert f"shapes {q_shape} and {qdot_shape}" in str(caught.value)
 
 
 class TestLockstep:
@@ -235,7 +256,7 @@ class TestLockstep:
             lockstep_outcomes(problems, 0.5 + steps * dt, dt, t0=0.5)
 
     def test_a_grid_that_does_not_tile_fails_every_system_as_alone(self):
-        problems = [(HARMONIC, [1.0], [0.0]), (HARMONIC, [0.5, 2.0], [1.0, 0.0])]
+        problems = [(HARMONIC, [1.0], [0.0]), (HARMONIC, [0.5], [2.0])]
         grids = integrate_rk4_lockstep(problems, 0.0, 1.0, 0.3)
         for outcomes, dt in zip(grids, (0.3, 0.15)):
             with pytest.raises(ValueError) as caught:
@@ -291,21 +312,19 @@ class TestLockstepGrouping:
                        q0, qd0)
         assert not any(stacked(outcomes) for outcomes in lockstep_outcomes(problems, 0.2, 0.01))
 
-    def test_a_system_not_built_by_eom_bregman_runs_every_system_alone(self):
-        problems = self.residual_problems()
-        problems.insert(5, (HARMONIC, [1.0, -0.5], [0.0, 0.25]))
-        assert not any(stacked(outcomes) for outcomes in lockstep_outcomes(problems, 0.2, 0.01))
-
     def test_starts_of_other_dims_run_every_system_alone(self):
-        """One start too long and one too short: the state has the length
-        the systems' dims add up to, yet both fail as they do alone."""
+        """One start too long, one too short and one a row of the right
+        length: the state has the length the systems' dims add up to, yet
+        all three fail as they do alone."""
         problems = self.residual_problems()
         for i, cut in ((4, slice(None)), (5, slice(1))):
             system, q0, qd0 = problems[i]
             problems[i] = (system, np.append(q0, 1.0)[cut], np.append(qd0, 0.0)[cut])
+        system, q0, qd0 = problems[6]
+        problems[6] = (system, q0[None], qd0[None])
         for outcomes in lockstep_outcomes(problems, 0.2, 0.01):
-            assert all(isinstance(outcome, ValueError) for outcome in outcomes[4:6])
-            assert not stacked(outcomes[:4] + outcomes[6:])
+            assert all(isinstance(outcome, ValueError) for outcome in outcomes[4:7])
+            assert not stacked(outcomes[:4] + outcomes[7:])
 
     def test_a_half_step_that_does_not_make_twice_the_steps_runs_every_system_alone(self):
         """dt of 5 subnormal ulps halves to 2 (2.5 rounds to even), so both

@@ -83,7 +83,7 @@ class TestGradients:
 
     def test_quadratic_identity_gradient(self):
         q = Quadratic(np.eye(2))
-        np.testing.assert_allclose(q.grad([3.0, 4.0]), [3.0, 4.0])
+        np.testing.assert_allclose(q.grad(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_all_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
