@@ -29,7 +29,6 @@ from .continuous import (
     rk4_solve,
 )
 from .discrete import (
-    OptimizerState,
     centered_velocities,
     simulate,
     step_gd_momentum_wd,

@@ -377,7 +377,7 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
             grad_u, grad_q = metric.grad(stack)
             np.subtract(grad_u, grad_q, out=delta_rows)
         for loss, rows, gradient_rows in losses:
-            gradient_rows[...] = loss.grad(rows)
+            loss.grad(rows, out=gradient_rows)
         # not in place: out= an operand costs twice as much at dim 1
         np.subtract(damping * delta, gradient if unit_force else force * gradient, out=drive)
         for metric, _, u_rows, _, drive_rows in solves:

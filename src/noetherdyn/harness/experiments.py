@@ -22,8 +22,8 @@ from ..closedform import (
     steady_radius,
 )
 from ..continuous import eom_bregman, integrate_rk4, integrate_rk4_lockstep, rk4_solve
-from ..discrete import (OptimizerState, centered_velocities, raise_if_diverged, simulate,
-                        step_gd_momentum_wd, step_nesterov, step_rmsprop)
+from ..discrete import (centered_velocities, raise_if_diverged, simulate, step_gd_momentum_wd,
+                        step_nesterov, step_rmsprop)
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
@@ -190,8 +190,9 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     q0 = np.full(dim, 0.5)
 
     def gd_norms(lr, n):
-        return simulate(lambda state: step_gd_momentum_wd(state, ray, lr),
-                        OptimizerState.initial(q0), n, lambda state: state.q @ state.q, lr)
+        buffer = np.zeros(dim)
+        return simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, ray, lr),
+                        q0, n, lambda _, qs, gs: np.vecdot(qs, qs), lr)
 
     times, norms = gd_norms(eta, steps)
     drift = abs(norms[-1] - norms[0]) / norms[0]
@@ -199,9 +200,14 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     write_csv(out / "conservation_norm.csv", times, {"norm_sq": norms})
 
     chain = TwoLayerChain([1.0], [1.0])
-    _, balance = simulate(lambda state: step_gd_momentum_wd(state, chain, eta),
-                          OptimizerState.initial([1.5, 0.5]), steps,
-                          lambda state: state.q[0] ** 2 - state.q[1] ** 2, eta)
+    buffer = np.zeros(2)
+    # float_power is the C library's pow, as a numpy scalar's ** 2 is; an
+    # array's ** 2 is q * q, which can differ from it in the last bit
+    _, balance = simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer,
+                                                                      chain, eta),
+                          [1.5, 0.5], steps,
+                          lambda _, qs, gs: np.float_power(qs[:, 0], 2.0) - np.float_power(
+                              qs[:, 1], 2.0), eta)
     bal_drift = abs(balance[-1] - balance[0]) / abs(balance[0])
     verdicts.append(Verdict("conservation.rescale-balance-drift",
                             bal_drift <= 1e-3, bal_drift, 1e-3))
@@ -237,8 +243,10 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     loss = Quadratic(np.eye(1))
 
     steps = step_count(t1, eta)
-    times, qs = simulate(lambda state: step_gd_momentum_wd(state, loss, eta, beta=beta),
-                         OptimizerState.initial(np.ones(1)), steps, lambda state: state.q[0], eta)
+    buffer = np.zeros(1)
+    times, qs = simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, loss,
+                                                                     eta, beta=beta),
+                         np.ones(1), steps, lambda _, qs, gs: qs[:, 0], eta)
 
     # anchor both continuous models at the first interior sample, with the
     # centered-difference velocity export for the second-order model
@@ -275,8 +283,9 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     eta_n = 1e-4
     s = np.sqrt(eta_n)
     n_steps = int(round(1.0 / s))
-    xt, xs = simulate(lambda state: step_nesterov(state, loss, eta_n),
-                      OptimizerState.initial(np.ones(1)), n_steps, lambda state: state.q[0], s)
+    buffer = np.zeros(1)
+    xt, xs = simulate(lambda n, q, g, q_next: step_nesterov(q, g, q_next, buffer, n, loss, eta_n),
+                      np.ones(1), n_steps, lambda _, qs, gs: qs[:, 0], s)
     k0 = int(round(0.2 / s))
     v0 = centered_velocities(xs, s)[k0 - 1:k0]
     system = eom_bregman(Euclidean(1), nesterov_schedule(2.0, 0.25), loss)
@@ -321,9 +330,9 @@ def flagship_run(cfg: ExperimentConfig):
     angular displacement.
 
     The update is fused inline rather than run through `simulate` and the
-    library step: at 200k steps the per-call overhead of OptimizerState,
-    RayleighQuotient.grad and step_gd_momentum_wd roughly doubles the run
-    time.  The per-step loop carries only the serial chain: the point q,
+    library step: RayleighQuotient.grad's dense A q and the Python-float
+    operands of step_gd_momentum_wd cost about a fifth more per step.  The
+    per-step loop carries only the serial chain: the point q,
     rr = q.dot(q), the gradient and the momentum buffer, each op written
     into preallocated vectors through the ufunc's `out` argument.  Each
     step writes its gradient and its next point into rows of (BLOCK, dim)
@@ -494,15 +503,17 @@ def run_rmsprop_equiv(cfg: ExperimentConfig, out: Path):
     g0 = 1.0  # initial adaptive memory
     rng = np.random.default_rng(cfg["seed"])
     loss = Quadratic(np.diag(np.linspace(0.5, 2.0, dim)))
-    state = OptimizerState.initial(2.0 * rng.standard_normal(dim), accumulator=g0)
-
-    def observe(state):
-        grad = loss.grad(state.q)
-        return grad @ grad, state.accumulator
-
+    q0 = 2.0 * rng.standard_normal(dim)
     steps = step_count(t1, eta)
-    times, record = simulate(lambda state: step_rmsprop(state, loss, eta, rho), state, steps,
-                             observe, eta)
+    accumulators = np.empty(steps + 1)  # the adaptive memory after each step
+    accumulators[0] = g0
+
+    def step(n, q, g, q_next):
+        accumulators[n + 1] = step_rmsprop(q, g, q_next, accumulators[n], loss, eta, rho)
+
+    times, record = simulate(step, q0, steps,
+                             lambda n, qs, gs: (np.vecdot(gs, gs), accumulators[n:n + len(qs)]),
+                             eta, grad=loss.grad)
     gsq, memory = record.T
     predicted = g_schedule(gsq, eta, eta, rho, g0)  # one sample per step
     measured = np.sqrt(memory)

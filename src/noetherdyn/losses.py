@@ -29,9 +29,12 @@ class Loss:
     shape (dim,) that the caller builds.  grad also takes a stack of points,
     shape (..., dim), and gives each point the bits it gets alone; a row's
     dot products are np.vecdot, one BLAS dot per row, as a point's `@` is.
-    A loss with a singular point (the Rayleigh quotient and the radial well,
-    at the origin) checks for it itself, where it computes |q|, and raises
-    SingularLossError there, on a stack if any point is singular."""
+    grad(q, out=out) writes the gradient into `out`, an array of q's shape
+    that may be a strided view of a larger buffer, and returns it; each
+    entry gets the bits it gets without `out`.  A loss with a singular
+    point (the Rayleigh quotient and the radial well, at the origin) checks
+    for it itself, where it computes |q|, and raises SingularLossError
+    there, on a stack if any point is singular."""
 
     dim: int
     name: str
@@ -39,7 +42,7 @@ class Loss:
     def value(self, q) -> float:
         raise NotImplementedError
 
-    def grad(self, q) -> np.ndarray:
+    def grad(self, q, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def __repr__(self):
@@ -75,7 +78,7 @@ class RayleighQuotient(Loss):
         r2 = self._norm_sq(q)
         return float(q @ self.matrix @ q / r2)
 
-    def grad(self, q):
+    def grad(self, q, out=None):
         """2 t / |q|^2 for t = A q - f q, computed as t / (|q|^2 / 2): the same
         rounding, since |q|^2 >= 1e-24 halves exactly and 2t is finite while
         |q|^2 is (|t| <= 2 |A| |q|, barring an |A| near 1e154).  Past
@@ -86,20 +89,23 @@ class RayleighQuotient(Loss):
         extra calls would about double the cost of a discrete step's
         gradient.  q.dot, a point's faster dot, can give -0.0 where
         np.vecdot gives +0.0, but only for <q, Aq> at dim 1, and only where
-        A q is +0.0 (A q is never -0.0), so t is the same."""
+        A q is +0.0 (A q is never -0.0), so t is the same.  Only the last
+        division writes into `out`: A q stays numpy's own matmul result."""
         r2 = self._norm_sq(q)
         if q.ndim > 1:
             aq = (self.matrix @ q[..., None])[..., 0]
             t = aq - (np.vecdot(q, aq) / r2)[..., None] * q
             r2 = r2[..., None]
             if not r2.max() < math.inf:  # an inf |q|^2, or a NaN that may hide one
-                return np.where(r2 == math.inf, 2.0 * t / r2, t / (r2 * 0.5))
-            return np.divide(t, r2 * 0.5, t)
+                at_inf = r2 == math.inf
+                return np.divide(np.where(at_inf, 2.0 * t, t), np.where(at_inf, r2, r2 * 0.5),
+                                 t if out is None else out)
+            return np.divide(t, r2 * 0.5, t if out is None else out)
         aq = self.matrix @ q
         t = aq - (q.dot(aq) / r2) * q
         if r2 == math.inf:
-            return 2.0 * t / r2
-        return np.divide(t, r2 * 0.5, t)
+            return np.divide(2.0 * t, r2, out)
+        return np.divide(t, r2 * 0.5, t if out is None else out)
 
 
 class TwoLayerChain(Loss):
@@ -123,17 +129,20 @@ class TwoLayerChain(Loss):
         resid = q2 * q1 * self.x - self.y
         return 0.5 * float(resid @ resid)
 
-    def grad(self, q):
+    def grad(self, q, out=None):
         # not resid.dot(x): where every product is a zero of sign -, dot sums
         # them to -0.0, the matmul sum and np.vecdot (from +0.0) to +0.0
         if q.ndim > 1:
             resid = (q[..., 1:] * q[..., :1]) * self.x - self.y
-            return np.vecdot(resid, self.x)[..., None] * q[..., ::-1]
+            return np.multiply(np.vecdot(resid, self.x)[..., None], q[..., ::-1], out)
         # a point on Python floats: about 3/4 of the stack path's cost
         q1, q2 = q.tolist()
         resid = q2 * q1 * self.x - self.y
         c = resid @ self.x
-        return np.array([c * q2, c * q1])
+        if out is None:
+            return np.array([c * q2, c * q1])
+        out[0], out[1] = c * q2, c * q1
+        return out
 
 
 class RadialWell(Loss):
@@ -151,11 +160,11 @@ class RadialWell(Loss):
         r = np.linalg.norm(q)
         return float(0.5 * self.stiffness * (r - self.radius) ** 2)
 
-    def grad(self, q):
+    def grad(self, q, out=None):
         r = np.sqrt(np.vecdot(q, q))  # np.linalg.norm(q) bit for bit, per row
         if np.fmin.reduce(r, axis=None) <= _ORIGIN_TOL:  # fmin skips a NaN
             raise SingularLossError("radial gradient is undefined at the origin")
-        return (self.stiffness * (r - self.radius) / r)[..., None] * q
+        return np.multiply((self.stiffness * (r - self.radius) / r)[..., None], q, out)
 
 
 class Quadratic(Loss):
@@ -175,7 +184,10 @@ class Quadratic(Loss):
     def value(self, q):
         return 0.5 * float(q @ self.matrix @ q)
 
-    def grad(self, q):
+    def grad(self, q, out=None):
         if q.ndim == 1:  # a point: the stack path's two index ops cost a third more
-            return self.matrix @ q
-        return (self.matrix @ q[..., None])[..., 0]
+            return np.matmul(self.matrix, q, out)
+        if out is None:
+            return (self.matrix @ q[..., None])[..., 0]
+        np.matmul(self.matrix, q[..., None], out[..., None])
+        return out

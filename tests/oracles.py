@@ -2,7 +2,8 @@
 
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Rayleigh-quotient and two-layer-chain gradients as
-first written, the Lagrangian the Euler-Lagrange systems derive from,
+first written, the discrete optimizer steps as value-returning functions of
+an immutable state, the Lagrangian the Euler-Lagrange systems derive from,
 eom_bregman's right-hand side with every product written out, an RK4
 loop that allocates every stage, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
@@ -14,6 +15,7 @@ comparison.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,49 @@ def chain_grad(x, y, q):
     resid = q2 * q1 * x - y
     c = float(resid @ x)
     return np.array([c * q2, c * q1])
+
+
+# ---------------------------------------------------------------------------
+# discrete steps: the library's steppers as first written, state -> state
+
+@dataclass(frozen=True)
+class OptimizerState:
+    """Parameter vector plus the optimizer's memory: the heavy-ball or
+    Nesterov buffer, the adaptive accumulator and the completed step count."""
+
+    q: np.ndarray
+    momentum_buffer: np.ndarray
+    accumulator: float = 1.0
+    step_index: int = 0
+
+    @classmethod
+    def initial(cls, q0, accumulator: float = 1.0):
+        q0 = np.asarray(q0, dtype=float)
+        return cls(q=q0.copy(), momentum_buffer=np.zeros_like(q0),
+                   accumulator=float(accumulator), step_index=0)
+
+
+def gd_momentum_wd_step(state, loss, eta, beta=0.0, weight_decay=0.0):
+    g = loss.grad(state.q)
+    if weight_decay != 0.0:
+        g = g + weight_decay * state.q
+    buffer = beta * state.momentum_buffer - eta * g
+    return OptimizerState(state.q + buffer, buffer, state.accumulator, state.step_index + 1)
+
+
+def nesterov_step(state, loss, eta):
+    k = state.step_index
+    factor = (k - 1.0) / (k + 2.0) if k >= 1 else 0.0
+    y = state.q + factor * state.momentum_buffer
+    q_new = y - eta * loss.grad(y)
+    return OptimizerState(q_new, q_new - state.q, state.accumulator, k + 1)
+
+
+def rmsprop_step(state, loss, eta, rho):
+    g = loss.grad(state.q)
+    q_new = state.q - (eta / math.sqrt(state.accumulator)) * g
+    g_new = rho * state.accumulator + (1.0 - rho) * float(g @ g)
+    return OptimizerState(q_new, state.momentum_buffer, g_new, state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies
 
 import noetherdyn
-from noetherdyn import (IntegrationError, OptimizerState, RayleighQuotient, simulate,
-                        step_gd_momentum_wd)
+from noetherdyn import IntegrationError, RayleighQuotient, simulate, step_gd_momentum_wd
 from noetherdyn.continuous import grid_steps
 from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, experiments
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
                                        build_config, parse_config_file, read_command_line)
-from noetherdyn.harness.experiments import (BLOCK, FLAGSHIP_SPECTRUM, flagship_run,
-                                            flagship_start)
+from noetherdyn.harness.experiments import (BLOCK, FLAGSHIP_DIM, FLAGSHIP_SPECTRUM,
+                                            flagship_run, flagship_start)
 from noetherdyn.harness.report import (Verdict, format_float, write_csv, write_svg,
                                        write_table_csv, write_verdicts)
 from oracles import assert_same_bits
@@ -329,16 +328,19 @@ class TestEmission:
 
 
 def _reference_channels(cfg):
-    """The four flagship channels from `simulate` running the library step."""
+    """The four flagship channels from `simulate` running the library step,
+    each taken one point at a time."""
     loss = RayleighQuotient(np.diag(FLAGSHIP_SPECTRUM))
-    times, qs = simulate(
-        lambda state: step_gd_momentum_wd(state, loss, cfg["eta"], beta=cfg["beta"],
-                                          weight_decay=cfg["wd"]),
-        OptimizerState.initial(flagship_start(cfg["seed"])), cfg["steps"],
-        lambda state: state.q, cfg["eta"])
+    buffer = np.zeros(FLAGSHIP_DIM)
+    times, record = simulate(
+        lambda n, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, loss, cfg["eta"],
+                                                    cfg["beta"], cfg["wd"]),
+        flagship_start(cfg["seed"]), cfg["steps"],
+        lambda n, qs, gs: np.concatenate([qs, gs], axis=1), cfg["eta"], grad=loss.grad)
+    qs, gs = record[:, :FLAGSHIP_DIM], record[:, FLAGSHIP_DIM:]
     qhat = [q / np.sqrt(q @ q) for q in qs]
     return (times, np.array([q @ q for q in qs]),
-            np.array([(q @ q) * (g @ g) for q, g in ((q, loss.grad(q)) for q in qs)]),
+            np.array([(q @ q) * (g @ g) for q, g in zip(qs, gs)]),
             np.array([0.0] + [np.linalg.norm(qhat[n + 1] - qhat[n])
                               for n in range(cfg["steps"])]))
 
@@ -611,6 +613,21 @@ class TestCli:
         assert capsys.readouterr().err == ("noetherdyn: numerical abort: run diverged: recorded"
                                            " value not finite after step 92 (t=4600)\n")
         assert elapsed < 1.0  # all 200,000 steps take several seconds
+
+    def test_diverging_discrete_run_stops_at_the_block_of_its_first_nonfinite_step(
+            self, tmp_path, capsys):
+        """simulate checks its record a block at a time: conservation's first
+        run overflows at its first step and stops about a thousand steps in,
+        not after all 200,000."""
+        started = time.process_time()
+        code = main(["conservation", "--eta", "1e200", "--steps", "200000",
+                     "--out", str(tmp_path / "x")])
+        elapsed = time.process_time() - started
+        assert code == 3
+        assert capsys.readouterr().err == ("noetherdyn: numerical abort: run diverged: recorded"
+                                           " value not finite after step 1 (t=1e+200)\n")
+        assert not (tmp_path / "x").exists()
+        assert elapsed < 1.0  # all 200,000 steps take about two seconds
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_diverging_flagship_names_its_step_whatever_the_block(self, tmp_path, capsys,

@@ -19,6 +19,7 @@ from noetherdyn import (
     Translation,
     TwoLayerChain,
 )
+from noetherdyn.continuous import _rows
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.losses import _ORIGIN_TOL
 from oracles import assert_same_bits, chain_grad, fd_gradient, rayleigh_grad
@@ -198,6 +199,52 @@ class TestStacks:
             for q in (rows[:, :loss.dim], np.ascontiguousarray(rows[:, loss.dim:])):
                 with pytest.raises(SingularLossError):
                     loss.grad(q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), family=strategies.sampled_from(FAMILIES),
+           grids=strategies.integers(1, 2), count=strategies.integers(1, 4),
+           gap=strategies.integers(0, 3))
+    def test_out_takes_the_bits_in_a_strided_view(self, data, family, grids, count, gap):
+        """grad(q, out=) writes each row's own bits into a view of a larger
+        buffer laid out as the lockstep kernel's: rows `dim + gap` apart in
+        a (grids, n) state, `_rows` of it, and leaves the rest untouched; a
+        point writes them into a row of a (rows, dim) block, as a discrete
+        stepper does."""
+        loss = self.draw_loss(data, family)
+        dim = loss.dim
+        run = [1 + i * (dim + gap) for i in range(count)]
+        n = run[-1] + dim + 1
+        rows = self.draw_rows(data, grids * count, dim)[:, :dim].reshape(grids, count, dim)
+        state = np.full((grids, n) if grids > 1 else (n,), 7.0)
+        q = _rows(state, run, dim)
+        q[...] = rows.reshape(q.shape)
+        buffer = np.full_like(state, np.nan)
+        out = _rows(buffer, run, dim)
+        with np.errstate(all="ignore"):
+            expected = loss.grad(q)
+            assert loss.grad(q, out=out) is not None
+            assert_same_bits(out, expected)
+            assert_same_bits(out, np.array([loss.grad(point) for point in
+                                            q.reshape(-1, dim)]).reshape(q.shape))
+            untouched = np.ones(buffer.shape, dtype=bool)
+            _rows(untouched, run, dim)[...] = False
+            assert np.isnan(buffer[untouched]).all()
+            block = np.full((3, dim), np.nan)
+            for point in q.reshape(-1, dim):
+                loss.grad(np.ascontiguousarray(point), out=block[1])
+                assert_same_bits(block[1], loss.grad(np.ascontiguousarray(point)))
+                assert np.isnan(block[[0, 2]]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), dim=strategies.integers(1, 10),
+           count=strategies.integers(1, 8))
+    def test_a_block_rows_vecdot_is_its_points_dot(self, data, dim, count):
+        """np.vecdot of a (rows, dim) block gives each row the bits of the
+        row's own q @ q, which a per-step observer used to take."""
+        block = data.draw(arrays(np.float64, (count + 1, dim), elements=strategies.one_of(
+            strategies.sampled_from([0.0, -0.0]), strategies.floats(-1e10, 1e10))))
+        rows = block[:count]
+        assert_same_bits(np.vecdot(rows, rows), np.array([q @ q for q in rows]))
 
     def test_chain_stack_keeps_the_positive_zero_of_its_matmul_sum(self):
         """Where every product resid_j x_j is -0.0 (here resid_j = +0.0 and
