@@ -177,16 +177,22 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
     gives that system alone on that grid, or the exception it raises for it.
 
     Layout.  One grid's flat state is [q_1 ... q_m, qdot_1 ... qdot_m] with
-    the systems grouped by metric object and, within a metric, by loss
-    object, so that each metric's rows are one slice and each loss's rows
-    one view at a constant step.  The pass steps both grids at once on
-    [q_coarse, q_fine, qdot_coarse, qdot_fine], where the kernel sees a
-    leading grid axis: coarse step k, on [t_k, t_k + dt], runs with fine step
-    2k, one kernel call per RK4 stage for both grids' rows, each grid at its
-    own stage times and with its own step in every combination.  Fine step
-    2k + 1 then runs alone, on a one-grid kernel, from the fine state copied
-    out of the pass and back.  Every trajectory is a view of its grid's one
-    result, and a grid's trajectories share one times array.
+    the systems grouped by metric group and, within a group, by loss object,
+    so that each metric group's rows are one slice and each loss's rows one
+    view at a constant step.  A metric group is one metric object, but every
+    metric of a non-flat elementwise class (Metric.elementwise) is one
+    group, whatever its dim: in noether-residual the four NegativeEntropy
+    systems, of dims 3 and 2, are one slice of 9 entries.  The pass steps
+    both grids at once on [q_coarse, q_fine, qdot_coarse, qdot_fine], where
+    the kernel sees a leading grid axis: coarse step k, on [t_k, t_k + dt],
+    runs with fine step 2k, one kernel call per RK4 stage for both grids'
+    rows, each grid at its own stage times and with its own step in every
+    combination.  Fine step 2k + 1 then runs alone, on a one-grid kernel,
+    from the fine state copied out of the pass and back.  Every trajectory
+    is a view of its grid's one result, and a grid's trajectories share one
+    times array.  At noether-residual's acceptance config a pass makes 8,000
+    kernel calls (1,000 paired and 1,000 fine-only steps of 4 stages), each
+    with 3 metric grad, 3 hessian_solve and 4 loss grad calls.
 
     What runs alone.  Each RK4 combination and each step of the rhs is
     elementwise or row by row, so a pass that ends gives every system the
@@ -202,12 +208,12 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
         if len({id(system.schedule) for system in systems}) > 1:
             raise ValueError("lockstep stacks systems of one schedule object")
         starts = [_start(*problem) for problem in problems]
-        # index of each metric's and each loss's first system
+        # index of each metric group's and each loss's first system
         first = {}
         for i, system in enumerate(systems):
-            first.setdefault(id(system.metric), i)
+            first.setdefault(_group(system.metric), i)
             first.setdefault(id(system.loss), i)
-        order = sorted(range(len(systems)), key=lambda i: (first[id(systems[i].metric)],
+        order = sorted(range(len(systems)), key=lambda i: (first[_group(systems[i].metric)],
                                                            first[id(systems[i].loss)]))
         offsets = [0] * len(systems)
         split = 0
@@ -294,6 +300,14 @@ def _rows(x, run, dim: int):
         x.strides[:-1] + ((run[1] - start) * x.itemsize, x.itemsize))
 
 
+def _group(metric: Metric):
+    """The key of the metric's group in the stacked rhs: the class of a
+    non-flat elementwise metric, whose rows one call of any of its objects
+    serves, else the metric object.  A flat metric makes no call, and
+    grouping its objects by class would cut each loss's rows in two."""
+    return type(metric) if metric.elementwise and not metric.flat else id(metric)
+
+
 def _runs(owners, offsets):
     """(owner, run) for each owner object, in order of first appearance, and
     each run of its offsets at one step: the offsets are cut where the step
@@ -318,19 +332,25 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     flat state: q and qdot hold each system's entries in turn, members[i] =
     (metric, loss) is the i-th system's.
 
-    The elementwise steps run once over the whole state.  Each non-flat
-    metric makes one grad call on the stack [u; q] of its systems' rows and
-    one hessian_solve (a flat one makes none: Delta_h is u - q), and each
-    loss one grad call, per run of its systems' rows at a constant step:
-    one run each when the systems are grouped by metric and, within one,
-    ordered by loss.  By the metric and loss contracts each row of a stack
-    gets the bits it gets alone.
+    The elementwise steps run once over the whole state.  Each run of
+    adjacent systems of one non-flat metric group (_group) makes one grad
+    call on the stack [u; q] of its rows and one hessian_solve (a flat
+    metric makes none: Delta_h is u - q).  An elementwise group's call takes
+    its slice of the state as it is, whatever dims its systems have; any
+    other group's takes its rows as (..., k, dim).  Each loss makes one grad
+    call per run of its systems' rows at a constant step.  So when the
+    systems are grouped by metric group and, within one, ordered by loss,
+    each group and each loss makes one call: in noether-residual 3 grad
+    and 3 hessian_solve calls (QuadraticForm(3), QuadraticForm(2) and the
+    NegativeEntropy group) and 4 loss grad calls.  By the metric and loss
+    contracts each row of a stack gets the bits it gets alone.
 
     With grids > 1 the rhs takes that many copies of the systems at once, one
     per grid: q, qdot and the result have shape (grids, n), t holds one time
     per grid, and each call still makes one grad (and hessian_solve) per
-    metric and loss, on the rows of every grid.  A stationary schedule's
-    coefficients serve every time; another's are evaluated at each grid's.
+    metric group and loss, on the rows of every grid.  A stationary
+    schedule's coefficients serve every time; another's are evaluated at
+    each grid's.
     """
     if any(loss.dim != metric.dim for metric, loss in members):
         raise ValueError("a Bregman system's loss and metric must share one dim")
@@ -362,8 +382,19 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     u, at_q = pair
     delta, gradient, drive = np.empty((3, *shape))
     any_flat = any(metric.flat for metric in metrics)
-    solves = [(metric, *(_rows(x, run, metric.dim) for x in (pair, u, delta, drive)))
-              for metric, run in _runs(metrics, offsets) if not metric.flat]
+    solves = []
+    for _, block in itertools.groupby(zip(metrics, offsets), key=lambda member: _group(member[0])):
+        block = list(block)
+        metric, start = block[0]
+        if metric.flat:
+            continue
+        if metric.elementwise:
+            stop = block[-1][1] + block[-1][0].dim
+            views = (x[..., start:stop] for x in (pair, u, delta, drive))
+        else:
+            views = (_rows(x, [offset for _, offset in block], metric.dim)
+                     for x in (pair, u, delta, drive))
+        solves.append((metric, *views))
     losses = [(loss, *(_rows(x, run, loss.dim) for x in (at_q, gradient)))
               for loss, run in _runs([loss for _, loss in members], offsets)]
 

@@ -26,11 +26,16 @@ class Metric:
     (..., dim), and give each point the bits it gets alone.  A flat metric
     is one whose grad and hessian_solve copy their input (the Hessian is the
     identity), so a caller may take x for grad(x) and v for
-    hessian_solve(x, v)."""
+    hessian_solve(x, v).  An elementwise metric is one whose grad,
+    hessian_solve and domain check act entry by entry, on a last axis of any
+    length: the rows of several metrics of its class, joined on the last
+    axis, each get the bits they get alone from their own metric, and the
+    check raises if and only if it raises for one of them."""
 
     dim: int
     name: str
     flat = False
+    elementwise = False
 
     def value(self, x):
         raise NotImplementedError
@@ -116,6 +121,7 @@ class NegativeEntropy(Metric):
     """h(x) = sum_i x_i log x_i on the strictly positive orthant."""
 
     name = "negative-entropy"
+    elementwise = True
 
     def __init__(self, dim):
         self.dim = int(dim)

@@ -136,6 +136,18 @@ def _widen(lo: float, hi: float):
     return lo, hi
 
 
+def _polyline_points(x, y, px, py) -> str:
+    """A polyline's points attribute for the series (x, y), at most about
+    2000 of its points, with each point whose y is not finite left out:
+    "px,py" pairs of 2 decimals, with px and py mapping an array of data
+    coordinates to the plot's, entry by entry."""
+    step = max(1, x.size // 2000)  # cap polyline length
+    x, y = x[::step], y[::step]
+    finite = np.isfinite(y)
+    return " ".join("%.2f,%.2f" % point
+                    for point in zip(px(x[finite]).tolist(), py(y[finite]).tolist()))
+
+
 def write_svg(path, title: str, series, ylabel: str = "") -> Path:
     """Polyline chart; series is a list of (name, x array, y array)."""
     path = Path(path)
@@ -187,11 +199,8 @@ def write_svg(path, title: str, series, ylabel: str = "") -> Path:
 
     for i, (name, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        step = max(1, x.size // 2000)  # cap polyline length
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[::step], y[::step])
-                       if math.isfinite(b))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.3"/>')
+        parts.append(f'<polyline points="{_polyline_points(x, y, px, py)}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.3"/>')
         ly = _MT + 14 + 14 * i
         parts.append(f'<line x1="{_ML + plot_w - 130}" y1="{ly - 4}" '
                      f'x2="{_ML + plot_w - 110}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -9,9 +9,9 @@ loop that allocates every stage, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
 law measured one sample at a time, the direct quadrature of the
 exponential-kernel schedule and its recursion run one numpy sample at a
-time, the exact constant-drive norm solution,
-finite-difference gradients and Hessians, and a bit-for-bit array
-comparison.
+time, the exact constant-drive norm solution, an SVG polyline's points
+formatted one at a time, finite-difference gradients and Hessians, and a
+bit-for-bit array comparison.
 """
 
 import math
@@ -276,6 +276,17 @@ def solve_bernoulli_check(m: float, mu: float, k: float, gsq: float, r0: float,
         raise AssertionError(
             f"quadrature schedule deviates from the exact solution by {worst:.3e}")
     return exact
+
+
+# ---------------------------------------------------------------------------
+# chart emission
+
+def polyline_points(x, y, px, py):
+    """report._polyline_points as first written: each point of the
+    decimated series mapped and formatted on its own."""
+    step = max(1, x.size // 2000)  # cap polyline length
+    return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[::step], y[::step])
+                    if math.isfinite(b))
 
 
 # ---------------------------------------------------------------------------

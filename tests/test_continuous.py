@@ -24,6 +24,7 @@ from noetherdyn import (
     nesterov_schedule,
     rk4_solve,
 )
+from noetherdyn import continuous
 from noetherdyn.continuous import grid_steps
 from noetherdyn.harness.experiments import _residual_cases
 from noetherdyn.symmetry import time_derivative
@@ -335,6 +336,58 @@ class TestLockstepGrouping:
         grids = lockstep_outcomes(self.residual_problems(), 20 * ulp, 5 * ulp)
         assert [len(outcome.times) for outcome in grids[1]] == [11] * 12
         assert not any(stacked(outcomes) for outcomes in grids)
+
+    def entropy_problems(self, loss=None):
+        """The residual problems and a 13th under a second NegativeEntropy(2)
+        object, with the rotation case's start and, by default, its loss."""
+        problems = self.residual_problems()
+        _, _, rotation_loss, q0, qd0 = _residual_cases()[5]
+        system = eom_bregman(NegativeEntropy(2), self.SCHEDULE, loss or rotation_loss)
+        return problems + [(system, q0, qd0)]
+
+    def test_every_entropy_system_shares_one_metric_call_per_stage(self, monkeypatch):
+        """The three NegativeEntropy objects, of dims 3 and 2, act entry by
+        entry, so each kernel call makes one grad and one hessian_solve for
+        all their rows, of both grids, and every outcome keeps its solo bits."""
+        calls = {"grad": 0, "hessian_solve": 0}
+        for method in calls:
+            def spy(metric, *args, method=method, original=getattr(NegativeEntropy, method)):
+                calls[method] += 1
+                return original(metric, *args)
+            monkeypatch.setattr(NegativeEntropy, method, spy)
+        per_kernel_call = []
+        build = continuous._bregman_rhs
+
+        def counted_build(*args, **kwargs):
+            rhs = build(*args, **kwargs)
+
+            def counted(*rhs_args):
+                before = dict(calls)
+                result = rhs(*rhs_args)
+                per_kernel_call.append({k: calls[k] - before[k] for k in calls})
+                return result
+
+            return counted
+
+        # the systems' own rhs, which the solo runs call, are built before the patch
+        problems = self.entropy_problems()
+        monkeypatch.setattr(continuous, "_bregman_rhs", counted_build)
+        grids = lockstep_outcomes(problems, 0.2, 0.01)
+        assert all(stacked(outcomes) for outcomes in grids)
+        # 20 paired and 20 fine-only RK4 steps of 4 stages
+        assert per_kernel_call == [{"grad": 1, "hessian_solve": 1}] * 160
+
+    def test_one_entropy_system_leaving_its_domain_fails_as_alone(self):
+        """Under a steep loss the 13th system leaves its domain, in the first
+        coarse step and at t = 0.155 on the fine grid, and the other two
+        entropy systems stay inside theirs: each outcome is still its solo
+        run's, the exception's type and text included."""
+        problems = self.entropy_problems(Quadratic(200.0 * np.eye(2)))
+        grids = lockstep_outcomes(problems, 0.2, 0.01)
+        for outcomes in grids:
+            assert [isinstance(outcome, IntegrationError) for outcome in outcomes] == (
+                [False] * 12 + [True])
+        assert "(t=0.155)" in str(grids[1][12])
 
 
 class TestModifiedEquation:

@@ -170,6 +170,81 @@ class TestMetricDerivatives:
             QuadraticForm(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
 
 
+def spd_metric(d):
+    b = np.random.default_rng(d).standard_normal((d, d))
+    return QuadraticForm(b @ b.T + np.eye(d))
+
+
+# one metric of a family per dim; the elementwise contract covers the
+# families whose class declares it
+FAMILIES = [Euclidean, spd_metric, NegativeEntropy]
+ELEMENTWISE = [family for family in FAMILIES if family(2).elementwise]
+
+
+class TestElementwiseContract:
+    def test_negative_entropy_is_the_non_flat_elementwise_metric(self):
+        assert [family(2).name for family in ELEMENTWISE if not family(2).flat] == [
+            "negative-entropy"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), family=strategies.sampled_from(ELEMENTWISE),
+           dims=strategies.tuples(strategies.integers(1, 4), strategies.integers(1, 4)),
+           lead=strategies.sampled_from([(), (2,), (2, 3)]))
+    def test_a_joined_stack_gives_each_part_its_own_bits(self, data, family, dims, lead):
+        """Stacks of two dims joined on the last axis: grad and
+        hessian_solve of the joined stack, by either part's metric, as a
+        whole array or as a column slice of a wider one (the lockstep
+        kernel's layout), are the concatenation of each part's own call."""
+        metrics = [family(d) for d in dims]
+        points = [data.draw(arrays(np.float64, lead + (d,), elements=strategies.floats(1e-3, 1e3)))
+                  for d in dims]
+        drives = [data.draw(arrays(np.float64, lead + (d,), elements=strategies.floats(-1e3, 1e3)))
+                  for d in dims]
+        n = sum(dims)
+        wide = np.zeros(lead + (n + 3,))
+        wide[..., 1:n + 1] = np.concatenate(points, axis=-1)
+        grads = np.concatenate([m.grad(x) for m, x in zip(metrics, points)], axis=-1)
+        solves = np.concatenate([m.hessian_solve(x, v)
+                                 for m, x, v in zip(metrics, points, drives)], axis=-1)
+        for joined in (wide[..., 1:n + 1].copy(), wide[..., 1:n + 1]):
+            for metric in metrics:
+                assert_same_bits(metric.grad(joined), grads)
+                assert_same_bits(metric.hessian_solve(joined, np.concatenate(drives, axis=-1)),
+                                 solves)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=strategies.data(),
+           dims=strategies.tuples(strategies.integers(1, 4), strategies.integers(1, 4)),
+           lead=strategies.sampled_from([(), (2,), (2, 3)]))
+    def test_a_joined_entropy_stack_leaves_the_domain_iff_a_part_does(self, data, dims, lead):
+        """Entries at, just above and below the 1e-12 floor, NaN and inf:
+        the joined stack's grad and hessian_solve raise DomainError if and
+        only if an entry of a part is at or below the floor, or NaN, which
+        is when that part's own calls raise."""
+        entries = strategies.one_of(
+            strategies.floats(1e-3, 1e3), strategies.floats(max_value=1e-12),
+            strategies.sampled_from([1e-12, np.nextafter(1e-12, 1.0), 0.0, -0.0, np.nan,
+                                     np.inf, -np.inf]))
+        metrics = [NegativeEntropy(d) for d in dims]
+        points = [data.draw(arrays(np.float64, lead + (d,), elements=entries)) for d in dims]
+        joined = np.concatenate(points, axis=-1)
+
+        def raises(call):
+            try:
+                call()
+            except DomainError:
+                return True
+            return False
+
+        outside = [not (x > 1e-12).all() for x in points]
+        for metric, x, out in zip(metrics, points, outside):
+            assert raises(lambda: metric.grad(x)) == out
+        for metric in metrics:
+            assert raises(lambda: metric.grad(joined)) == any(outside)
+            assert raises(lambda: metric.hessian_solve(joined, np.ones_like(joined))) == (
+                any(outside))
+
+
 class TestKineticEnergy:
     def test_euclidean_value(self):
         e = Euclidean(2)

@@ -23,7 +23,8 @@ from hypothesis import strategies
 import noetherdyn
 from noetherdyn import IntegrationError, RayleighQuotient, simulate, step_gd_momentum_wd
 from noetherdyn.continuous import grid_steps
-from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, experiments
+from noetherdyn.harness import (ExperimentConfig, UsageError, compare_channels, experiments,
+                                report)
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
                                        build_config, parse_config_file, read_command_line)
@@ -31,7 +32,7 @@ from noetherdyn.harness.experiments import (BLOCK, FLAGSHIP_DIM, FLAGSHIP_SPECTR
                                             flagship_run, flagship_start)
 from noetherdyn.harness.report import (Verdict, format_float, write_csv, write_svg,
                                        write_table_csv, write_verdicts)
-from oracles import assert_same_bits
+from oracles import assert_same_bits, polyline_points
 
 
 # every key a flag or a config line may set: each experiment's, seed and out
@@ -318,6 +319,40 @@ class TestEmission:
         path = write_svg(tmp_path / "ulp.svg", "one ulp apart",
                          [("a", t, np.array([1.0, 1.0, np.nextafter(1.0, 2.0)]))], ylabel="y")
         assert ET.parse(path).getroot().tag.endswith("svg")
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=strategies.sampled_from([1, 2, 5, 1999, 2000, 2001, 4001, 6003]),
+           x_kind=strategies.sampled_from(["float", "integer", "subnormal"]),
+           pattern=strategies.lists(strategies.floats() | strategies.sampled_from(
+               [5e-324, -5e-324, 1e-310, np.nan, np.inf, -np.inf]), min_size=1, max_size=30))
+    @example(size=2001, x_kind="float", pattern=[np.nan])
+    @example(size=4001, x_kind="integer", pattern=[2.5])
+    @example(size=6003, x_kind="float", pattern=[5e-324, 1e-323, np.nan, 0.0])
+    @example(size=5, x_kind="subnormal", pattern=[1.0, -np.inf, np.inf, 1.0])
+    def test_svg_points_are_the_per_point_formatters(self, size, x_kind, pattern):
+        """A series' polyline points, mapped and formatted as arrays, are the
+        text of the per-point formatter: NaN and infinite y values left out,
+        all-NaN and constant series, subnormal spans, integer x, and the
+        decimation of a series over 2000 points."""
+        x = {"float": np.linspace(0.0, 3.0, size), "integer": np.arange(size),
+             "subnormal": 5e-324 * np.arange(size)}[x_kind]
+        y = np.resize(np.array(pattern), size)
+        # write_svg's maps from data to plot coordinates, on this one series
+        finite = y[np.isfinite(y)]
+        x_lo, x_hi = report._widen(float(x.min()), float(x.max()))
+        y_lo, y_hi = (report._widen(float(finite.min()), float(finite.max())) if finite.size
+                      else (0.0, 1.0))
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+
+        def px(a):
+            return report._ML + (a - x_lo) / (x_hi - x_lo) * (report._W - report._ML - report._MR)
+
+        def py(b):
+            return report._MT + (y_hi - b) / (y_hi - y_lo) * (report._H - report._MT - report._MB)
+
+        with np.errstate(all="ignore"):  # a span near the float range overflows
+            assert report._polyline_points(x, y, px, py) == polyline_points(x, y, px, py)
 
     def test_verdict_file_format(self, tmp_path):
         verdicts = [Verdict("a.b", True, 0.5, 1.0), Verdict("c.d", False, 2.0, 1.0)]
