@@ -130,16 +130,11 @@ def simulate(step, q0, steps: int, observe, dt: float, grad=None):
             record = np.empty((steps + 1,) + np.shape(block)[1:])
         written = record[lo:lo + rows]
         written[...] = block
-        raise_if_diverged(np.isfinite(written).reshape(rows, -1).all(axis=1), times, lo)
+        finite = np.isfinite(written).reshape(rows, -1).all(axis=1)
+        if not finite.all():
+            n = lo + int(np.argmin(finite))
+            raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
+                                   time=times[n])
         points[0] = points[rows]  # the next block's first point
     return times, record
 
-
-def raise_if_diverged(finite, times, first: int):
-    """Abort a run at its first non-finite record: `finite[i]` says whether
-    the record of step first + i is finite, and `times` is the run's whole
-    grid.  Raises IntegrationError naming that step and its time."""
-    if not finite.all():
-        n = first + int(np.argmin(finite))
-        raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
-                               time=times[n])

@@ -22,8 +22,7 @@ from ..closedform import (
     steady_radius,
 )
 from ..continuous import eom_bregman, integrate_rk4, integrate_rk4_lockstep, rk4_solve
-from ..discrete import (centered_velocities, raise_if_diverged, simulate, step_gd_momentum_wd,
-                        step_nesterov, step_rmsprop)
+from ..discrete import centered_velocities, simulate, step_gd_momentum_wd, step_nesterov, step_rmsprop
 from ..geometry import Euclidean, NegativeEntropy, QuadraticForm, natural_schedule, nesterov_schedule
 from ..losses import Quadratic, RadialWell, RayleighQuotient, TwoLayerChain
 from ..symmetry import (SYMMETRIC_TOL, Rescale, Rotation, Scale, Translation, noether_residual,
@@ -310,7 +309,6 @@ FLAGSHIP_DIM = 10
 # angular decay keeps the radial balance crossing broad enough to resolve
 FLAGSHIP_SPECTRUM = np.concatenate(([1.0], np.linspace(1.01, 1.02, FLAGSHIP_DIM - 1)))
 RECORD_EVERY = 100  # the CSVs and SVGs keep every 100th step
-BLOCK = 1024  # steps per block of flagship_run's record
 
 
 def flagship_start(seed: int) -> np.ndarray:
@@ -329,96 +327,71 @@ def flagship_run(cfg: ExperimentConfig):
     recording the norm, the unit-sphere gradient norm, and the per-step
     angular displacement.
 
-    The update is fused inline rather than run through `simulate` and the
-    library step: RayleighQuotient.grad's dense A q and the Python-float
-    operands of step_gd_momentum_wd cost about a fifth more per step.  The
-    per-step loop carries only the serial chain: the point q,
-    rr = q.dot(q), the gradient and the momentum buffer, each op written
-    into preallocated vectors through the ufunc's `out` argument.  Each
-    step writes its gradient and its next point into rows of (BLOCK, dim)
-    arrays, and at the end of each block the whole block is recorded at
-    once: the norm, |ghat|^2 = rr |g|^2, the normalised points and the
-    angular steps |qhat_n - qhat_(n-1)|.  The spectrum is held doubled, so
-    aq = 2 A q, q.dot(aq) / rr and aq - f q are twice the library's values,
-    exactly while they stay normal and finite, and the gradient is one
-    division by rr, the library's 2 (A q - f q) / rr bit for bit.  Every
-    other elementwise op has the same operands, in the same order, as the
-    library step, and a block's dot products are `np.vecdot`, which makes
-    the same per-row BLAS call as `x.dot(x)`, so tests/test_harness.py
-    checks all four channels bit for bit against the library step.
+    `simulate` drives a fused step rather than the library step:
+    RayleighQuotient.grad's dense A q and the Python-float operands of
+    step_gd_momentum_wd cost about 45% more per step.  The step reads
+    rr = q.dot(q) from its row and writes the gradient and the next point
+    through the ufuncs' `out` argument, with k, eta and beta held as
+    vectors.  The spectrum is held doubled, so aq = 2 A q, q.dot(aq) / rr
+    and aq - f q are twice the library's values, and the gradient is one
+    division by rr, the library's 2 (A q - f q) / rr.  Every other
+    elementwise op has the same operands, in the same order, as the
+    library step, so all four channels are the library step's bits while
+    the values stay normal and finite (tests/test_harness.py checks them);
+    near overflow the doubled spectrum overflows first, and the fused run
+    can abort a step before the library's.  The last point's gradient is
+    the step's first half; the buffer and the point that call also writes
+    are never read.
 
-    Like `simulate`, it aborts at the first step whose record is not finite:
-    the norm and the gradient norm suffice, since a finite positive norm
-    makes that step's angular displacement finite, and a zero norm makes
-    its gradient norm NaN.  The check runs on each block as it is recorded,
-    so a diverging run stops at the end of the block that holds its first
-    non-finite step, and still names that step and its time.
+    The observer records a whole block at once: the norm,
+    |ghat|^2 = rr |g|^2, and the angular steps |qhat_n - qhat_(n-1)|,
+    carrying the last normalised point into the next block; a block's dot
+    products are `np.vecdot`, which gives the bits of `x.dot(x)` per row.
+    `simulate` aborts the run at its first step whose record is not
+    finite, naming that step and its time.
     """
     eta = cfg["eta"]
     beta = cfg["beta"]
-    k = cfg["wd"]
-    steps = cfg["steps"]
     dim = FLAGSHIP_DIM
     lam2 = 2.0 * FLAGSHIP_SPECTRUM
 
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     # a constant operand as a vector: a ufunc call converts a Python float
     # on every call, which costs more than the op on ten entries
-    k_vec, eta_vec, beta_vec = (np.full(dim, c) for c in (k, eta, beta))
-    aq, t = np.empty(dim), np.empty(dim)
+    k_vec, eta_vec, beta_vec = (np.full(dim, c) for c in (cfg["wd"], eta, beta))
+    aq, t, spare = np.empty(dim), np.empty(dim), np.empty(dim)
     buffer = np.zeros(dim)
-    # row i holds step lo + i of the current block; the point after its last
-    # step goes to row `BLOCK` and moves to row 0 for the next block
-    points = np.empty((BLOCK + 1, dim))
-    grads = np.empty((BLOCK, dim))
-    # row 0 holds the normalised point of the step before the block
-    units = np.empty((BLOCK + 1, dim))
-    point_rows, grad_rows = list(points), list(grads)
 
-    q = point_rows[0]
-    q[:] = flagship_start(cfg["seed"])
-    rr = q.dot(q)
-    divide(q, math.sqrt(rr), units[0])  # so the angular step at step 0 is 0
-    norm_sq = np.empty(steps + 1)
-    gsq = np.empty(steps + 1)
-    ang = np.empty(steps + 1)
-    times = eta * np.arange(steps + 1)
+    def step(n, q, g, q_next):
+        rr = q.dot(q)
+        multiply(lam2, q, aq)  # aq = 2 A q, the diagonal matrix product
+        f = q.dot(aq) / rr  # twice the Rayleigh quotient
+        multiply(f, q, t)  # g = (aq - f q) / rr, the library's 2 (A q - f q) / rr
+        subtract(aq, t, t)
+        divide(t, rr, g)
+        multiply(k_vec, q, t)  # buffer = beta buffer - eta (g + k q)
+        add(g, t, t)
+        multiply(eta_vec, t, t)
+        multiply(beta_vec, buffer, buffer)
+        subtract(buffer, t, buffer)
+        add(q, buffer, q_next)
 
-    for lo in range(0, steps + 1, BLOCK):
-        rows = min(BLOCK, steps + 1 - lo)
-        last = steps - lo  # the row of the final step, if it is in this block
-        for i in range(rows):
-            multiply(lam2, q, aq)  # aq = 2 A q, the diagonal matrix product
-            f = q.dot(aq) / rr  # twice the Rayleigh quotient
-            multiply(f, q, t)  # g = (aq - f q) / rr, the library's 2 (A q - f q) / rr
-            subtract(aq, t, t)
-            g = grad_rows[i]
-            divide(t, rr, g)
-            if i == last:
-                break
-            multiply(k_vec, q, t)  # buffer = beta buffer - eta (g + k q)
-            add(g, t, t)
-            multiply(eta_vec, t, t)
-            multiply(beta_vec, buffer, buffer)
-            subtract(buffer, t, buffer)
-            q_next = point_rows[i + 1]
-            add(q, buffer, q_next)
-            q = q_next
-            rr = q.dot(q)
+    last_unit = None  # the normalised point before the block
 
-        block_q = points[:rows]
-        block_norm_sq = np.vecdot(block_q, block_q, out=norm_sq[lo:lo + rows])
-        block_gsq = gsq[lo:lo + rows]
+    def observe(lo, qs, gs):
+        nonlocal last_unit
+        norm_sq = np.vecdot(qs, qs)
         # |ghat|^2 = r^2 |grad f(q)|^2 by scale invariance
-        multiply(block_norm_sq, np.vecdot(grads[:rows], grads[:rows]), block_gsq)
-        raise_if_diverged(np.isfinite(block_norm_sq) & np.isfinite(block_gsq), times, lo)
-        divide(block_q, np.sqrt(block_norm_sq)[:, None], units[1:rows + 1])
-        d = subtract(units[1:rows + 1], units[:rows])
-        np.sqrt(np.vecdot(d, d), out=ang[lo:lo + rows])
-        units[0] = units[rows]
-        points[0] = points[rows]
-        q = point_rows[0]
-    return times, norm_sq, gsq, ang
+        gsq = multiply(norm_sq, np.vecdot(gs, gs))
+        units = divide(qs, np.sqrt(norm_sq)[:, None])
+        # the angular step at step 0 is 0
+        d = np.diff(units, axis=0, prepend=units[:1] if lo == 0 else last_unit[None])
+        last_unit = units[-1]
+        return norm_sq, gsq, np.sqrt(np.vecdot(d, d))
+
+    times, record = simulate(step, flagship_start(cfg["seed"]), cfg["steps"], observe, eta,
+                             grad=lambda q, out: step(None, q, out, spare))
+    return (times, *record.T)
 
 
 def run_bn_effective_lr(cfg: ExperimentConfig, out: Path):

@@ -3,7 +3,8 @@
 None of these is used by an experiment, so they live with the tests rather
 than in the package: the Rayleigh-quotient and two-layer-chain gradients as
 first written, the discrete optimizer steps as value-returning functions of
-an immutable state, the Lagrangian the Euler-Lagrange systems derive from,
+an immutable state, the flagship's fused run one point at a time, the
+Lagrangian the Euler-Lagrange systems derive from,
 eom_bregman's right-hand side with every product written out, an RK4
 loop that allocates every stage, the generalized momentum at one point, the
 Noether charge and its Euclidean closed-form asymmetry, the charge balance
@@ -88,6 +89,34 @@ def rmsprop_step(state, loss, eta, rho):
     q_new = state.q - (eta / math.sqrt(state.accumulator)) * g
     g_new = rho * state.accumulator + (1.0 - rho) * float(g @ g)
     return OptimizerState(q_new, state.momentum_buffer, g_new, state.step_index + 1)
+
+
+def flagship_fused_run(spectrum, q0, eta, beta, weight_decay, steps):
+    """flagship_run's fused heavy-ball step taken one point at a time, with
+    no blocks: the spectrum held doubled, the Rayleigh gradient as one
+    division by |q|^2, and the update with decay.  Records |q|^2,
+    |q|^2 |g|^2 and the angular step at each point, and raises
+    IntegrationError at the first point whose record is not finite."""
+    lam2 = 2.0 * np.asarray(spectrum, dtype=float)
+    q = np.array(q0, dtype=float)
+    buffer = np.zeros_like(q)
+    unit_before = None
+    records = []
+    for n in range(steps + 1):
+        rr = q @ q
+        aq = lam2 * q
+        g = (aq - (q @ aq / rr) * q) / rr
+        unit = q / np.sqrt(rr)
+        d = unit - (unit if unit_before is None else unit_before)
+        record = (rr, rr * (g @ g), np.sqrt(d @ d))
+        if not np.isfinite(record).all():
+            raise IntegrationError(f"run diverged: recorded value not finite after step {n}",
+                                   time=eta * n)
+        records.append(record)
+        buffer = beta * buffer - eta * (g + weight_decay * q)
+        q = q + buffer
+        unit_before = unit
+    return np.array(records)
 
 
 # ---------------------------------------------------------------------------

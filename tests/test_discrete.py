@@ -182,6 +182,14 @@ def oracle_run(step, state, steps):
     return states
 
 
+def first_nonfinite(record):
+    """The first step whose row of an expected record is not finite, or None.
+    simulate aborts a run there, so a run whose points stay finite but whose
+    last gradient overflows is expected to raise, not to match."""
+    finite = np.isfinite(record).reshape(len(record), -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 class TestSteppersMatchOracles:
     """simulate running a library stepper gives, at every step, the point
     (signed zeros included), the gradient and the memory of the oracle's
@@ -219,13 +227,21 @@ class TestSteppersMatchOracles:
                 step_gd_momentum_wd(q, g, q_next, buffer, loss, eta, beta, weight_decay)
                 buffers.append(buffer.copy())
 
+            def run():
+                return simulate(step, q0, steps,
+                                lambda n, qs, gs: np.concatenate([qs, gs], axis=1), eta,
+                                grad=loss.grad)
+
+            expected = np.concatenate([[s.q for s in states], expected_grads], axis=1)
+            diverged = first_nonfinite(expected)
             with mock.patch.object(discrete, "BLOCK", block):
-                _, record = simulate(step, q0, steps,
-                                     lambda n, qs, gs: np.concatenate([qs, gs], axis=1), eta,
-                                     grad=loss.grad)
+                if diverged is not None:
+                    with pytest.raises(IntegrationError, match=rf"after step {diverged} "):
+                        run()
+                    return
+                _, record = run()
         dim = loss.dim
-        assert_same_bits(record[:, :dim], np.array([s.q for s in states]))
-        assert_same_bits(record[:, dim:], np.array(expected_grads))
+        assert_same_bits(record, expected)
         assert_same_bits(np.array(buffers).reshape(steps, dim),
                          np.array([s.momentum_buffer for s in states[1:]]).reshape(steps, dim))
 
@@ -269,7 +285,12 @@ class TestSteppersMatchOracles:
             except (SingularLossError, ValueError, ZeroDivisionError):
                 assume(False)
             assume(all(np.isfinite(s.q).all() and np.isfinite(s.accumulator) for s in states))
+            diverged = first_nonfinite(np.array(expected_gsq))
             with mock.patch.object(discrete, "BLOCK", block):
+                if diverged is not None:
+                    with pytest.raises(IntegrationError, match=rf"after step {diverged} "):
+                        rmsprop_run(loss, q0, steps, eta, rho, accumulator)
+                    return
                 _, record = rmsprop_run(loss, q0, steps, eta, rho, accumulator)
                 _, qs = rmsprop_run(loss, q0, steps, eta, rho, accumulator, points)
         assert_same_bits(qs, np.array([s.q for s in states]))

@@ -14,6 +14,7 @@ import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,18 +22,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies
 
 import noetherdyn
-from noetherdyn import IntegrationError, RayleighQuotient, simulate, step_gd_momentum_wd
+from noetherdyn import IntegrationError, RayleighQuotient, discrete, simulate, step_gd_momentum_wd
 from noetherdyn.continuous import grid_steps
-from noetherdyn.harness import (ExperimentConfig, UsageError, compare_channels, experiments,
-                                report)
+from noetherdyn.discrete import BLOCK
+from noetherdyn.harness import ExperimentConfig, UsageError, compare_channels, report
 from noetherdyn.harness.cli import main
 from noetherdyn.harness.config import (COMMON, MAX_STEPS, MODIFIED_EQ_REFINE, PARAMETERS,
                                        build_config, parse_config_file, read_command_line)
-from noetherdyn.harness.experiments import (BLOCK, FLAGSHIP_DIM, FLAGSHIP_SPECTRUM,
-                                            flagship_run, flagship_start)
+from noetherdyn.harness.experiments import FLAGSHIP_DIM, FLAGSHIP_SPECTRUM, flagship_run, flagship_start
 from noetherdyn.harness.report import (Verdict, format_float, write_csv, write_svg,
                                        write_table_csv, write_verdicts)
-from oracles import assert_same_bits, polyline_points
+from oracles import assert_same_bits, flagship_fused_run, polyline_points
 
 
 # every key a flag or a config line may set: each experiment's, seed and out
@@ -180,7 +180,8 @@ class TestConfig:
         argv = [kind]
         for key, text in zip(keys, texts):
             argv += [f"--{key}={text}"] if data.draw(strategies.booleans()) else [f"--{key}", text]
-        path = tmp_path_factory.getbasetemp() / "flags-as-lines.cfg"
+        # a new file each example: rewriting one file costs far more than making one
+        path = tmp_path_factory.mktemp("flags-as-lines") / "c.cfg"
         path.write_text("".join(f"{key} = {text}\n" for key, text in zip(keys, texts)))
 
         def read(argv):
@@ -388,12 +389,12 @@ def _reference_channels(cfg):
     *((seed, BLOCK, 500) for seed in (0, 3, 7, 31)),
 ])
 def test_flagship_blocks_match_reference_stepper(monkeypatch, seed, block, steps):
-    """The fused flagship loop gives the library step's bits in all four
+    """The fused flagship step gives the library step's bits in all four
     channels, and its times are simulate's grid.  The record is written a
     block of steps at a time: the last step may end a block, fall just short
     of its end, or open the next one, and every channel keeps its bits
     across each boundary."""
-    monkeypatch.setattr(experiments, "BLOCK", block)
+    monkeypatch.setattr(discrete, "BLOCK", block)
     cfg = ExperimentConfig(kind="bn-effective-lr",
                            params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": steps,
                                    "seed": seed})
@@ -409,6 +410,39 @@ def test_diverging_flagship_run_aborts_with_its_time():
         flagship_run(cfg)
     step = int(re.search(r"after step (\d+)", str(caught.value)).group(1))
     assert caught.value.time == 50.0 * step
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta=strategies.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+       wd=strategies.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+       beta=strategies.sampled_from([0.0, 0.5, 0.9, 0.99]) | strategies.floats(0.0, 0.99),
+       seed=strategies.integers(0, 50), steps=strategies.integers(1, 2100),
+       block=strategies.sampled_from([1, 7, 64, BLOCK]))
+@example(eta=50.0, wd=1.0, beta=0.9, seed=0, steps=200, block=BLOCK)  # step 92, as in CI
+@example(eta=1000.0, wd=10.0, beta=0.99, seed=0, steps=2100, block=1)
+def test_diverging_flagship_names_the_fused_steps_first_nonfinite_record(eta, wd, beta, seed,
+                                                                        steps, block):
+    """Whatever the block, a flagship run raises the error of the fused step
+    taken one point at a time: the same first non-finite step, message and
+    time, or no error and the same three channels."""
+    cfg = ExperimentConfig(kind="bn-effective-lr",
+                           params={"eta": eta, "beta": beta, "wd": wd, "steps": steps,
+                                   "seed": seed})
+
+    def outcome(run):
+        try:
+            return np.stack(run())
+        except IntegrationError as exc:
+            return str(exc), exc.time
+
+    with mock.patch.object(discrete, "BLOCK", block), np.errstate(all="ignore"):
+        actual = outcome(lambda: flagship_run(cfg)[1:])
+        expected = outcome(lambda: flagship_fused_run(FLAGSHIP_SPECTRUM, flagship_start(seed),
+                                                      eta, beta, wd, steps).T)
+    if isinstance(expected, tuple):
+        assert isinstance(actual, tuple) and actual == expected
+    else:
+        assert_same_bits(actual, expected)
 
 
 # The exit-code property's inputs: each key's tiny values (subnormal and
@@ -669,7 +703,7 @@ class TestCli:
                                                                  monkeypatch, block):
         """The record is checked a block at a time; the abort still names
         the first non-finite step (92 lies inside a block of 7 and of 64)."""
-        monkeypatch.setattr(experiments, "BLOCK", block)
+        monkeypatch.setattr(discrete, "BLOCK", block)
         started = time.process_time()
         code = main(["bn-effective-lr", "--eta", "50", "--beta", "0.9", "--wd", "1",
                      "--out", str(tmp_path / "x")])
