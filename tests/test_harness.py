@@ -412,6 +412,23 @@ def test_diverging_flagship_run_aborts_with_its_time():
     assert caught.value.time == 50.0 * step
 
 
+def test_fused_flagship_step_aborts_a_step_before_the_library_step_near_overflow():
+    """The fused step holds the spectrum doubled, so near overflow its
+    aq = 2 A q overflows a step before the library step's A q does.  The
+    fused step's abort line is pinned; making the flagship's step the
+    library step (ROADMAP item 14) moves it to step 88 on purpose."""
+    cfg = ExperimentConfig(kind="bn-effective-lr",
+                           params={"eta": 36.08, "beta": 0.0, "wd": 1.66, "steps": 200,
+                                   "seed": 48})
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError,
+                           match=re.escape("after step 87 (t=3138.96)")):
+            flagship_run(cfg)
+        with pytest.raises(IntegrationError,
+                           match=re.escape("after step 88 (t=3175.04)")):
+            _reference_channels(cfg)
+
+
 @settings(max_examples=150, deadline=None)
 @given(eta=strategies.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
        wd=strategies.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
