@@ -95,18 +95,20 @@ def _rk4_step(f, y0, split: int, dt, grids: int = 1):
     total = np.empty(n)
     y1[...] = y0
 
-    def advance(t, t_mid, t_end):
+    # the ufuncs are default arguments, fast locals, and take out positionally:
+    # each call costs less than np.add(..., out=...), for the same op
+    def advance(t, t_mid, t_end, add=np.add, multiply=np.multiply):
         f1[...] = f(t, *args1)
-        np.add(y1, np.multiply(half, k1, out=product), out=y2)
+        add(y1, multiply(half, k1, product), y2)
         f2[...] = f(t_mid, *args2)
-        np.add(y1, np.multiply(half, k2, out=product), out=y3)
+        add(y1, multiply(half, k2, product), y3)
         f3[...] = f(t_mid, *args3)
-        np.add(y1, np.multiply(whole, k3, out=product), out=y4)
+        add(y1, multiply(whole, k3, product), y4)
         f4[...] = f(t_end, *args4)
-        np.add(k1, np.multiply(two, k2, out=product), out=total)
-        np.add(total, np.multiply(two, k3, out=product), out=total)
-        np.add(total, k4, out=total)
-        np.add(y1, np.multiply(sixth, total, out=total), out=y1)
+        add(k1, multiply(two, k2, product), total)
+        add(total, multiply(two, k3, product), total)
+        add(total, k4, total)
+        add(y1, multiply(sixth, total, total), y1)
 
     return y1, advance
 
@@ -398,19 +400,20 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     losses = [(loss, *(_rows(x, run, loss.dim) for x in (at_q, gradient)))
               for loss, run in _runs([loss for _, loss in members], offsets)]
 
-    def rhs(t, q, q_dot):
+    # as in _rk4_step: the ufuncs are fast locals and take out positionally
+    def rhs(t, q, q_dot, add=np.add, subtract=np.subtract):
         inverse, damping, force, scale, drag = coefficients(t)
-        np.add(q, q_dot if unit_inverse else inverse * q_dot, out=u)
+        add(q, q_dot if unit_inverse else inverse * q_dot, u)
         at_q[...] = q
         if any_flat:
-            np.subtract(u, at_q, out=delta)
+            subtract(u, at_q, delta)
         for metric, stack, _, delta_rows, _ in solves:
             grad_u, grad_q = metric.grad(stack)
-            np.subtract(grad_u, grad_q, out=delta_rows)
+            subtract(grad_u, grad_q, delta_rows)
         for loss, rows, gradient_rows in losses:
-            loss.grad(rows, out=gradient_rows)
+            loss.grad(rows, gradient_rows)
         # not in place: out= an operand costs twice as much at dim 1
-        np.subtract(damping * delta, gradient if unit_force else force * gradient, out=drive)
+        subtract(damping * delta, gradient if unit_force else force * gradient, drive)
         for metric, _, u_rows, _, drive_rows in solves:
             drive_rows[...] = metric.hessian_solve(u_rows, drive_rows)
         return (drive if unit_scale else scale * drive) - (q_dot if unit_drag else drag * q_dot)

@@ -16,6 +16,9 @@ from .errors import DomainError
 
 _ENTROPY_FLOOR = 1e-12
 
+# a 0-d operand costs a ufunc call less than a Python float, for the same bits
+_ONE = np.array(1.0)
+
 
 class Metric:
     """Distance-generating function h with value, gradient, and Hessian.
@@ -102,7 +105,7 @@ class QuadraticForm(Metric):
         return 0.5 * float(x @ self.matrix @ x)
 
     def grad(self, x):
-        return (self.matrix @ x[..., None])[..., 0]
+        return np.matvec(self.matrix, x)
 
     def hessian(self, x):
         return np.broadcast_to(self.matrix, np.shape(x) + (self.dim,))
@@ -111,7 +114,7 @@ class QuadraticForm(Metric):
         # one potrs call with a right-hand side per point: each column gets
         # the bits of its own solve
         c, lower = self._cho
-        u, info = self._potrs(c, v.reshape(-1, self.dim).T, lower=lower)
+        u, info = self._potrs(c, v.reshape(-1, self.dim).T, lower)  # positional: cheaper
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return u.T.reshape(v.shape)
@@ -143,7 +146,7 @@ class NegativeEntropy(Metric):
 
     def grad(self, x):
         self.check_domain(x)
-        return np.log(x) + 1.0
+        return np.add(np.log(x), _ONE)
 
     def hessian(self, x):
         self.check_domain(x)

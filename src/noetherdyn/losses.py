@@ -16,6 +16,9 @@ from .errors import SingularLossError
 
 _ORIGIN_TOL = 1e-12
 
+# a 0-d operand costs a ufunc call less than a Python float, for the same bits
+_HALF = np.array(0.5)
+
 
 def _symmetric_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
@@ -90,17 +93,20 @@ class RayleighQuotient(Loss):
         gradient.  q.dot, a point's faster dot, can give -0.0 where
         np.vecdot gives +0.0, but only for <q, Aq> at dim 1, and only where
         A q is +0.0 (A q is never -0.0), so t is the same.  Only the last
-        division writes into `out`: A q stays numpy's own matmul result."""
+        division writes into `out`: A q stays numpy's own matvec result."""
         r2 = self._norm_sq(q)
         if q.ndim > 1:
-            aq = (self.matrix @ q[..., None])[..., 0]
+            aq = np.matvec(self.matrix, q)
             t = aq - (np.vecdot(q, aq) / r2)[..., None] * q
             r2 = r2[..., None]
-            if not r2.max() < math.inf:  # an inf |q|^2, or a NaN that may hide one
+            # Python's max is inf or NaN if any entry is inf; a NaN entry with
+            # no inf may take either branch, and both give each row the same
+            # t / (|q|^2 / 2)
+            if not max(r2.ravel().tolist()) < math.inf:
                 at_inf = r2 == math.inf
-                return np.divide(np.where(at_inf, 2.0 * t, t), np.where(at_inf, r2, r2 * 0.5),
+                return np.divide(np.where(at_inf, 2.0 * t, t), np.where(at_inf, r2, r2 * _HALF),
                                  t if out is None else out)
-            return np.divide(t, r2 * 0.5, t if out is None else out)
+            return np.divide(t, r2 * _HALF, t if out is None else out)
         aq = self.matrix @ q
         t = aq - (q.dot(aq) / r2) * q
         if r2 == math.inf:
@@ -152,8 +158,9 @@ class RadialWell(Loss):
     name = "radial-well"
 
     def __init__(self, radius: float, stiffness: float, dim: int):
-        self.radius = radius
-        self.stiffness = stiffness
+        # 0-d arrays: as grad's operands they cost a ufunc call less than floats
+        self.radius = np.array(radius, dtype=float)
+        self.stiffness = np.array(stiffness, dtype=float)
         self.dim = int(dim)
 
     def value(self, q):
@@ -185,9 +192,4 @@ class Quadratic(Loss):
         return 0.5 * float(q @ self.matrix @ q)
 
     def grad(self, q, out=None):
-        if q.ndim == 1:  # a point: the stack path's two index ops cost a third more
-            return np.matmul(self.matrix, q, out)
-        if out is None:
-            return (self.matrix @ q[..., None])[..., 0]
-        np.matmul(self.matrix, q[..., None], out[..., None])
-        return out
+        return np.matvec(self.matrix, q, out)  # a point or a stack

@@ -106,7 +106,7 @@ class Rotation(SymmetryTransform):
         return expm(s * self.matrix) @ q
 
     def generator(self, q):
-        return (self.matrix @ q[..., None])[..., 0]
+        return np.matvec(self.matrix, q)
 
 
 class Scale(SymmetryTransform):
@@ -249,8 +249,8 @@ def noether_residual(metric: Metric, schedule, transform: SymmetryTransform,
     n = times.shape[0]
     dt = times[1] - times[0]
 
-    # every term on all samples at once; vecdot and the stacked matmul make
-    # the same BLAS call per sample as a per-sample `@`, so the bits agree
+    # every term on all samples at once; vecdot and matvec make the same
+    # BLAS call per sample as a per-sample `@`, so the bits agree
     # (einsum and sum-of-products reduce in another order).  The schedule's
     # scalars stay one math call per sample.  fromiter (no list of floats)
     # and the in-place mismatch keep the peak memory at the per-sample loop's
@@ -265,7 +265,7 @@ def noether_residual(metric: Metric, schedule, transform: SymmetryTransform,
     dynamic = np.vecdot(delta, transform.velocity_generator(q_dot))
     # evaluated generically: for the Euclidean metric the mismatch is an
     # exact cancellation, which the invariant tests rely on observing
-    mismatch = (metric.hessian(q) @ q_dot[..., None])[..., 0]
+    mismatch = np.matvec(metric.hessian(q), q_dot)
     mismatch *= e_minus
     np.subtract(delta, mismatch, out=mismatch)
     noneuclid = e_plus * np.vecdot(mismatch, gen)

@@ -1,6 +1,12 @@
 """Loss values, analytic gradients, and exact symmetries."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +262,75 @@ class TestStacks:
             gradient = chain.grad(rows)
             assert_same_bits(gradient, 0.0 * rows[:, ::-1])
             assert_same_bits(gradient, np.array([chain_grad(chain.x, chain.y, p) for p in rows]))
+
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+    def test_rayleigh_nan_row_beside_an_infinite_norm_row(self, nan_first):
+        """The stack path tests max(|q|^2) with Python's max, which is inf or
+        NaN when any row's |q|^2 is inf, so a NaN row before or after such a
+        row still sends the stack down the overflow branch: there the far
+        row's t = (0, 1e308) keeps its point's 2 t / inf = (0, NaN), where
+        t / inf would give (0, 0).  Beside finite rows only, a NaN row may
+        take either branch; both give every row its point bits, and no
+        RuntimeWarning is raised.  The far row's own point call overflows
+        (|q|^2 and 2 t) and divides inf by inf, so those two run ignored."""
+        loss = RayleighQuotient(np.array([[0.0, 1e153], [1e153, 0.0]]))
+        nan, finite, far = [math.nan, math.nan], [0.3, 1.2], [1e155, 0.0]
+        q = np.array([nan, finite] if nan_first else [finite, nan])
+        assert_same_bits(loss.grad(q), np.array([loss.grad(point) for point in q]))
+        q = np.array([nan, far, finite] if nan_first else [far, nan, finite])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.array([loss.grad(point) for point in q])
+            assert np.isnan(expected[1 if nan_first else 0, 1])
+            assert_same_bits(loss.grad(q), expected)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    @pytest.mark.parametrize("core", [None, "Prescott"], ids=["host-core", "prescott"])
+    def test_matvec_gives_each_row_its_points_bits_on_another_blas_kernel(self, core):
+        """np.matvec(A, q), the library's stacked matrix-vector product, gives
+        each row of q the bits of that point's own A @ q, and np.matvec on
+        a point does too, under OpenBLAS's Prescott kernel as well as the
+        host's own: dims 1-4, q a strided view of a state of one or two grids
+        laid out as _rows lays out the lockstep kernel's rows, A one matrix or
+        a broadcast stack of it (as a metric's hessian is).  Each core runs
+        in a fresh interpreter: OpenBLAS reads OPENBLAS_CORETYPE when it loads.
+        """
+        probe = textwrap.dedent("""
+            import numpy as np
+            from noetherdyn.continuous import _rows
+
+            rng = np.random.default_rng(0)
+            checked = 0
+            for dim in range(1, 5):
+                for grids in (1, 2):
+                    for count in (1, 2, 3):
+                        for gap in (0, 1, 3):
+                            for _ in range(25):
+                                run = [1 + i * (dim + gap) for i in range(count)]
+                                n = run[-1] + dim + 1
+                                state = rng.standard_normal((grids, n) if grids > 1 else n)
+                                state[rng.random(state.shape) < 0.1] = 0.0
+                                state *= 10.0 ** rng.uniform(-5.0, 5.0)
+                                q = _rows(state, run, dim)
+                                a = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-5.0, 5.0)
+                                points = q.reshape(-1, dim)
+                                expected = np.array([a @ np.ascontiguousarray(p) for p in points])
+                                stacked = np.broadcast_to(a, q.shape + (dim,))
+                                for got in (np.matvec(a, q), np.matvec(stacked, q)):
+                                    assert got.reshape(-1, dim).tobytes() == expected.tobytes()
+                                for point, want in zip(points, expected):
+                                    assert np.matvec(a, point).tobytes() == want.tobytes()
+                                checked += 1
+            print(checked)
+            """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1800"]
 
 
 class TestScaleInvarianceLaws:
