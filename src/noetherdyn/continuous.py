@@ -136,8 +136,8 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
     state, advance = _rk4_step(f, y0, split, dt)
     zero = np.zeros(y0.size)
     mid = 0.5 * dt
-    for i in range(times.size - 1):
-        t = times[i]
+    # the stage times as Python floats: a sum of numpy scalars costs more
+    for i, t in enumerate(times[:-1].tolist()):
         try:
             advance(t, t + mid, t + dt)
         except DomainError as exc:
@@ -337,9 +337,11 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     The elementwise steps run once over the whole state.  Each run of
     adjacent systems of one non-flat metric group (_group) makes one grad
     call on the stack [u; q] of its rows and one hessian_solve (a flat
-    metric makes none: Delta_h is u - q).  An elementwise group's call takes
-    its slice of the state as it is, whatever dims its systems have; any
-    other group's takes its rows as (..., k, dim).  Each loss makes one grad
+    metric makes none: Delta_h is u - q).  One system of a flat metric, as
+    each of modified-eq's, has no stack to build: it takes u - q and its
+    loss gradient from q itself, with no copy.  An elementwise group's call
+    takes its slice of the state as it is, whatever dims its systems have;
+    any other group's takes its rows as (..., k, dim).  Each loss makes one grad
     call per run of its systems' rows at a constant step.  So when the
     systems are grouped by metric group and, within one, ordered by loss,
     each group and each loss makes one call: in noether-residual 3 grad
@@ -384,6 +386,8 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     u, at_q = pair
     delta, gradient, drive = np.empty((3, *shape))
     any_flat = any(metric.flat for metric in metrics)
+    # one system of a flat metric reads q itself: no copy into at_q
+    solo_loss = members[0][1] if len(members) == 1 and any_flat else None
     solves = []
     for _, block in itertools.groupby(zip(metrics, offsets), key=lambda member: _group(member[0])):
         block = list(block)
@@ -404,14 +408,18 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     def rhs(t, q, q_dot, add=np.add, subtract=np.subtract):
         inverse, damping, force, scale, drag = coefficients(t)
         add(q, q_dot if unit_inverse else inverse * q_dot, u)
-        at_q[...] = q
-        if any_flat:
-            subtract(u, at_q, delta)
-        for metric, stack, _, delta_rows, _ in solves:
-            grad_u, grad_q = metric.grad(stack)
-            subtract(grad_u, grad_q, delta_rows)
-        for loss, rows, gradient_rows in losses:
-            loss.grad(rows, gradient_rows)
+        if solo_loss is not None:
+            subtract(u, q, delta)
+            solo_loss.grad(q, gradient)
+        else:
+            at_q[...] = q
+            if any_flat:
+                subtract(u, at_q, delta)
+            for metric, stack, _, delta_rows, _ in solves:
+                grad_u, grad_q = metric.grad(stack)
+                subtract(grad_u, grad_q, delta_rows)
+            for loss, rows, gradient_rows in losses:
+                loss.grad(rows, gradient_rows)
         # not in place: out= an operand costs twice as much at dim 1
         subtract(damping * delta, gradient if unit_force else force * gradient, drive)
         for metric, _, u_rows, _, drive_rows in solves:

@@ -34,12 +34,20 @@ def step_gd_momentum_wd(q, g, q_next, buffer, loss, eta: float, beta: float = 0.
     Euclidean metric under natural_schedule(eta (1+beta)/2, 1-beta): mass
     eta (1+beta)/2 and friction 1-beta.  Requires eta > 0, 0 <= beta < 1 and
     weight_decay >= 0; the caller checks them.
+
+    Each constant is a float or a 0-d float64 array, with the same bits:
+    a ufunc multiplies by the double a 0-d array holds with the same IEEE
+    op, and converts a Python float on every call, which costs more.  So a
+    caller that takes many steps builds the three arrays once.  The decay
+    is skipped where `weight_decay` is false: +-0.0 skip it and NaN does
+    not, as under == 0.0, which costs a 0-d array more than its operands
+    save.
     """
     multiply = np.multiply
     loss.grad(q, out=g)
     # q_next serves as scratch until the last op; out= is positional, which
     # costs less than the keyword
-    drive = g if weight_decay == 0.0 else np.add(g, multiply(weight_decay, q, q_next), q_next)
+    drive = np.add(g, multiply(weight_decay, q, q_next), q_next) if weight_decay else g
     multiply(beta, buffer, buffer)
     np.subtract(buffer, multiply(eta, drive, q_next), buffer)
     np.add(q, buffer, q_next)
@@ -52,7 +60,9 @@ def step_nesterov(q, g, q_next, buffer, k: int, loss, eta: float):
 
     The lookahead point is y = q + ((k-1)/(k+2)) buffer, with buffer
     q - q_prev (zeros at the start); g receives grad f(y), q_next the point
-    y - eta grad f(y), and buffer q_next - q.  Requires eta > 0 (unchecked).
+    y - eta grad f(y), and buffer q_next - q.  eta is a float or a 0-d
+    float64 array, with the same bits (see step_gd_momentum_wd).  Requires
+    eta > 0 (unchecked).
     """
     factor = (k - 1.0) / (k + 2.0) if k >= 1 else 0.0
     y = np.add(q, np.multiply(factor, buffer, buffer), buffer)  # the buffer holds y
@@ -70,7 +80,10 @@ def step_rmsprop(q, g, q_next, accumulator: float, loss, eta: float, rho: float)
     returning the next G; the q-update uses the pre-update G.  There is no
     epsilon guard and no check: a positive accumulator at initialization
     stays positive, and math.sqrt or the division raise if it does not.
-    Requires eta > 0 and 0 < rho < 1; the caller checks them.
+    eta is a float or a 0-d float64 array, with the same bits; but a 0-d
+    eta divided by a zero accumulator's root is inf, with numpy's warning,
+    not a ZeroDivisionError.  Requires eta > 0 and 0 < rho < 1; the caller
+    checks them.
     """
     loss.grad(q, out=g)
     np.subtract(q, np.multiply(eta / math.sqrt(accumulator), g, q_next), q_next)

@@ -187,10 +187,15 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     dim = 4
     ray = RayleighQuotient(np.diag(np.linspace(1.0, 2.0, dim)))
     q0 = np.full(dim, 0.5)
+    # the steps' constants as 0-d arrays, which a ufunc takes for less than a
+    # float, for the same bits; plain descent: no momentum and no decay
+    beta = np.zeros(())
 
     def gd_norms(lr, n):
         buffer = np.zeros(dim)
-        return simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, ray, lr),
+        lr_ = np.array(lr)
+        return simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, ray, lr_,
+                                                                    beta),
                         q0, n, lambda _, qs, gs: np.vecdot(qs, qs), lr)
 
     times, norms = gd_norms(eta, steps)
@@ -200,10 +205,11 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
 
     chain = TwoLayerChain([1.0], [1.0])
     buffer = np.zeros(2)
+    eta_ = np.array(eta)
     # float_power is the C library's pow, as a numpy scalar's ** 2 is; an
     # array's ** 2 is q * q, which can differ from it in the last bit
     _, balance = simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer,
-                                                                      chain, eta),
+                                                                      chain, eta_, beta),
                           [1.5, 0.5], steps,
                           lambda _, qs, gs: np.float_power(qs[:, 0], 2.0) - np.float_power(
                               qs[:, 1], 2.0), eta)
@@ -243,8 +249,10 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
 
     steps = step_count(t1, eta)
     buffer = np.zeros(1)
+    # the step's constants as 0-d arrays, for the same bits as the floats
+    eta_, beta_ = np.array(eta), np.array(beta)
     times, qs = simulate(lambda _, q, g, q_next: step_gd_momentum_wd(q, g, q_next, buffer, loss,
-                                                                     eta, beta=beta),
+                                                                     eta_, beta_),
                          np.ones(1), steps, lambda _, qs, gs: qs[:, 0], eta)
 
     # anchor both continuous models at the first interior sample, with the
@@ -283,7 +291,8 @@ def run_modified_eq(cfg: ExperimentConfig, out: Path):
     s = np.sqrt(eta_n)
     n_steps = int(round(1.0 / s))
     buffer = np.zeros(1)
-    xt, xs = simulate(lambda n, q, g, q_next: step_nesterov(q, g, q_next, buffer, n, loss, eta_n),
+    eta_n_ = np.array(eta_n)
+    xt, xs = simulate(lambda n, q, g, q_next: step_nesterov(q, g, q_next, buffer, n, loss, eta_n_),
                       np.ones(1), n_steps, lambda _, qs, gs: qs[:, 0], s)
     k0 = int(round(0.2 / s))
     v0 = centered_velocities(xs, s)[k0 - 1:k0]
@@ -328,8 +337,8 @@ def flagship_run(cfg: ExperimentConfig):
     angular displacement.
 
     `simulate` drives a fused step rather than the library step:
-    RayleighQuotient.grad's dense A q and the Python-float operands of
-    step_gd_momentum_wd cost about 45% more per step.  The step reads
+    step_gd_momentum_wd with RayleighQuotient.grad's dense A q costs about
+    37% more per step, even with 0-d constants.  The step reads
     rr = q.dot(q) from its row and writes the gradient and the next point
     through the ufuncs' `out` argument, with k, eta and beta held as
     vectors.  The spectrum is held doubled, so aq = 2 A q, q.dot(aq) / rr

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies
 
 from noetherdyn import (
@@ -520,6 +520,34 @@ class TestBregmanEuclidean:
         assert_same_bits(rhs(t, q, q_dot), bregman_rhs(metric, sched, loss, t, q, q_dot))
         if sched.stationary:
             assert_same_bits(rhs(other_t, q, q_dot), rhs(t, q, q_dot))
+
+    @settings(max_examples=300, deadline=None)
+    @given(loss=strategies.sampled_from(sorted(LOSSES)),
+           schedule=strategies.sampled_from(["zero-damping", "random-mass", "nesterov"]),
+           m=strategies.floats(0.1, 1.0), mu=strategies.floats(-2.0, 2.0),
+           t=strategies.floats(0.05, 1.0), gap=strategies.integers(1, 3),
+           q=strategies.lists(strategies.floats(-3.0, 3.0), min_size=3, max_size=3),
+           q_dot=strategies.lists(VELOCITY_ENTRY, min_size=3, max_size=3))
+    def test_a_solo_flat_rhs_reads_strided_views_as_copies_and_never_writes_q(
+            self, loss, schedule, m, mu, t, gap, q, q_dot):
+        """One system of a flat metric takes Delta_h = u - q and its loss
+        gradient from q itself, with no copy.  On q and qdot as interleaved
+        strided views of a read-only stage buffer, so that any write into
+        them raises, the rhs gives the bits it gives on contiguous copies,
+        and the oracle's."""
+        sched = {"zero-damping": natural_schedule(1.0, 1.0),
+                 "random-mass": natural_schedule(m, mu),
+                 "nesterov": nesterov_schedule(2.0, 0.25)}[schedule]
+        loss = self.LOSSES[loss]
+        dim = loss.dim
+        assume(math.hypot(*q[:dim]) > 0.1)  # away from the Rayleigh and radial origins
+        stage = np.zeros((dim, 2 * gap))
+        stage[:, 0], stage[:, gap] = q[:dim], q_dot[:dim]
+        stage.flags.writeable = False
+        q, q_dot = stage[:, 0], stage[:, gap]
+        rhs = eom_bregman(Euclidean(dim), sched, loss).rhs
+        assert_same_bits(rhs(t, q, q_dot), rhs(t, q.copy(), q_dot.copy()))
+        assert_same_bits(rhs(t, q, q_dot), bregman_rhs(Euclidean(dim), sched, loss, t, q, q_dot))
 
     @pytest.mark.parametrize("mu", [-6.0, -200.0])
     @pytest.mark.parametrize("case", [case for case, (metric, *_) in enumerate(_residual_cases())

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from noetherdyn import (
     IntegrationError,
+    Loss,
     Quadratic,
     RadialWell,
     RayleighQuotient,
@@ -296,6 +297,108 @@ class TestSteppersMatchOracles:
         assert_same_bits(qs, np.array([s.q for s in states]))
         assert_same_bits(record[:, 0], np.array(expected_gsq))
         assert_same_bits(record[:, 1], np.array([s.accumulator for s in states]))
+
+
+# a step constant: zeros of both signs, subnormals and values near overflow
+# among ordinary ones
+CONSTANT = strategies.one_of(
+    strategies.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -1040, 1e300, 1.7976931348623157e308]),
+    strategies.floats(0.0, 2.0))
+
+
+class DrawnGradient(Loss):
+    """A loss whose gradient is one drawn array wherever it is taken, so a
+    step's gradient can hold zeros of either sign at any point."""
+
+    name = "drawn-gradient"
+
+    def __init__(self, g):
+        self.g = g
+        self.dim = len(g)
+
+    def grad(self, q, out=None):
+        if out is None:
+            return self.g.copy()
+        out[...] = self.g
+        return out
+
+
+class TestZeroDimConstants:
+    """A stepper given its constants as 0-d float64 arrays writes the bits
+    it writes given them as Python floats, and those of the oracle's step.
+    A drawn gradient with -0.0 entries beside a buffer with -0.0 entries
+    tells a skipped decay from g + 0 q: -0.0 + 0.0 is +0.0, and the buffer
+    beta b - eta g then keeps a zero of the other sign."""
+
+    def draw_start(self, data):
+        family = data.draw(strategies.sampled_from(TestSteppersMatchOracles.FAMILIES
+                                                   + ["drawn"]))
+        if family == "drawn":
+            loss = DrawnGradient(data.draw(arrays(np.float64, data.draw(strategies.integers(1, 4)),
+                                                  elements=SIGNED)))
+        else:
+            loss = draw_loss(data, family)
+        q = data.draw(arrays(np.float64, loss.dim, elements=SIGNED))
+        if family in ("rayleigh", "radial-well"):
+            assume(np.linalg.norm(q) > 1e-3)
+        return loss, q, data.draw(arrays(np.float64, loss.dim, elements=SIGNED))
+
+    @staticmethod
+    def take(step, q, buffer):
+        """(g, q_next, buffer, result) of step(q, g, q_next, buffer) on fresh
+        rows and a copy of the buffer."""
+        g, q_next, buffer = np.empty_like(q), np.empty_like(q), buffer.copy()
+        result = step(q, g, q_next, buffer)
+        return g, q_next, buffer, result
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=strategies.data(), eta=CONSTANT, beta=CONSTANT, weight_decay=CONSTANT)
+    def test_heavy_ball(self, data, eta, beta, weight_decay):
+        loss, q, buffer = self.draw_start(data)
+        with np.errstate(all="ignore"):
+            floats, zero_dim = (
+                self.take(lambda q, g, q_next, b: step_gd_momentum_wd(q, g, q_next, b, loss,
+                                                                      *constants), q, buffer)
+                for constants in ((eta, beta, weight_decay),
+                                  tuple(np.array(c) for c in (eta, beta, weight_decay))))
+            expected = gd_momentum_wd_step(OptimizerState(q, buffer), loss, eta, beta,
+                                           weight_decay)
+        for got, want in zip(zero_dim[:3], floats[:3]):
+            assert_same_bits(got, want)
+        assert_same_bits(zero_dim[1], expected.q)
+        assert_same_bits(zero_dim[2], expected.momentum_buffer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), eta=CONSTANT, k=strategies.integers(0, 5))
+    def test_nesterov(self, data, eta, k):
+        loss, q, buffer = self.draw_start(data)
+        with np.errstate(all="ignore"):
+            floats, zero_dim = (
+                self.take(lambda q, g, q_next, b: step_nesterov(q, g, q_next, b, k, loss, lr),
+                          q, buffer)
+                for lr in (eta, np.array(eta)))
+            expected = nesterov_step(OptimizerState(q, buffer, step_index=k), loss, eta)
+        for got, want in zip(zero_dim[:3], floats[:3]):
+            assert_same_bits(got, want)
+        assert_same_bits(zero_dim[1], expected.q)
+        assert_same_bits(zero_dim[2], expected.momentum_buffer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), eta=CONSTANT, rho=strategies.floats(0.0, 1.0),
+           accumulator=strategies.one_of(strategies.sampled_from([5e-324, 1e300]),
+                                         strategies.floats(1e-3, 10.0)))
+    def test_rmsprop(self, data, eta, rho, accumulator):
+        loss, q, buffer = self.draw_start(data)
+        with np.errstate(all="ignore"):
+            floats, zero_dim = (
+                self.take(lambda q, g, q_next, _: step_rmsprop(q, g, q_next, accumulator, loss,
+                                                               lr, rho), q, buffer)
+                for lr in (eta, np.array(eta)))
+            expected = rmsprop_step(OptimizerState(q, buffer, accumulator), loss, eta, rho)
+        for got, want in zip(zero_dim, floats):
+            assert_same_bits(got, want)
+        assert_same_bits(zero_dim[1], expected.q)
+        assert_same_bits(zero_dim[3], expected.accumulator)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,31 @@ class TestGradientBits:
             assume(math.sqrt(q @ q) > _ORIGIN_TOL)
             assert_same_bits(RayleighQuotient(a).grad(q), rayleigh_grad(a, q))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=strategies.data(), calls=strategies.integers(2, 6))
+    def test_rayleigh_objects_called_in_turn_keep_their_bits(self, data, calls):
+        """Each point call stores f and |q|^2 / 2 in the loss object's own
+        0-d arrays.  Two objects of any dims, called in turn, with and
+        without `out`: every result is still the oracle's after all the
+        calls, so no call disturbs another object's values and no result
+        is an array that a later call writes."""
+        objects = []
+        for _ in range(2):
+            dim = data.draw(strategies.integers(1, 4))
+            a = data.draw(arrays(np.float64, (dim, dim), elements=self.ENTRY))
+            objects.append(RayleighQuotient(a + a.T))
+        results = []
+        for i in range(calls):
+            loss = objects[i % 2]
+            q = data.draw(arrays(np.float64, loss.dim, elements=self.ENTRY))
+            assume(math.sqrt(q @ q) > 0.1)
+            out = np.empty(loss.dim) if data.draw(strategies.booleans()) else None
+            got = loss.grad(q, out=out)
+            assert out is None or got is out
+            results.append((got, rayleigh_grad(loss.matrix, q)))
+        for got, expected in results:
+            assert_same_bits(got, expected)
+
     @settings(max_examples=300, deadline=None)
     @given(samples=strategies.lists(strategies.tuples(strategies.floats(-1e3, 1e3),
                                                       strategies.floats(-1e3, 1e3)),
