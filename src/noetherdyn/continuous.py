@@ -241,19 +241,22 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
             2 * split, np.repeat([dt, fine_dt, dt, fine_dt], split), grids=2)
         fine, advance_fine = _rk4_step(_bregman_rhs(schedule, members), y0, split, fine_dt)
         both = pair.reshape(2, 2, split)  # [q, qdot] x [coarse, fine]
+        coarse_rows, paired_fine_rows = both[:, 0], both[:, 1]
         fine_rows = fine.reshape(2, split)
         zero = np.zeros(pair.size)
         mid, fine_mid = 0.5 * dt, 0.5 * fine_dt
+        # the stage times as Python floats, as in rk4_solve
+        coarse_starts, fine_starts = times.tolist(), fine_times.tolist()
         for k in range(steps):
-            t, s = times[k], fine_times[2 * k]
+            t, s = coarse_starts[k], fine_starts[2 * k]
             advance_pair((t, s), (t + mid, s + fine_mid), (t + dt, s + fine_dt))
-            ys[k + 1] = both[:, 0]
-            fine_ys[2 * k + 1] = both[:, 1]
-            fine_rows[...] = both[:, 1]
-            s = fine_times[2 * k + 1]
+            ys[k + 1] = coarse_rows
+            fine_ys[2 * k + 1] = paired_fine_rows
+            fine_rows[...] = paired_fine_rows
+            s = fine_starts[2 * k + 1]
             advance_fine(s, s + fine_mid, s + fine_dt)
             fine_ys[2 * k + 2] = fine_rows
-            both[:, 1] = fine_rows
+            paired_fine_rows[...] = fine_rows
             # a state that is not finite stays so, so this covers fine step 2k + 1 too
             if not math.isfinite(np.dot(zero, pair)):
                 raise IntegrationError("state is no longer finite")
@@ -347,7 +350,10 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
     each group and each loss makes one call: in noether-residual 3 grad
     and 3 hessian_solve calls (QuadraticForm(3), QuadraticForm(2) and the
     NegativeEntropy group) and 4 loss grad calls.  By the metric and loss
-    contracts each row of a stack gets the bits it gets alone.
+    contracts each row of a stack gets the bits it gets alone.  The rhs
+    takes grad h(u) and grad h(q) as grads[0] and grads[1] of the grad
+    call's result: unpacking a numpy array iterates it, about three times
+    the cost of two indexings (0.59 against 0.19 us on a (2, 2, 3) stack).
 
     With grids > 1 the rhs takes that many copies of the systems at once, one
     per grid: q, qdot and the result have shape (grids, n), t holds one time
@@ -416,8 +422,8 @@ def _bregman_rhs(schedule: BregmanSchedule, members, grids: int = 1):
             if any_flat:
                 subtract(u, at_q, delta)
             for metric, stack, _, delta_rows, _ in solves:
-                grad_u, grad_q = metric.grad(stack)
-                subtract(grad_u, grad_q, delta_rows)
+                grads = metric.grad(stack)  # indexed: unpacking would iterate it
+                subtract(grads[0], grads[1], delta_rows)
             for loss, rows, gradient_rows in losses:
                 loss.grad(rows, gradient_rows)
         # not in place: out= an operand costs twice as much at dim 1

@@ -184,7 +184,9 @@ class BregmanSchedule:
     of the potential, gamma the dissipation.  alpha_dot and gamma_dot are
     the analytic derivatives (checked against finite differences in tests).
     A stationary schedule promises that alpha, beta, alpha_dot and gamma_dot
-    are constants, so that a consumer may evaluate them once.
+    are constants, so that a consumer may evaluate them once: the rhs of
+    eom_bregman evaluates its coefficients when it is built, and
+    noether_residual reads alpha and gamma_dot once per call.
     """
 
     name: str

@@ -15,9 +15,21 @@ import numpy as np
 from .errors import SingularLossError
 
 _ORIGIN_TOL = 1e-12
+_RAYLEIGH_AT_ORIGIN = "origin is a singular point of the Rayleigh quotient"
 
 # a 0-d operand costs a ufunc call less than a Python float, for the same bits
 _HALF = np.array(0.5)
+
+
+def _least(values, listed):
+    """np.fmin.reduce(values, axis=None), the least entry with NaNs skipped,
+    from `listed`, the entries as a Python list: Python's min over the list
+    costs less than the reduce, and gives the same value unless the first
+    entry is NaN (min keeps a NaN it starts from and passes over any later
+    one), where the reduce decides.  An empty list raises ValueError, as
+    the reduce does."""
+    lowest = min(listed)
+    return np.fmin.reduce(values, axis=None) if lowest != lowest else lowest
 
 
 def _symmetric_matrix(matrix) -> np.ndarray:
@@ -69,14 +81,10 @@ class RayleighQuotient(Loss):
 
     @staticmethod
     def _norm_sq(q):
-        """|q|^2, one per point of a stack."""
-        if q.ndim == 1:
-            r2 = lowest = q.dot(q)
-        else:
-            r2 = np.vecdot(q, q)
-            lowest = np.fmin.reduce(r2, axis=None)  # fmin skips a NaN
-        if math.sqrt(lowest) <= _ORIGIN_TOL:
-            raise SingularLossError("origin is a singular point of the Rayleigh quotient")
+        """|q|^2 of a point (grad's stack path checks its rows itself)."""
+        r2 = q.dot(q)
+        if math.sqrt(r2) <= _ORIGIN_TOL:
+            raise SingularLossError(_RAYLEIGH_AT_ORIGIN)
         return r2
 
     def value(self, q):
@@ -102,20 +110,33 @@ class RayleighQuotient(Loss):
         q.dot, a point's faster dot, can give -0.0 where np.vecdot gives
         +0.0, but only for <q, Aq> at dim 1, and only where A q is +0.0
         (A q is never -0.0), so t is the same.  Only the last division
-        writes into `out`: A q stays numpy's own matvec result."""
-        r2 = self._norm_sq(q)
+        writes into `out`: A q stays numpy's own matvec result.
+
+        A stack takes its origin and overflow checks from one Python list of
+        its rows' |q|^2: min over the list (_least, which falls back to
+        np.fmin.reduce when the first entry is NaN) and max.  Each product
+        after A q is written in place into an array the call made, with the
+        operands and order of the point's expression."""
         if q.ndim > 1:
+            r2 = np.vecdot(q, q)
+            listed = r2.ravel().tolist()
+            if math.sqrt(_least(r2, listed)) <= _ORIGIN_TOL:
+                raise SingularLossError(_RAYLEIGH_AT_ORIGIN)
             aq = np.matvec(self.matrix, q)
-            t = aq - (np.vecdot(q, aq) / r2)[..., None] * q
+            f = np.vecdot(q, aq)
+            np.divide(f, r2, f)
+            t = np.multiply(f[..., None], q)
+            np.subtract(aq, t, t)
             r2 = r2[..., None]
             # Python's max is inf or NaN if any entry is inf; a NaN entry with
             # no inf may take either branch, and both give each row the same
             # t / (|q|^2 / 2)
-            if not max(r2.ravel().tolist()) < math.inf:
+            if not max(listed) < math.inf:
                 at_inf = r2 == math.inf
                 return np.divide(np.where(at_inf, 2.0 * t, t), np.where(at_inf, r2, r2 * _HALF),
                                  t if out is None else out)
-            return np.divide(t, r2 * _HALF, t if out is None else out)
+            return np.divide(t, np.multiply(r2, _HALF, r2), t if out is None else out)
+        r2 = self._norm_sq(q)
         aq = self.matrix @ q
         f, half_norm_sq = self._f, self._half_norm_sq
         f[()] = q.dot(aq) / r2
@@ -152,7 +173,10 @@ class TwoLayerChain(Loss):
         # not resid.dot(x): where every product is a zero of sign -, dot sums
         # them to -0.0, the matmul sum and np.vecdot (from +0.0) to +0.0
         if q.ndim > 1:
-            resid = (q[..., 1:] * q[..., :1]) * self.x - self.y
+            # only the subtraction in place: with several samples the first
+            # product broadcasts to a new shape
+            resid = (q[..., 1:] * q[..., :1]) * self.x
+            np.subtract(resid, self.y, resid)
             return np.multiply(np.vecdot(resid, self.x)[..., None], q[..., ::-1], out)
         # a point on Python floats: about 3/4 of the stack path's cost
         q1, q2 = q.tolist()
@@ -181,8 +205,23 @@ class RadialWell(Loss):
         return float(0.5 * self.stiffness * (r - self.radius) ** 2)
 
     def grad(self, q, out=None):
-        r = np.sqrt(np.vecdot(q, q))  # np.linalg.norm(q) bit for bit, per row
-        if np.fmin.reduce(r, axis=None) <= _ORIGIN_TOL:  # fmin skips a NaN
+        """stiffness (|q| - radius) / |q| q, with |q| np.linalg.norm(q) bit
+        for bit, per row.  A stack checks its rows' norms for the origin
+        with Python's min over one list of them (_least, which falls back
+        to np.fmin.reduce when the first norm is NaN), and writes the sqrt
+        and each step of the factor in place, in the point's order; a
+        point takes the expression as it stands."""
+        if q.ndim > 1:
+            r = np.vecdot(q, q)
+            np.sqrt(r, r)
+            if _least(r, r.ravel().tolist()) <= _ORIGIN_TOL:
+                raise SingularLossError("radial gradient is undefined at the origin")
+            factor = np.subtract(r, self.radius)
+            np.multiply(self.stiffness, factor, factor)
+            np.divide(factor, r, factor)
+            return np.multiply(factor[..., None], q, out)
+        r = np.sqrt(np.vecdot(q, q))
+        if np.fmin.reduce(r, axis=None) <= _ORIGIN_TOL:  # a NaN r raises nothing
             raise SingularLossError("radial gradient is undefined at the origin")
         return np.multiply((self.stiffness * (r - self.radius) / r)[..., None], q, out)
 

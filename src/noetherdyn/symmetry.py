@@ -243,25 +243,42 @@ def noether_residual(metric: Metric, schedule, transform: SymmetryTransform,
     The charge derivative uses finite differences on the stored grid rather
     than any analytic expression, so the residual is a genuine cross-check
     of the integrated dynamics.  Needs at least 5 samples on a uniform grid,
-    as integrate_rk4 builds; time_derivative rejects fewer.
+    as integrate_rk4 builds: fewer raise time_derivative's ValueError
+    before any term is computed.
+
+    A stationary schedule (BregmanSchedule.stationary) has its alpha and
+    gamma_dot read once per call, at the first sample, and its e^-alpha,
+    e^alpha and gamma_dot enter each product as one float: a product by
+    the same double has the same bits, whether the double comes alone or
+    as an array of copies.  Any other schedule's are read at every sample,
+    as the per-sample loop reads them.
     """
     times, q, q_dot = trajectory.times, trajectory.q, trajectory.q_dot
     n = times.shape[0]
+    if n < 5:
+        raise ValueError("time derivative needs at least 5 samples")
     dt = times[1] - times[0]
 
     # every term on all samples at once; vecdot and matvec make the same
     # BLAS call per sample as a per-sample `@`, so the bits agree
-    # (einsum and sum-of-products reduce in another order).  The schedule's
-    # scalars stay one math call per sample.  fromiter (no list of floats)
-    # and the in-place mismatch keep the peak memory at the per-sample loop's
-    alphas = [schedule.alpha(t) for t in times]
-    e_minus = np.fromiter((math.exp(-a) for a in alphas), float, n)[:, None]
-    e_plus = np.fromiter(map(math.exp, alphas), float, n)
+    # (einsum and sum-of-products reduce in another order).  A schedule that
+    # is not stationary makes one alpha, two math.exp and one gamma_dot
+    # call per sample.  fromiter (no list of floats) and the in-place
+    # mismatch keep the peak memory at the per-sample loop's
+    if schedule.stationary:
+        alpha = schedule.alpha(times[0])
+        e_minus, e_plus = math.exp(-alpha), math.exp(alpha)
+        gamma_dot = float(schedule.gamma_dot(times[0]))
+    else:
+        alphas = [schedule.alpha(t) for t in times]
+        e_minus = np.fromiter((math.exp(-a) for a in alphas), float, n)[:, None]
+        e_plus = np.fromiter(map(math.exp, alphas), float, n)
+        gamma_dot = np.fromiter(map(schedule.gamma_dot, times), float, n)
     # the generalized momentum Delta_h = grad h(q + e^-alpha qdot) - grad h(q)
     delta = metric.grad(q + e_minus * q_dot) - metric.grad(q)
     gen = transform.generator(q)
     charge = np.vecdot(delta, gen)
-    dissipation = np.fromiter(map(schedule.gamma_dot, times), float, n) * charge
+    dissipation = gamma_dot * charge
     dynamic = np.vecdot(delta, transform.velocity_generator(q_dot))
     # evaluated generically: for the Euclidean metric the mismatch is an
     # exact cancellation, which the invariant tests rely on observing

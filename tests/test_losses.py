@@ -175,61 +175,109 @@ class TestGradientBits:
         assert_same_bits(TwoLayerChain(x, y).grad(q), chain_grad(x, y, q))
 
 
+_ENTRY = strategies.floats(-10.0, 10.0)
+
+
+def draw_loss(draw, family):
+    """A loss of the family, drawn with `draw` (a data object's or a
+    composite strategy's)."""
+    if family == "two-layer-chain":
+        samples = draw(arrays(np.float64, (draw(strategies.integers(1, 4)), 2),
+                              elements=strategies.one_of(strategies.just(0.0), _ENTRY)))
+        return TwoLayerChain(samples[:, 0], samples[:, 1])
+    dim = draw(strategies.integers(1, 4))
+    if family == "radial-well":
+        return RadialWell(draw(_ENTRY), draw(_ENTRY), dim)
+    a = draw(arrays(np.float64, (dim, dim), elements=_ENTRY))
+    return (RayleighQuotient if family == "rayleigh" else Quadratic)(a + a.T)
+
+
+def draw_rows(draw, count, dim):
+    """(count, 2 dim) rows, each of norm 1e-11 to past float range."""
+    rows = draw(arrays(np.float64, (count, 2 * dim), elements=_ENTRY))
+    assume((np.abs(rows.reshape(count, 2, dim)) > 0.1).any(axis=2).all())
+    log_norms = draw(arrays(np.float64, (count, 1), elements=strategies.floats(-11.0, 308.0)))
+    with np.errstate(over="ignore"):
+        return rows * 10.0 ** log_norms
+
+
+def near_origin(entries, dim):
+    """Entries in [-1, 1], scaled so that each dim of them is a point within
+    the origin tolerance."""
+    return entries * (0.5 * _ORIGIN_TOL / math.sqrt(dim))
+
+
+@strategies.composite
+def singular_stacks(draw):
+    """(loss, rows): a Rayleigh quotient or a radial well, and rows of
+    shape (count, 2 dim), or (2, count, 2 dim) as the two-grid lockstep
+    kernel stacks them, with one row within the origin tolerance in both
+    halves and maybe one NaN row, anywhere."""
+    loss = draw_loss(draw, draw(strategies.sampled_from(["rayleigh", "radial-well"])))
+    grids, count = draw(strategies.integers(1, 2)), draw(strategies.integers(2, 8))
+    rows = draw_rows(draw, grids * count, loss.dim)
+    singular, other = draw(strategies.permutations(range(grids * count)))[:2]
+    rows[singular] = near_origin(draw(arrays(np.float64, 2 * loss.dim,
+                                             elements=strategies.floats(-1.0, 1.0))), loss.dim)
+    if draw(strategies.booleans()):
+        rows[other] = math.nan
+    return loss, rows.reshape(grids, count, -1) if grids > 1 else rows
+
+
+def nan_first_singular_last(loss, shape):
+    """(loss, rows) with rows of shape `shape` + (2 dim,): the first row NaN,
+    the last within the origin tolerance, the rest of norm 1."""
+    rows = np.full((math.prod(shape), 2 * loss.dim), 1.0 / math.sqrt(loss.dim))
+    rows[0] = math.nan
+    rows[-1] = near_origin(np.full(2 * loss.dim, 0.5), loss.dim)
+    return loss, rows.reshape(*shape, -1)
+
+
 class TestStacks:
     """grad of a (B, dim) stack gives each row the bits of its one-point call,
     on a column slice (integrate_rk4_lockstep passes rows at a step past
     dim) and on a contiguous stack."""
 
     FAMILIES = ["rayleigh", "two-layer-chain", "radial-well", "quadratic"]
-    ENTRY = strategies.floats(-10.0, 10.0)
-
-    def draw_loss(self, data, family):
-        if family == "two-layer-chain":
-            samples = data.draw(arrays(np.float64, (data.draw(strategies.integers(1, 4)), 2),
-                                       elements=strategies.one_of(strategies.just(0.0),
-                                                                  self.ENTRY)))
-            return TwoLayerChain(samples[:, 0], samples[:, 1])
-        dim = data.draw(strategies.integers(1, 4))
-        if family == "radial-well":
-            return RadialWell(data.draw(self.ENTRY), data.draw(self.ENTRY), dim)
-        a = data.draw(arrays(np.float64, (dim, dim), elements=self.ENTRY))
-        return (RayleighQuotient if family == "rayleigh" else Quadratic)(a + a.T)
-
-    def draw_rows(self, data, count, dim):
-        """(count, 2 dim) rows, each of norm 1e-11 to past float range."""
-        rows = data.draw(arrays(np.float64, (count, 2 * dim), elements=self.ENTRY))
-        assume((np.abs(rows.reshape(count, 2, dim)) > 0.1).any(axis=2).all())
-        log_norms = data.draw(arrays(np.float64, (count, 1),
-                                     elements=strategies.floats(-11.0, 308.0)))
-        with np.errstate(over="ignore"):
-            return rows * 10.0 ** log_norms
+    RAYLEIGH = RayleighQuotient(np.array([[1.0, 0.3], [0.3, -2.0]]))
 
     @settings(max_examples=400, deadline=None)
     @given(data=strategies.data(), family=strategies.sampled_from(FAMILIES),
            count=strategies.integers(1, 8))
     def test_stack_gives_each_row_its_own_bits(self, data, family, count):
-        loss = self.draw_loss(data, family)
-        rows = self.draw_rows(data, count, loss.dim)
+        loss = draw_loss(data.draw, family)
+        rows = draw_rows(data.draw, count, loss.dim)
         with np.errstate(all="ignore"):
             for q in (rows[:, :loss.dim], np.ascontiguousarray(rows[:, loss.dim:])):
                 assert_same_bits(loss.grad(q), np.array([loss.grad(point) for point in q]))
 
     @settings(max_examples=200, deadline=None)
-    @given(data=strategies.data(), family=strategies.sampled_from(["rayleigh", "radial-well"]),
-           count=strategies.integers(2, 8), nan_row=strategies.booleans())
-    def test_a_stack_with_one_singular_row_raises(self, data, family, count, nan_row):
-        """One row of norm under 1e-12 raises, also past a NaN row."""
-        loss = self.draw_loss(data, family)
-        rows = self.draw_rows(data, count, loss.dim)
-        singular, other = data.draw(strategies.permutations(range(count)))[:2]
-        rows[singular] = data.draw(arrays(np.float64, 2 * loss.dim, elements=strategies.floats(
-            -1.0, 1.0))) * (0.5 * _ORIGIN_TOL / math.sqrt(loss.dim))
-        if nan_row:
-            rows[other] = math.nan
+    @given(case=singular_stacks())
+    @example(case=nan_first_singular_last(RAYLEIGH, (3,)))
+    @example(case=nan_first_singular_last(RAYLEIGH, (2, 3)))
+    @example(case=nan_first_singular_last(RadialWell(1.0, 2.0, 3), (4,)))
+    @example(case=nan_first_singular_last(RadialWell(1.0, 2.0, 3), (2, 2)))
+    def test_a_stack_with_one_singular_row_raises(self, case):
+        """One row of norm under 1e-12 raises, also past a NaN row.  The
+        examples put the NaN row first, where Python's min over the rows'
+        norms is NaN and the stack path's check falls back to
+        np.fmin.reduce, and the singular row last."""
+        loss, rows = case
         with np.errstate(all="ignore"):
-            for q in (rows[:, :loss.dim], np.ascontiguousarray(rows[:, loss.dim:])):
+            for q in (rows[..., :loss.dim], np.ascontiguousarray(rows[..., loss.dim:])):
                 with pytest.raises(SingularLossError):
                     loss.grad(q)
+
+    @pytest.mark.parametrize("family", ["rayleigh", "radial-well"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)], ids=["one-grid", "two-grid"])
+    def test_a_stack_of_nan_rows_raises_nothing(self, family, shape):
+        """Every row NaN: no row is singular, so no SingularLossError, and
+        each row gets its point's bits."""
+        loss = self.RAYLEIGH if family == "rayleigh" else RadialWell(1.0, 2.0, 2)
+        rows = np.full((*shape, 4), math.nan)
+        for q in (rows[..., :2], np.ascontiguousarray(rows[..., 2:])):
+            expected = np.array([loss.grad(point) for point in q.reshape(-1, 2)])
+            assert_same_bits(loss.grad(q), expected.reshape(q.shape))
 
     @settings(max_examples=200, deadline=None)
     @given(data=strategies.data(), family=strategies.sampled_from(FAMILIES),
@@ -241,11 +289,11 @@ class TestStacks:
         a (grids, n) state, `_rows` of it, and leaves the rest untouched; a
         point writes them into a row of a (rows, dim) block, as a discrete
         stepper does."""
-        loss = self.draw_loss(data, family)
+        loss = draw_loss(data.draw, family)
         dim = loss.dim
         run = [1 + i * (dim + gap) for i in range(count)]
         n = run[-1] + dim + 1
-        rows = self.draw_rows(data, grids * count, dim)[:, :dim].reshape(grids, count, dim)
+        rows = draw_rows(data.draw, grids * count, dim)[:, :dim].reshape(grids, count, dim)
         state = np.full((grids, n) if grids > 1 else (n,), 7.0)
         q = _rows(state, run, dim)
         q[...] = rows.reshape(q.shape)

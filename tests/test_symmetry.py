@@ -1,5 +1,8 @@
 """Transforms, charges, kinetic asymmetry, and the charge balance law."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -341,13 +344,43 @@ class TestNoetherResidual:
             assert_same_observables(noether_residual(metric, sched, tf, traj),
                                     noether_residual_per_sample(metric, sched, tf, traj))
 
-    def test_short_trajectory_rejected(self):
-        sched = natural_schedule(1.0, 1.0)
-        times = 0.1 * np.arange(4)
-        q = np.ones((4, 2))
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("nesterov", [False, True], ids=["natural", "nesterov"])
+    def test_short_trajectory_rejected(self, n, nesterov):
+        """Fewer than 5 samples raise time_derivative's ValueError before
+        any term is computed, 0 and 1 included, for a stationary schedule
+        and another."""
+        sched = nesterov_schedule(2.0, 0.25) if nesterov else natural_schedule(1.0, 1.0)
+        times = 0.1 + 0.1 * np.arange(n)
+        q = np.ones((n, 2))
         traj = Trajectory(times=times, q=q, q_dot=np.zeros_like(q))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 5 samples"):
             noether_residual(Euclidean(2), sched, Scale(), traj)
+
+    def test_a_stationary_schedule_is_read_once_per_call(self):
+        """noether_residual calls a stationary schedule's alpha and gamma_dot
+        once each, whatever the number of samples, and its observables keep
+        the bits of the same schedule read at every sample (stationary=False),
+        on the experiment's 12 cases."""
+        sched = natural_schedule(0.7, 0.4)
+        for metric, tf, loss, q0, qd0 in _residual_cases():
+            traj = integrate_rk4(eom_bregman(metric, sched, loss), q0, qd0, 0.0, 0.02, 1e-3)
+            calls = collections.Counter()
+
+            def counted(name):
+                read = getattr(sched, name)
+
+                def wrapper(t):
+                    calls[name] += 1
+                    return read(t)
+                return wrapper
+
+            counting = dataclasses.replace(sched, alpha=counted("alpha"),
+                                           gamma_dot=counted("gamma_dot"))
+            obs = noether_residual(metric, counting, tf, traj)
+            assert calls == {"alpha": 1, "gamma_dot": 1}
+            assert_same_observables(obs, noether_residual(
+                metric, dataclasses.replace(sched, stationary=False), tf, traj))
 
 
 class TestGradientFlowLimit:
