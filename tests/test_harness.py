@@ -381,14 +381,18 @@ def _reference_channels(cfg):
                               for n in range(cfg["steps"])]))
 
 
-@pytest.mark.parametrize("seed, block, steps", [
-    *((seed, block, steps) for seed in (0, 7)
+@pytest.mark.parametrize("seed, block, steps, beta, wd", [
+    *((seed, block, steps, 0.9, 1e-4) for seed in (0, 7)
       for block, steps in [(BLOCK, BLOCK - 1), (BLOCK, BLOCK), (BLOCK, BLOCK + 1),
                            (BLOCK, 2 * BLOCK + 1), (7, 5), (7, 6), (7, 7), (7, 13), (7, 14),
                            (7, 15), (1, 4)]),
-    *((seed, BLOCK, 500) for seed in (0, 3, 7, 31)),
+    *((seed, BLOCK, 500, 0.9, 1e-4) for seed in (0, 3, 7, 31)),
+    # the fused step forms the decay product k q even at k = +-0.0, which
+    # the library step skips, and a subnormal k keeps it
+    *((seed, BLOCK, 1500, beta, wd) for seed in (0, 7) for beta in (0.0, 0.9)
+      for wd in (0.0, -0.0, 5e-324)),
 ])
-def test_flagship_blocks_match_reference_stepper(monkeypatch, seed, block, steps):
+def test_flagship_blocks_match_reference_stepper(monkeypatch, seed, block, steps, beta, wd):
     """The fused flagship step gives the library step's bits in all four
     channels, and its times are simulate's grid.  The record is written a
     block of steps at a time: the last step may end a block, fall just short
@@ -396,7 +400,7 @@ def test_flagship_blocks_match_reference_stepper(monkeypatch, seed, block, steps
     across each boundary."""
     monkeypatch.setattr(discrete, "BLOCK", block)
     cfg = ExperimentConfig(kind="bn-effective-lr",
-                           params={"eta": 0.01, "beta": 0.9, "wd": 1e-4, "steps": steps,
+                           params={"eta": 0.01, "beta": beta, "wd": wd, "steps": steps,
                                    "seed": seed})
     for channel, reference in zip(flagship_run(cfg), _reference_channels(cfg)):
         assert_same_bits(channel, reference)
@@ -431,7 +435,8 @@ def test_fused_flagship_step_aborts_a_step_before_the_library_step_near_overflow
 
 @settings(max_examples=150, deadline=None)
 @given(eta=strategies.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
-       wd=strategies.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+       wd=strategies.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
+       | strategies.sampled_from([0.0, -0.0, 5e-324]),
        beta=strategies.sampled_from([0.0, 0.5, 0.9, 0.99]) | strategies.floats(0.0, 0.99),
        seed=strategies.integers(0, 50), steps=strategies.integers(1, 2100),
        block=strategies.sampled_from([1, 7, 64, BLOCK]))
