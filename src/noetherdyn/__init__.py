@@ -26,7 +26,6 @@ from .continuous import (
     eom_bregman,
     integrate_rk4,
     integrate_rk4_lockstep,
-    rk4_solve,
 )
 from .discrete import (
     centered_velocities,

@@ -64,31 +64,30 @@ def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(grid_steps(t0, t1, dt) + 1)
 
 
-def _rk4_step(f, y0, split: int, dt, grids: int = 1):
+def _rk4_step(f, y0, dt, grids: int = 1):
     """rk4_solve's step, in place: returns (state, advance), with state the
-    flat state vector, loaded with y0, and advance(t, t_mid, t_end) the RK4
-    step that overwrites it with the state one step of dt on, calling f at
-    t, t_mid (twice) and t_end.  dt is one step for every entry, or a vector
-    of one per entry.
+    flat state vector [q, qdot], loaded with y0, and advance(t, t_mid, t_end)
+    the RK4 step that overwrites it with the state one step of dt on, calling
+    f(t, q, qdot) at t, t_mid (twice) and t_end.  dt is one step for every
+    entry, or a vector of one per entry.
 
-    Each stage lives in one buffer [y_j, f_j] of 2n - split entries, made
-    once, so its derivative is the view buffer[n - split:]; f's result is
-    copied into f_j, and every combination writes into a buffer with a
-    constant vector operand.  Each value is the same expression as
-    y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), bit for bit.
-    With grids > 1, each part of y that f gets, and f's result, has shape
-    (grids, -1).
+    For y0 of 2d entries, each stage lives in one buffer [q_j, qdot_j, f_j]
+    of 3d entries, made once, so its derivative [qdot_j, f_j] is the view
+    buffer[d:]; f's result is copied into f_j, and every combination writes
+    into a buffer with a constant vector operand.  Each value is the same
+    expression as y + (dt / 2) * k1 and y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4),
+    bit for bit.  With grids > 1, each half of y that f gets, and f's result,
+    has shape (grids, -1).
     """
     n = y0.size
-    buffers = np.empty((4, 2 * n - split))
+    d = n // 2
+    buffers = np.empty((4, n + d))
     y1, y2, y3, y4 = buffers[:, :n]
-    k1, k2, k3, k4 = buffers[:, n - split:]
+    k1, k2, k3, k4 = buffers[:, d:]
     shape = (grids, -1) if grids > 1 else (-1,)
     f1, f2, f3, f4 = (x.reshape(shape) for x in buffers[:, n:])
-    args1, args2, args3, args4 = [
-        (y.reshape(shape),) if split == 0
-        else (y[:n - split].reshape(shape), y[n - split:].reshape(shape))
-        for y in (y1, y2, y3, y4)]
+    args1, args2, args3, args4 = [(y[:d].reshape(shape), y[d:].reshape(shape))
+                                  for y in (y1, y2, y3, y4)]
     whole = np.full(n, dt, dtype=float)
     half, sixth, two = 0.5 * whole, whole / 6.0, np.full(n, 2.0)
     product = np.empty(n)
@@ -113,14 +112,9 @@ def _rk4_step(f, y0, split: int, dt, grids: int = 1):
     return y1, advance
 
 
-def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
-    """Classical 4th-order Runge-Kutta on a flat state vector y of n entries.
-
-    With split = 0, dy/dt = f(t, y).  With split > 0, the first `split`
-    entries of dy/dt are y's last `split` entries, and f(t, head, tail),
-    called with y cut into y[:n - split] and y[n - split:], returns the
-    other n - split: a second-order system qddot = rhs(t, q, qdot) is
-    split = d on y = [q, qdot].
+def rk4_solve(f, y0, t0: float, t1: float, dt: float):
+    """Classical 4th-order Runge-Kutta for a second-order system
+    qddot = f(t, q, qdot) on the flat state y0 = [q, qdot] of two halves.
 
     Returns (times, states) with states[i] the solution at times[i].
     Domain violations raised by f abort with the offending time attached,
@@ -133,7 +127,7 @@ def rk4_solve(f, y0, t0: float, t1: float, dt: float, split: int = 0):
         raise IntegrationError("initial state is not finite", time=t0)
     out = np.empty((times.size, y0.size))
     out[0] = y0
-    state, advance = _rk4_step(f, y0, split, dt)
+    state, advance = _rk4_step(f, y0, dt)
     zero = np.zeros(y0.size)
     mid = 0.5 * dt
     # the stage times as Python floats: a sum of numpy scalars costs more
@@ -165,7 +159,7 @@ def integrate_rk4(system: BregmanSystem, q0, qdot0, t0: float, t1: float,
     (q, qdot), from q0 and qdot0, each one point of the system's dim."""
     q0, qdot0 = _start(system, q0, qdot0)
     d = q0.size
-    times, ys = rk4_solve(system.rhs, np.concatenate((q0, qdot0)), t0, t1, dt, split=d)
+    times, ys = rk4_solve(system.rhs, np.concatenate((q0, qdot0)), t0, t1, dt)
     return Trajectory(times=times, q=ys[:, :d], q_dot=ys[:, d:])
 
 
@@ -218,10 +212,10 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
         order = sorted(range(len(systems)), key=lambda i: (first[_group(systems[i].metric)],
                                                            first[id(systems[i].loss)]))
         offsets = [0] * len(systems)
-        split = 0
+        width = 0
         for i in order:
-            offsets[i] = split
-            split += systems[i].metric.dim
+            offsets[i] = width
+            width += systems[i].metric.dim
         times = _grid(t0, t1, dt)
         fine_dt = dt / 2.0
         fine_times = _grid(t0, t1, fine_dt)
@@ -231,18 +225,18 @@ def integrate_rk4_lockstep(problems, t0: float, t1: float, dt: float) -> tuple:
         y0 = np.concatenate([starts[i][0] for i in order] + [starts[i][1] for i in order])
         if not np.isfinite(y0).all():
             raise ValueError("initial state is not finite")
-        ys = np.empty((times.size, 2, split))
-        fine_ys = np.empty((fine_times.size, 2, split))
-        ys[0] = fine_ys[0] = y0.reshape(2, split)
+        ys = np.empty((times.size, 2, width))
+        fine_ys = np.empty((fine_times.size, 2, width))
+        ys[0] = fine_ys[0] = y0.reshape(2, width)
         schedule = systems[0].schedule
         members = [(systems[i].metric, systems[i].loss) for i in order]
         pair, advance_pair = _rk4_step(
             _bregman_rhs(schedule, members, grids=2), np.repeat(ys[0], 2, axis=0).ravel(),
-            2 * split, np.repeat([dt, fine_dt, dt, fine_dt], split), grids=2)
-        fine, advance_fine = _rk4_step(_bregman_rhs(schedule, members), y0, split, fine_dt)
-        both = pair.reshape(2, 2, split)  # [q, qdot] x [coarse, fine]
+            np.repeat([dt, fine_dt, dt, fine_dt], width), grids=2)
+        fine, advance_fine = _rk4_step(_bregman_rhs(schedule, members), y0, fine_dt)
+        both = pair.reshape(2, 2, width)  # [q, qdot] x [coarse, fine]
         coarse_rows, paired_fine_rows = both[:, 0], both[:, 1]
-        fine_rows = fine.reshape(2, split)
+        fine_rows = fine.reshape(2, width)
         zero = np.zeros(pair.size)
         mid, fine_mid = 0.5 * dt, 0.5 * fine_dt
         # the stage times as Python floats, as in rk4_solve

@@ -61,7 +61,7 @@ _RANGES = {
 # most steps, optimizer or RK4, an experiment's longest single run may make,
 # which bounds the largest array a run allocates: 50x the largest shipped run
 MAX_STEPS = 10 ** 7
-MODIFIED_EQ_REFINE = 100  # RK4 steps per optimizer step of modified-eq's models
+MODIFIED_EQ_REFINE = 100  # RK4 steps per optimizer step of modified-eq's heavy-ball model
 
 
 def step_count(t1: float, step: float) -> int:
@@ -101,14 +101,14 @@ def _check_values(kind: str, params: dict):
         steps = step_count(params["t1"], params["eta"])
         if steps < 3:
             raise UsageError("t1/eta must allow at least 3 steps for the anchored comparison")
-        # the continuous models' RK4 grid from the first iterate to the last
+        # the heavy-ball model's RK4 grid from the first iterate to the last
         eta = params["eta"]
         try:
             grid_steps(eta, steps * eta, eta / MODIFIED_EQ_REFINE)
         except ValueError:
             raise UsageError(f"eta = {eta:g} has no RK4 step eta / {MODIFIED_EQ_REFINE} that "
                              f"tiles its {steps} steps") from None
-        longest = MODIFIED_EQ_REFINE * steps  # a continuous model's RK4 run
+        longest = MODIFIED_EQ_REFINE * steps  # the heavy-ball model's RK4 run
     elif kind == "rmsprop-equiv":
         longest = step_count(params["t1"], params["eta"])
         if longest < 1:

@@ -22,11 +22,11 @@ from noetherdyn import (
     integrate_rk4_lockstep,
     natural_schedule,
     nesterov_schedule,
-    rk4_solve,
 )
 from noetherdyn import continuous
-from noetherdyn.continuous import grid_steps
-from noetherdyn.harness.experiments import _residual_cases
+from noetherdyn.continuous import grid_steps, rk4_solve
+from noetherdyn.harness.config import MODIFIED_EQ_REFINE, build_config
+from noetherdyn.harness.experiments import _residual_cases, run_experiment
 from noetherdyn.symmetry import time_derivative
 from oracles import assert_same_bits, bregman_rhs, lagrangian, rk4_reference
 
@@ -36,8 +36,7 @@ HARMONIC = eom_bregman(Euclidean(1), natural_schedule(1.0, 0.0), Quadratic(np.ey
 
 class TestRk4:
     def test_free_particle_is_exact(self):
-        _, states = rk4_solve(lambda t, q, qd: np.zeros_like(q), [0.0, 1.0], 0.0, 1.0, 0.01,
-                              split=1)
+        _, states = rk4_solve(lambda t, q, qd: np.zeros_like(q), [0.0, 1.0], 0.0, 1.0, 0.01)
         assert states[-1, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_harmonic_full_period(self):
@@ -71,35 +70,26 @@ class TestRk4:
         assert np.allclose(np.diff(traj.times), 0.01, atol=1e-12)
         assert traj.times[0] == 0.5 and traj.times[-1] == pytest.approx(1.5)
 
-    def test_rk4_solve_first_order_decay(self):
-        times, ys = rk4_solve(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.001)
-        assert abs(ys[-1, 0] - np.exp(-1.0)) <= 1e-12
-
     @settings(max_examples=200, deadline=None)
-    @given(data=strategies.data(), n=strategies.integers(1, 6),
+    @given(data=strategies.data(), d=strategies.integers(1, 3),
            t0=strategies.floats(-1.0, 1.0), dt=strategies.floats(1e-4, 0.05),
            steps=strategies.integers(1, 300))
-    def test_linear_systems_match_the_allocating_loop_bit_for_bit(self, data, n, t0, dt,
+    def test_linear_systems_match_the_allocating_loop_bit_for_bit(self, data, d, t0, dt,
                                                                    steps):
-        """dy/dt = A y + b, with the first `split` entries of dy/dt read from
-        the state (split 0: plain first order)."""
-        split = data.draw(strategies.integers(0, n - 1), label="split")
+        """qddot = A [q, qdot] + b on the state [q, qdot] of n = 2d entries."""
+        n = 2 * d
         entries = strategies.floats(-1.0, 1.0)
-        a = np.array(data.draw(strategies.lists(entries, min_size=n * (n - split),
-                                                max_size=n * (n - split)), label="A"))
-        a = a.reshape(n - split, n)
-        b = np.array(data.draw(strategies.lists(entries, min_size=n - split,
-                                                max_size=n - split), label="b"))
+        a = np.array(data.draw(strategies.lists(entries, min_size=d * n, max_size=d * n),
+                               label="A")).reshape(d, n)
+        b = np.array(data.draw(strategies.lists(entries, min_size=d, max_size=d), label="b"))
         y0 = np.array(data.draw(strategies.lists(entries, min_size=n, max_size=n), label="y0"))
         t1 = t0 + steps * dt
-        if split == 0:
-            def f(t, y):
-                return a @ y + b
-        else:
-            def f(t, head, tail):
-                return a @ np.concatenate((head, tail)) + b
-        times, states = rk4_solve(f, y0, t0, t1, dt, split=split)
-        ref_times, ref_states = rk4_reference(f, y0, t0, t1, dt, split=split)
+
+        def f(t, q, q_dot):
+            return a @ np.concatenate((q, q_dot)) + b
+
+        times, states = rk4_solve(f, y0, t0, t1, dt)
+        ref_times, ref_states = rk4_reference(f, y0, t0, t1, dt, split=d)
         assert_same_bits(times, ref_times)
         assert_same_bits(states, ref_states)
 
@@ -123,19 +113,10 @@ class TestRk4:
         self.assert_matches_reference(system, q0, qd0, 0.0, 0.05, dt)
 
     def test_rhs_returning_its_input_or_a_reused_array(self):
-        """The stage buffers are reused: a result that is f's own input, or one
-        array f overwrites on every call, must be copied, not aliased."""
-        y0 = np.array([1.0, -0.5, 0.25])
-        _, states = rk4_solve(lambda t, y: y, y0, 0.0, 0.1, 0.01)
-        _, expected = rk4_reference(lambda t, y: y, y0, 0.0, 0.1, 0.01)
-        assert_same_bits(states, expected)
-
-        constant = np.array([0.5, -1.0, 2.0])
-        _, states = rk4_solve(lambda t, y: constant, y0, 0.0, 0.1, 0.01)
-        _, expected = rk4_reference(lambda t, y: constant, y0, 0.0, 0.1, 0.01)
-        assert_same_bits(states, expected)
-        assert_same_bits(constant, np.array([0.5, -1.0, 2.0]))
-
+        """The stage buffers are reused: a result that is one of f's own
+        inputs, a constant, or one array f overwrites on every call, must be
+        copied, not aliased."""
+        constant = np.array([0.5, -1.0])
         reused = np.empty(2)
 
         def spring(t, q, q_dot):
@@ -144,23 +125,24 @@ class TestRk4:
             return reused
 
         y0 = np.array([1.0, 2.0, 0.5, -0.5])
-        for drift_or_spring in (lambda t, q, qd: qd, spring):
-            _, states = rk4_solve(drift_or_spring, y0, 0.0, 0.1, 0.01, split=2)
-            _, expected = rk4_reference(drift_or_spring, y0, 0.0, 0.1, 0.01, split=2)
+        for f in (lambda t, q, qd: q, lambda t, q, qd: qd, lambda t, q, qd: constant, spring):
+            _, states = rk4_solve(f, y0, 0.0, 0.1, 0.01)
+            _, expected = rk4_reference(f, y0, 0.0, 0.1, 0.01, split=2)
             assert_same_bits(states, expected)
+        assert_same_bits(constant, np.array([0.5, -1.0]))
 
     @pytest.mark.parametrize("stage", [2, 3, 4])
     def test_domain_error_in_a_later_stage_names_the_step_start(self, stage):
         calls = []
 
-        def f(t, y):
+        def f(t, q, q_dot):
             calls.append(t)
             if len(calls) == 4 * 3 + stage:  # stage `stage` of the step from times[3]
                 raise DomainError("outside")
-            return -y
+            return -q
 
         with pytest.raises(IntegrationError, match="rhs left its domain: outside") as caught:
-            rk4_solve(f, np.array([1.0]), 0.0, 1.0, 0.125)
+            rk4_solve(f, [1.0, 0.0], 0.0, 1.0, 0.125)
         assert caught.value.time == 0.375
 
     def test_nan_after_the_last_stage_names_the_step_end(self):
@@ -171,20 +153,20 @@ class TestRk4:
             return -q if len(calls) < 4 * 5 + 4 else np.array([np.nan])
 
         with pytest.raises(IntegrationError, match="no longer finite") as caught:
-            rk4_solve(f, [1.0, 0.0], 0.0, 1.0, 0.125, split=1)
+            rk4_solve(f, [1.0, 0.0], 0.0, 1.0, 0.125)
         assert caught.value.time == 0.75
 
     def test_non_finite_state_aborts_with_its_time(self):
         # the last stage of the step from t = 0.4 turns the state NaN at t = 0.5
         with pytest.raises(IntegrationError, match="no longer finite") as caught:
-            rk4_solve(lambda t, y: -y if t < 0.5 else y * np.nan, np.array([1.0]),
+            rk4_solve(lambda t, q, qd: -q if t < 0.5 else q * np.nan, [1.0, 0.0],
                       0.0, 1.0, 0.1)
         assert caught.value.time == pytest.approx(0.5)
 
     def test_non_finite_initial_state_aborts_at_t0(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(IntegrationError, match="initial state") as caught:
-                rk4_solve(lambda t, y: -y, np.array([1.0, bad]), 0.25, 1.0, 0.25)
+                rk4_solve(lambda t, q, qd: -q, np.array([1.0, bad]), 0.25, 1.0, 0.25)
             assert caught.value.time == 0.25
             with pytest.raises(IntegrationError, match="initial state") as caught:
                 integrate_rk4(HARMONIC, [1.0], [bad], 0.25, 1.0, 0.25)
@@ -411,6 +393,21 @@ class TestModifiedEquation:
         qd = np.array([0.3, 0.0])
         expected = (-qd - loss.grad(q)) * (2.0 / 0.1)
         np.testing.assert_allclose(system.rhs(0.0, q, qd), expected, rtol=1e-14)
+
+    def test_closed_form_flow_is_the_rk4_flow_on_the_acceptance_grid(self, tmp_path):
+        """modified-eq's gradient flow (1-beta) qdot = -q, in closed form from
+        the first iterate, is the first-order RK4 run of step eta / 100 at
+        every iterate, to 1e-12 relative: RK4's global error there is
+        T lambda^5 h^4 / 120, about 5e-13 at lambda = 2, h = 1e-3, T = 1.9."""
+        cfg = build_config("modified-eq", {"eta": 0.1}, {"out": str(tmp_path)})
+        eta, beta = cfg["eta"], cfg["beta"]
+        assert run_experiment(cfg)
+        rows = np.loadtxt(tmp_path / "modified_eq.csv", delimiter=",", skiprows=1)
+        times, q1, flow = rows[:, 0], rows[:1, 1], rows[:, 3]
+        assert (times[0], times[-1], beta) == (0.1, 2.0, 0.5)
+        _, rk4 = rk4_reference(lambda t, y: -y / (1.0 - beta), q1, eta, times[-1],
+                               eta / MODIFIED_EQ_REFINE)
+        np.testing.assert_allclose(flow, rk4[::MODIFIED_EQ_REFINE, 0], rtol=1e-12, atol=0.0)
 
 
 class TestBregmanEuclidean:

@@ -493,9 +493,9 @@ _CLI_VALUES = {
 # region left out is every longer run, up to config.MAX_STEPS.  Each bound
 # keeps one run near 0.1 s on a 2-vCPU host: noether-residual costs about
 # 2.4 ms per step of dt (24 solves), and modified-eq 0.1 s for its
-# accelerated-gradient model plus 2 x 100 RK4 steps per optimizer step, so
-# 2e4 steps would take a minute or more a run.  The flagship bound spans
-# two 1,024-step blocks.
+# accelerated-gradient model plus its modified ODE's 100 RK4 steps per
+# optimizer step, so 2e4 steps would take half a minute or more a run.  The
+# flagship bound spans two 1,024-step blocks.
 _CLI_STEP_BOUND = {"noether-residual": 20, "conservation": 500, "modified-eq": 10,
                    "bn-effective-lr": 2 * BLOCK, "steady-state": 2 * BLOCK, "rmsprop-equiv": 500}
 # what a config file may hold besides its key lines: any text UTF-8 can
@@ -543,6 +543,9 @@ class TestCli:
         # at so small a step neither continuous model deviates at all: 0/0 fails
         "no-deviation": (["modified-eq", "--eta", "1e-17", "--t1", "3e-17"], None, 1,
                          "assertion(s) failed"),
+        # the gradient flow's rate 1 / (1-beta) = 1000 is past RK4's stability limit
+        # at step eta / 100; the flow is in closed form, and the model stays finite
+        "stiff-flow": (["modified-eq", "--eta", "0.5", "--beta", "0.999"], None, 0, ""),
         # a crest at either end of the run is no balance point: both relations fail;
         # the norm only decays (crest at row 0), or still rises at the last row
         "crest-first-row": (["steady-state", "--eta", "0.0035", "--beta", "0.9", "--wd", "1e-4"],
@@ -594,7 +597,7 @@ class TestCli:
         # the half-step run's dt / 2 underflows to 0
         "no-half-step": (["noether-residual", "--dt", "5e-324", "--t1", "2.5e-323"], None, 2,
                          "dt = 4.94066e-324 has no half step"),
-        # the continuous models' RK4 step eta / 100 underflows to 0
+        # the heavy-ball model's RK4 step eta / 100 underflows to 0
         "no-rk4-step": (["modified-eq", "--eta", "5e-324", "--t1", "2e-323"], None, 2,
                         "eta = 4.94066e-324 has no RK4 step eta / 100"),
         # the squared norm settles within an ulp: the SVG tick step is under the
